@@ -2,7 +2,7 @@
 
 The three-state model (initial -> progression -> death) is simulated with
 known piecewise constant intensities; each transition is re-fitted from the
-long-format records, and the fitted model is converted to survival curves
+long-format multi-state frame, and the fitted model is converted to survival curves
 of the state-0 sojourn (progression-free survival) and of overall survival,
 overlaid against Kaplan-Meier estimates.
 """
@@ -18,13 +18,13 @@ truth = hs.IllnessDeathModel(
     a12=hs.StepFunction(w, [0.25, 0.7], [2.5, 1.5, 1.0]),
 )
 
-records = hs.simulate_illness_death(truth, n=5000, censoring_rate=0.25, seed=11)
-n_moves = sum(1 for r in records if r.to_state is not None)
-print(f"simulated 5000 subjects -> {len(records)} sojourn records, {n_moves} observed moves")
+trajectories = hs.simulate_illness_death(truth, n=5000, censoring_rate=0.25, seed=11)
+n_moves = np.count_nonzero(trajectories.to_state != hs.CENSORED_STATE)
+print(f"simulated 5000 subjects -> {len(trajectories)} sojourn rows, {n_moves} observed moves")
 
 # ---------------------------------------------------------------- fits
 fits = hs.fit_illness_death_detailed(
-    records, hs.FitConfig(tuning=hs.TuningConfig(q=0.5, l_boot=500, seed=11))
+    trajectories, hs.FitConfig(tuning=hs.TuningConfig(q=0.5, l_boot=500, seed=11))
 )
 for (src, dst), fit in fits.items():
     print(f"transition {src}->{dst}: window ({fit.window.tau_min:.3f}, "
@@ -39,7 +39,7 @@ grid = np.linspace(0.0, 1.5, 7)
 pfs_true, os_true = hs.survival_curves(truth, grid)
 pfs_fit, os_fit = hs.survival_curves(fitted, grid)
 
-km_pfs = hs.kaplan_meier(hs.split_transitions(records, (0, 1)))
+km_pfs = hs.kaplan_meier(hs.split_transitions(trajectories, (0, 1)))
 
 print("\n   t    S_PFS true   fitted    S_OS true   fitted")
 for i, t in enumerate(pfs_true.grid):

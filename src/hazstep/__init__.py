@@ -14,13 +14,13 @@ accompanying Monte-Carlo studies.
 
 from .data import (
     CENSORED,
-    RiskProfile,
+    CENSORED_STATE,
+    MultiStateFrame,
     SurvivalFrame,
-    SurvivalRecord,
-    TransitionRecord,
+    absorption_frame,
     parse_multistate_csv,
     parse_survival_csv,
-    risk_profile,
+    risk_set_sums,
     split_transitions,
     write_multistate_csv,
     write_survival_csv,
@@ -82,6 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CENSORED",
+    "CENSORED_STATE",
     "BreslowCurve",
     "ConvergenceError",
     "CoxFit",
@@ -90,9 +91,9 @@ __all__ = [
     "HazardFit",
     "IllnessDeathModel",
     "IncrementSample",
+    "MultiStateFrame",
     "ParseError",
     "PathBreakpoint",
-    "RiskProfile",
     "SCENARIO_NAMES",
     "Scenario",
     "SchemaError",
@@ -100,12 +101,11 @@ __all__ = [
     "StudyReport",
     "SurvivalCurve",
     "SurvivalFrame",
-    "SurvivalRecord",
-    "TransitionRecord",
     "TuningConfig",
     "TuningResult",
     "ValidationError",
     "Window",
+    "absorption_frame",
     "bootstrap_lambda",
     "breslow_fit",
     "build_increments",
@@ -133,7 +133,7 @@ __all__ = [
     "parse_survival_csv",
     "pilot_lambda",
     "reparametrized_check",
-    "risk_profile",
+    "risk_set_sums",
     "run_study",
     "sample_piecewise_exponential",
     "simulate_illness_death",

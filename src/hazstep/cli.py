@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import parse_multistate_csv, parse_survival_csv, split_transitions
+from .data import absorption_frame, parse_multistate_csv, parse_survival_csv, split_transitions
 from .errors import ValidationError
 from .multistate import (
     TRANSITIONS,
@@ -121,7 +121,7 @@ def cmd_multistate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
-    records = parse_multistate_csv(args.input)
+    frame = parse_multistate_csv(args.input)
     config = {
         tr: FitConfig(
             p_high=args.p,
@@ -129,7 +129,7 @@ def cmd_multistate(args) -> int:
         )
         for i, tr in enumerate(TRANSITIONS)
     }
-    fits = fit_illness_death_detailed(records, config)
+    fits = fit_illness_death_detailed(frame, config)
     model = IllnessDeathModel(
         a01=fits[(0, 1)].hazard, a02=fits[(0, 2)].hazard, a12=fits[(1, 2)].hazard
     )
@@ -148,27 +148,10 @@ def cmd_multistate(args) -> int:
         + "\n"
     )
 
-    km_to_csv(kaplan_meier(split_transitions(records, (0, 1))), out / "km_pfs.csv")
-    os_frame = _overall_survival_frame(records)
-    km_to_csv(kaplan_meier(os_frame), out / "km_os.csv")
+    km_to_csv(kaplan_meier(split_transitions(frame, (0, 1))), out / "km_pfs.csv")
+    km_to_csv(kaplan_meier(absorption_frame(frame, 2)), out / "km_os.csv")
     print(f"wrote per-transition hazards, model.json, survival_curves.csv, km_*.csv to {out}")
     return 0
-
-
-def _overall_survival_frame(records):
-    """Time to absorption in state 2 (or censoring), one row per subject."""
-    from .data import SurvivalFrame
-
-    last = {}
-    for r in records:
-        cur = last.get(r.id)
-        if cur is None or r.t_stop > cur.t_stop:
-            last[r.id] = r
-    time = np.array([r.t_stop for r in last.values()])
-    status = np.array([1 if r.to_state == 2 else 0 for r in last.values()])
-    return SurvivalFrame(
-        time=time, status=status, entry=np.zeros(time.size), covariates=np.empty((time.size, 0))
-    )
 
 
 def cmd_curves(args) -> int:

@@ -1,9 +1,10 @@
-"""Event-history data model: survival frames, multi-state records, risk sets.
+"""Event-history data model: survival frames, multi-state frames, risk sets.
 
 Survival data are stored column-wise in immutable frames.  Multi-state
-trajectories are kept in long format (one row per sojourn) and reduced to
-per-transition survival frames, treating the entry time into the source
-state as a left-truncation time.
+trajectories are kept column-wise in long format (one row per sojourn) and
+reduced to per-transition survival frames, treating the entry time into the
+source state as a left-truncation time.  Every risk set of the package is
+computed by :func:`risk_set_sums`.
 """
 
 from __future__ import annotations
@@ -17,42 +18,22 @@ from .errors import ParseError, SchemaError, ValidationError
 
 __all__ = [
     "CENSORED",
-    "SurvivalRecord",
+    "CENSORED_STATE",
     "SurvivalFrame",
-    "TransitionRecord",
-    "RiskProfile",
+    "MultiStateFrame",
     "parse_survival_csv",
     "write_survival_csv",
     "parse_multistate_csv",
     "write_multistate_csv",
     "split_transitions",
-    "risk_profile",
+    "absorption_frame",
+    "risk_set_sums",
 ]
 
 # token used for the censoring pseudo-state in multi-state CSV files
 CENSORED = "cens"
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: observed time, event indicator, entry time, covariates."""
-
-    time: float
-    status: int
-    entry: float = 0.0
-    covariates: tuple = ()
-
-    def __post_init__(self):
-        if not (self.time >= 0):
-            raise ValidationError(f"time must be >= 0, got {self.time}")
-        if self.status not in (0, 1):
-            raise ValidationError(f"status must be 0 or 1, got {self.status}")
-        if not (self.entry >= 0):
-            raise ValidationError(f"entry must be >= 0, got {self.entry}")
-        if self.entry >= self.time:
-            raise ValidationError(
-                f"entry time {self.entry} must be < observed time {self.time}"
-            )
+# code of the censoring pseudo-state in MultiStateFrame.to_state
+CENSORED_STATE = -1
 
 
 @dataclass(frozen=True)
@@ -74,8 +55,14 @@ class SurvivalFrame:
         n = time.size
         if status.size != n or entry.size != n or cov.shape[0] != n:
             raise ValidationError("column lengths differ")
+        finite = np.isfinite(time) & np.isfinite(entry) & np.all(np.isfinite(cov), axis=1)
+        if not np.all(finite):
+            bad = int(np.argmin(finite))
+            raise ValidationError(f"non-finite time, entry or covariate in record {bad}")
         if np.any(time < 0):
             raise ValidationError("times must be >= 0")
+        if np.any(entry < 0):
+            raise ValidationError("entry times must be >= 0")
         if np.any((status != 0) & (status != 1)):
             raise ValidationError("status must be 0 or 1")
         if np.any(entry >= time):
@@ -88,21 +75,6 @@ class SurvivalFrame:
         object.__setattr__(self, "entry", entry)
         object.__setattr__(self, "covariates", cov)
 
-    @classmethod
-    def from_records(cls, records) -> "SurvivalFrame":
-        records = list(records)
-        if not records:
-            raise ValidationError("empty record list")
-        d = len(records[0].covariates)
-        if any(len(r.covariates) != d for r in records):
-            raise ValidationError("records have differing covariate dimension")
-        return cls(
-            time=np.array([r.time for r in records]),
-            status=np.array([r.status for r in records]),
-            entry=np.array([r.entry for r in records]),
-            covariates=np.array([r.covariates for r in records]).reshape(len(records), d),
-        )
-
     @property
     def n(self) -> int:
         return self.time.size
@@ -114,47 +86,94 @@ class SurvivalFrame:
     def __len__(self) -> int:
         return self.n
 
-    def records(self):
-        return [
-            SurvivalRecord(
-                float(self.time[i]),
-                int(self.status[i]),
-                float(self.entry[i]),
-                tuple(self.covariates[i]),
-            )
-            for i in range(self.n)
-        ]
-
     def event_times(self) -> np.ndarray:
         return self.time[self.status == 1]
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
-    """One sojourn: subject id, source state, destination (or censored)."""
+def _state_column(values) -> np.ndarray:
+    col = np.asarray(values).reshape(-1)
+    if col.size and col.dtype.kind not in "iu":
+        raise ValidationError(f"states must be integers, got dtype {col.dtype}")
+    return col.astype(np.int64)
 
-    id: object
-    from_state: int
-    to_state: int | None  # None means censored while in from_state
-    t_start: float
-    t_stop: float
+
+@dataclass(frozen=True)
+class MultiStateFrame:
+    """Long-format multi-state sample, one row per sojourn, column-wise.
+
+    Row i says that subject ``id[i]`` stayed in ``from_state[i]`` on
+    (t_start[i], t_stop[i]] and then moved to ``to_state[i]``, or was
+    censored there (``to_state[i] == CENSORED_STATE``).  Rows are stored
+    grouped by subject, subjects in order of first appearance, and by
+    t_start within a subject; ``subject`` holds the 0-based subject codes.
+    The constructor checks that each subject's rows chain into one
+    trajectory: each row starts in the state and at the time the previous
+    row ended, and nothing follows a censored row.
+    """
+
+    id: np.ndarray
+    from_state: np.ndarray
+    to_state: np.ndarray
+    t_start: np.ndarray
+    t_stop: np.ndarray
+    subject: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.t_start < self.t_stop):
-            raise ValidationError(
-                f"subject {self.id}: t_start {self.t_start} must be < t_stop {self.t_stop}"
-            )
-        if self.to_state is not None and self.to_state == self.from_state:
-            raise ValidationError(f"subject {self.id}: from and to states equal")
+        ids = np.asarray(self.id).reshape(-1)
+        src = _state_column(self.from_state)
+        dst = _state_column(self.to_state)
+        start = np.asarray(self.t_start, dtype=float).reshape(-1)
+        stop = np.asarray(self.t_stop, dtype=float).reshape(-1)
+        n = ids.size
+        if not src.size == dst.size == start.size == stop.size == n:
+            raise ValidationError("column lengths differ")
+        if np.any(src < 0) or np.any(dst < CENSORED_STATE):
+            raise ValidationError("states must be >= 0")
+        bad = np.flatnonzero(~(start < stop) | (src == dst))
+        if bad.size:
+            i = bad[0]
+            if not start[i] < stop[i]:
+                raise ValidationError(
+                    f"subject {ids[i]}: t_start {start[i]} must be < t_stop {stop[i]}"
+                )
+            raise ValidationError(f"subject {ids[i]}: from and to states equal")
 
+        _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+        subject = rank[codes.reshape(-1)]
+        order = np.lexsort((start, subject))
+        ids, src, dst, start, stop, subject = (
+            a[order] for a in (ids, src, dst, start, stop, subject)
+        )
 
-@dataclass(frozen=True)
-class RiskProfile:
-    """Risk-set summary at one evaluation time."""
+        # adjacent rows k, k + 1 of one subject must chain
+        same = subject[1:] == subject[:-1]
+        after_cens = dst[:-1] == CENSORED_STATE
+        mismatch = src[1:] != dst[:-1]
+        gap = start[1:] != stop[:-1]
+        broken = np.flatnonzero(same & (after_cens | mismatch | gap))
+        if broken.size:
+            k = broken[0]
+            sid, t = ids[k], stop[k]
+            if after_cens[k]:
+                raise ValidationError(f"subject {sid}: row after censoring at t={t}")
+            if mismatch[k]:
+                raise ValidationError(
+                    f"subject {sid}: state mismatch at t={t} "
+                    f"(arrived in {dst[k]}, next row starts in {src[k + 1]})"
+                )
+            raise ValidationError(f"subject {sid}: time gap between t={t} and t={start[k + 1]}")
 
-    eval_time: float
-    at_risk_count: int
-    weighted_risk: float
+        for name, a in zip(
+            ("id", "from_state", "to_state", "t_start", "t_stop", "subject"),
+            (ids, src, dst, start, stop, subject),
+        ):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.id.size
 
 
 # -- CSV I/O -----------------------------------------------------------------
@@ -165,6 +184,16 @@ def _parse_float(text, row, col):
         return float(text)
     except ValueError:
         raise ParseError(f"column '{col}': cannot parse number from {text!r}", row=row)
+
+
+def _parse_state(text, row, col):
+    try:
+        state = int(text)
+    except ValueError:
+        state = -1
+    if state < 0:
+        raise ParseError(f"column '{col}': state must be an integer >= 0, got {text!r}", row=row)
+    return state
 
 
 def parse_survival_csv(path, schema: dict | None = None) -> SurvivalFrame:
@@ -239,14 +268,14 @@ def write_survival_csv(frame: SurvivalFrame, path) -> None:
             writer.writerow(row)
 
 
-def parse_multistate_csv(path, censor_token: str = CENSORED) -> list[TransitionRecord]:
-    """Read long-format multi-state records (id, from, to, t_start, t_stop).
+def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
+    """Read long-format multi-state rows (id, from, to, t_start, t_stop).
 
-    Rows are grouped by subject id and validated as trajectories: each row's
-    source state must equal the previous row's destination, and times must
-    chain strictly increasingly.
+    States are nonnegative integers; ``censor_token`` in ``to`` marks a
+    censored sojourn.  The rows are validated as trajectories by
+    :class:`MultiStateFrame`.
     """
-    records = []
+    ids, src, dst, start, stop = [], [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -256,98 +285,101 @@ def parse_multistate_csv(path, censor_token: str = CENSORED) -> list[TransitionR
                 raise SchemaError(f"{path}: missing mandatory column '{c}'")
         for i, row in enumerate(reader):
             to_raw = row["to"].strip()
-            to_state = None if to_raw == censor_token else int(_parse_float(to_raw, i, "to"))
-            records.append(
-                TransitionRecord(
-                    id=row["id"],
-                    from_state=int(_parse_float(row["from"], i, "from")),
-                    to_state=to_state,
-                    t_start=_parse_float(row["t_start"], i, "t_start"),
-                    t_stop=_parse_float(row["t_stop"], i, "t_stop"),
-                )
-            )
-    validate_trajectories(records)
-    return records
+            ids.append(row["id"])
+            src.append(_parse_state(row["from"], i, "from"))
+            dst.append(CENSORED_STATE if to_raw == censor_token else _parse_state(to_raw, i, "to"))
+            start.append(_parse_float(row["t_start"], i, "t_start"))
+            stop.append(_parse_float(row["t_stop"], i, "t_stop"))
+    return MultiStateFrame(
+        id=np.array(ids), from_state=src, to_state=dst, t_start=start, t_stop=stop
+    )
 
 
-def write_multistate_csv(records, path, censor_token: str = CENSORED) -> None:
+def write_multistate_csv(frame: MultiStateFrame, path, censor_token: str = CENSORED) -> None:
+    """Write the rows of ``frame`` in its stored order."""
+    to = frame.to_state.astype(object)
+    to[frame.to_state == CENSORED_STATE] = censor_token
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "from", "to", "t_start", "t_stop"])
-        for r in records:
-            to = censor_token if r.to_state is None else r.to_state
-            writer.writerow([r.id, r.from_state, to, repr(float(r.t_start)), repr(float(r.t_stop))])
+        writer.writerows(
+            zip(
+                frame.id.tolist(),
+                frame.from_state.tolist(),
+                to.tolist(),
+                map(repr, frame.t_start.tolist()),
+                map(repr, frame.t_stop.tolist()),
+            )
+        )
 
 
-def _group_by_subject(records):
-    groups: dict = {}
-    for r in records:
-        groups.setdefault(r.id, []).append(r)
-    for rows in groups.values():
-        rows.sort(key=lambda r: r.t_start)
-    return groups
+# -- reductions to survival frames -------------------------------------------
 
 
-def validate_trajectories(records) -> None:
-    """Check that per-subject rows chain into consistent trajectories."""
-    for sid, rows in _group_by_subject(records).items():
-        for a, b in zip(rows[:-1], rows[1:]):
-            if a.to_state is None:
-                raise ValidationError(f"subject {sid}: row after censoring at t={a.t_stop}")
-            if b.from_state != a.to_state:
-                raise ValidationError(
-                    f"subject {sid}: state mismatch at t={a.t_stop} "
-                    f"(arrived in {a.to_state}, next row starts in {b.from_state})"
-                )
-            if b.t_start != a.t_stop:
-                raise ValidationError(
-                    f"subject {sid}: time gap between t={a.t_stop} and t={b.t_start}"
-                )
+def _event_frame(time, status, entry) -> SurvivalFrame:
+    return SurvivalFrame(
+        time=time, status=status, entry=entry, covariates=np.empty((time.size, 0))
+    )
 
 
-def split_transitions(records, transition: tuple[int, int]) -> SurvivalFrame:
+def split_transitions(frame: MultiStateFrame, transition: tuple[int, int]) -> SurvivalFrame:
     """Reduce trajectories to the survival frame of one direct transition.
 
     For a transition (l, m) every subject observed entering state l
     contributes one record: entry = entry time into l (0 for the initial
     state), time = exit or censoring time, status = 1 iff the observed exit
-    went directly to m.
+    went directly to m.  A subject's first sojourn in l is used.
     """
     src, dst = transition
     if src == dst or src < 0 or dst < 0:
         raise ValidationError(f"transition ({src}, {dst}) not present in the state diagram")
-    validate_trajectories(records)
-    time, status, entry = [], [], []
-    for sid, rows in _group_by_subject(records).items():
-        for r in rows:
-            if r.from_state == src:
-                time.append(r.t_stop)
-                status.append(1 if r.to_state == dst else 0)
-                entry.append(r.t_start)
-                break  # at most one sojourn in src per subject
-    if not time:
+    rows = np.flatnonzero(frame.from_state == src)
+    rows = rows[np.unique(frame.subject[rows], return_index=True)[1]]
+    if not rows.size:
         raise ValidationError(f"transition ({src}, {dst}): no subjects at risk")
-    return SurvivalFrame(
-        time=np.array(time),
-        status=np.array(status),
-        entry=np.array(entry),
-        covariates=np.empty((len(time), 0)),
-    )
+    return _event_frame(frame.t_stop[rows], frame.to_state[rows] == dst, frame.t_start[rows])
 
 
-def risk_profile(frame: SurvivalFrame, t: float, beta=None) -> RiskProfile:
-    """Size and exp(beta'W)-weighted size of the risk set {L_i < t <= T_i}."""
-    beta = np.asarray([] if beta is None else beta, dtype=float).reshape(-1)
-    if beta.size != frame.d:
-        raise ValidationError(f"beta has length {beta.size}, expected {frame.d}")
-    at_risk = (frame.entry < t) & (t <= frame.time)
-    if frame.d:
-        weights = np.exp(frame.covariates @ beta)
-        weighted = float(np.sum(weights[at_risk]))
-    else:
-        weighted = float(np.sum(at_risk))
-    return RiskProfile(
-        eval_time=float(t),
-        at_risk_count=int(np.sum(at_risk)),
-        weighted_risk=weighted,
-    )
+def absorption_frame(frame: MultiStateFrame, state: int) -> SurvivalFrame:
+    """Time from 0 to entering the absorbing ``state``, or to censoring.
+
+    One record per subject, taken from its last row: status 1 iff that row
+    ends in ``state``.
+    """
+    last = np.flatnonzero(np.diff(frame.subject, append=frame.subject.size))
+    time = frame.t_stop[last]
+    return _event_frame(time, frame.to_state[last] == state, np.zeros(time.size))
+
+
+# -- risk sets -----------------------------------------------------------------
+
+
+def _suffix_sums(sorted_keys: np.ndarray, values: np.ndarray):
+    """Return a callable t -> sum of values over keys >= t (keys ascending)."""
+    suffix = np.concatenate((np.cumsum(values[::-1], axis=0)[::-1], np.zeros((1,) + values.shape[1:])))
+
+    def query(t: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(sorted_keys, t, side="left")
+        return suffix[idx]
+
+    return query
+
+
+def risk_set_sums(frame: SurvivalFrame, weights, times) -> np.ndarray:
+    """Sums of ``weights`` over the risk sets {i: entry_i < t <= time_i}.
+
+    This is the weighted at-risk process Y(t) = sum_i w_i 1{entry_i < t <=
+    time_i} at each t of ``times``.  Weights may carry trailing dimensions;
+    two suffix-sum passes make left truncation cost the same as none.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape[:1] != (frame.n,):
+        raise ValidationError(f"weights of shape {weights.shape} for {frame.n} records")
+    order_t = np.argsort(frame.time, kind="stable")
+    by_time = _suffix_sums(frame.time[order_t], weights[order_t])
+    total = by_time(times)
+    if np.any(frame.entry > 0):
+        order_e = np.argsort(frame.entry, kind="stable")
+        not_yet = _suffix_sums(frame.entry[order_e], weights[order_e])
+        total = total - not_yet(times)
+    return total

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalFrame
+from .data import SurvivalFrame, risk_set_sums
 from .errors import ValidationError
 from .stepfun import Window
 
@@ -120,33 +120,6 @@ class IncrementSample:
         return self.window.tau_min + np.arange(self.m + 1) * (self.scale / self.m)
 
 
-def _suffix_sums(sorted_keys: np.ndarray, values: np.ndarray):
-    """Return a callable t -> sum of values over keys >= t (keys ascending)."""
-    suffix = np.concatenate((np.cumsum(values[::-1], axis=0)[::-1], np.zeros((1,) + values.shape[1:])))
-
-    def query(t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(sorted_keys, t, side="left")
-        return suffix[idx]
-
-    return query
-
-
-def _risk_set_sums(frame: SurvivalFrame, weights: np.ndarray, eval_times: np.ndarray):
-    """Sums of ``weights`` over the risk sets {i: entry_i < t <= time_i}.
-
-    Works for scalar weights of any trailing shape; computed with two
-    suffix-sum passes so left truncation costs the same as none.
-    """
-    order_t = np.argsort(frame.time, kind="stable")
-    by_time = _suffix_sums(frame.time[order_t], weights[order_t])
-    total = by_time(eval_times)
-    if np.any(frame.entry > 0):
-        order_e = np.argsort(frame.entry, kind="stable")
-        not_yet = _suffix_sums(frame.entry[order_e], weights[order_e])
-        total = total - not_yet(eval_times)
-    return total
-
-
 def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     """Log partial likelihood, gradient and information (Breslow ties)."""
     events = frame.status == 1
@@ -156,9 +129,9 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     W = frame.covariates
     eta = W @ beta
     w = np.exp(eta)
-    s0 = _risk_set_sums(frame, w, ev_times)
-    s1 = _risk_set_sums(frame, W * w[:, None], ev_times)
-    s2 = _risk_set_sums(frame, (W[:, :, None] * W[:, None, :]) * w[:, None, None], ev_times)
+    s0 = risk_set_sums(frame, w, ev_times)
+    s1 = risk_set_sums(frame, W * w[:, None], ev_times)
+    s2 = risk_set_sums(frame, (W[:, :, None] * W[:, None, :]) * w[:, None, None], ev_times)
 
     if np.any(s0 <= 0):
         raise ValidationError("empty risk set at an event time")
@@ -232,7 +205,7 @@ def breslow_fit(frame: SurvivalFrame, beta=None) -> BreslowCurve:
     ev_times, inverse = np.unique(frame.time[events], return_inverse=True)
     d_k = np.bincount(inverse, minlength=ev_times.size).astype(float)
     weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
-    z = _risk_set_sums(frame, weights, ev_times)
+    z = risk_set_sums(frame, weights, ev_times)
     keep = z > 0
     return BreslowCurve(
         jump_times=ev_times[keep],

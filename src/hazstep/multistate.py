@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalFrame, TransitionRecord, split_transitions
+from .data import MultiStateFrame, SurvivalFrame, risk_set_sums, split_transitions
 from .errors import ValidationError
 from .pipeline import FitConfig, HazardFit, fit_hazard
 from .stepfun import StepFunction
@@ -99,7 +99,7 @@ class SurvivalCurve:
         object.__setattr__(self, "values", values)
 
 
-def fit_illness_death_detailed(records, config=None) -> dict[tuple, HazardFit]:
+def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tuple, HazardFit]:
     """Per-transition hazard fits, keyed by transition tuple.
 
     ``config`` may be a single :class:`FitConfig` applied to every
@@ -109,8 +109,8 @@ def fit_illness_death_detailed(records, config=None) -> dict[tuple, HazardFit]:
     """
     out = {}
     for tr in TRANSITIONS:
-        frame = split_transitions(records, tr)
-        if not np.any(frame.status == 1):
+        sub = split_transitions(frame, tr)
+        if not np.any(sub.status == 1):
             raise ValidationError(f"transition {tr}: zero events")
         if isinstance(config, dict):
             cfg = config.get(tr, FitConfig())
@@ -118,19 +118,19 @@ def fit_illness_death_detailed(records, config=None) -> dict[tuple, HazardFit]:
             cfg = config or FitConfig()
         # sojourns in the initial state all start at 0: no real truncation
         if tr[0] == 0:
-            frame = SurvivalFrame(
-                time=frame.time,
-                status=frame.status,
-                entry=np.zeros(frame.n),
-                covariates=frame.covariates,
+            sub = SurvivalFrame(
+                time=sub.time,
+                status=sub.status,
+                entry=np.zeros(sub.n),
+                covariates=sub.covariates,
             )
-        out[tr] = fit_hazard(frame, cfg)
+        out[tr] = fit_hazard(sub, cfg)
     return out
 
 
-def fit_illness_death(records: list[TransitionRecord], config=None) -> IllnessDeathModel:
-    """Fit all three transition hazards from long-format records."""
-    fits = fit_illness_death_detailed(records, config)
+def fit_illness_death(frame: MultiStateFrame, config=None) -> IllnessDeathModel:
+    """Fit all three transition hazards from a long-format multi-state frame."""
+    fits = fit_illness_death_detailed(frame, config)
     return IllnessDeathModel(
         a01=fits[(0, 1)].hazard, a02=fits[(0, 2)].hazard, a12=fits[(1, 2)].hazard
     )
@@ -221,9 +221,7 @@ def kaplan_meier(frame: SurvivalFrame) -> SurvivalCurve:
     if ev_times.size == 0:
         return SurvivalCurve(np.array([0.0]), np.array([1.0]))
     d_k = np.bincount(inverse, minlength=ev_times.size).astype(float)
-    n_at_risk = np.array(
-        [np.sum((frame.entry < t) & (t <= frame.time)) for t in ev_times], dtype=float
-    )
+    n_at_risk = risk_set_sums(frame, np.ones(frame.n), ev_times)
     factors = 1.0 - d_k / n_at_risk
     surv = np.cumprod(factors)
     return SurvivalCurve(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalFrame
+from .data import SurvivalFrame, risk_set_sums
 from .errors import ValidationError
 from .estimators import (
     BreslowCurve,
@@ -118,6 +118,13 @@ def _resolve_beta(frame: SurvivalFrame, config: FitConfig):
             return None, np.zeros(frame.d)
         if spec == "fit":
             fit = cox_fit(frame)
+            if not fit.converged:
+                logger.warning(
+                    "Cox fit did not converge after %d iterations (beta = %s): the partial "
+                    "likelihood may be monotone, e.g. separated covariates",
+                    fit.iterations,
+                    fit.beta.tolist(),
+                )
             return fit, fit.beta
         raise ValidationError(f"unknown beta source {spec!r}")
     beta = np.asarray(spec, dtype=float).reshape(-1)
@@ -182,14 +189,7 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
 def _warn_on_empty_risk(frame, beta_vec, window: Window, m: int) -> None:
     grid = window.tau_min + np.arange(1, m + 1) * (window.length / m)
     weights = np.exp(frame.covariates @ beta_vec) if frame.d else np.ones(frame.n)
-    order = np.argsort(frame.time, kind="stable")
-    suffix = np.concatenate((np.cumsum(weights[order][::-1])[::-1], [0.0]))
-    at_risk = suffix[np.searchsorted(frame.time[order], grid, side="left")]
-    if np.any(frame.entry > 0):
-        order_e = np.argsort(frame.entry, kind="stable")
-        suffix_e = np.concatenate((np.cumsum(weights[order_e][::-1])[::-1], [0.0]))
-        at_risk = at_risk - suffix_e[np.searchsorted(frame.entry[order_e], grid, side="left")]
-    if np.any(at_risk <= 0):
+    if np.any(risk_set_sums(frame, weights, grid) <= 0):
         logger.warning(
             "empty risk set inside the estimation window: increments there are zero (0/0 := 0)"
         )

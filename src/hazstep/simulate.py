@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalFrame, TransitionRecord
+from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
 from .errors import ValidationError
 from .flsa import interpolate
 from .multistate import IllnessDeathModel
@@ -357,24 +357,34 @@ def _simulate_paths(model: IllnessDeathModel, n: int, censoring_rate: float, rng
     return exit0, to_illness, death_after_illness, cens
 
 
-def simulate_illness_death(model: IllnessDeathModel, n: int, censoring_rate: float, seed):
-    """Simulate right-censored illness-death trajectories in long format."""
+def simulate_illness_death(
+    model: IllnessDeathModel, n: int, censoring_rate: float, seed
+) -> MultiStateFrame:
+    """Simulate right-censored illness-death trajectories in long format.
+
+    Subject i (id i) has a sojourn row in state 0 and, if it was observed
+    to fall ill, a second row in state 1.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     exit0, to_illness, death12, cens = _simulate_paths(model, n, censoring_rate, rng)
-    records = []
-    for i in range(n):
-        sid = i
-        if cens[i] < exit0[i] or not np.isfinite(exit0[i]):
-            records.append(TransitionRecord(sid, 0, None, 0.0, float(cens[i])))
-            continue
-        if not to_illness[i]:
-            records.append(TransitionRecord(sid, 0, 2, 0.0, float(exit0[i])))
-            continue
-        records.append(TransitionRecord(sid, 0, 1, 0.0, float(exit0[i])))
-        if cens[i] < death12[i] or not np.isfinite(death12[i]):
-            records.append(TransitionRecord(sid, 1, None, float(exit0[i]), float(cens[i])))
-        else:
-            records.append(TransitionRecord(sid, 1, 2, float(exit0[i]), float(death12[i])))
-    return records
+    cens0 = (cens < exit0) | ~np.isfinite(exit0)
+    ill = ~cens0 & to_illness
+    cens1 = ((cens < death12) | ~np.isfinite(death12))[ill]
+    ids = np.arange(n)
+    # the frame orders the state-1 rows after the state-0 row of their subject
+    return MultiStateFrame(
+        id=np.concatenate((ids, ids[ill])),
+        from_state=np.repeat([0, 1], [n, np.count_nonzero(ill)]),
+        to_state=np.concatenate(
+            (
+                np.where(cens0, CENSORED_STATE, np.where(to_illness, 1, 2)),
+                np.where(cens1, CENSORED_STATE, 2),
+            )
+        ),
+        t_start=np.concatenate((np.zeros(n), exit0[ill])),
+        t_stop=np.concatenate(
+            (np.where(cens0, cens, exit0), np.where(cens1, cens[ill], death12[ill]))
+        ),
+    )

@@ -202,7 +202,3 @@ class StepFunction:
         breaks = [float(t) for a, t in zip(ts[:-1], ts[1:]) if t == a]
         levels = [float(vs[0])] + [float(v) for t, a, v in zip(ts[1:], ts[:-1], vs[1:]) if t == a]
         return cls(domain, np.array(breaks), np.array(levels))
-
-    @classmethod
-    def constant(cls, level: float, domain: Window) -> "StepFunction":
-        return cls(domain, np.empty(0), np.array([float(level)]))

@@ -2,8 +2,9 @@
 
 These implementations deliberately avoid the package's own algorithms: the
 proximal-gradient solver works on the dual of the total-variation problem,
-the cumulative-hazard reference counts risk sets by brute force, and the
-forward-equation reference integrates with a fixed-step RK4 scheme.
+the cumulative-hazard and product-limit references count risk sets by brute
+force, and the forward-equation reference integrates with a fixed-step RK4
+scheme.
 """
 
 import numpy as np
@@ -75,6 +76,20 @@ def nelson_aalen_reference(time, status, entry=None):
             jump_times.append(t)
             jump_sizes.append(events / at_risk)
     return np.array(jump_times), np.array(jump_sizes)
+
+
+def kaplan_meier_reference(time, status, entry):
+    """Product-limit estimator with at-risk masks counted per event time."""
+    time = np.asarray(time, float)
+    status = np.asarray(status)
+    entry = np.asarray(entry, float)
+    ev_times = np.unique(time[status == 1])
+    surv, values = 1.0, [1.0]
+    for t in ev_times:
+        at_risk = np.sum((entry < t) & (t <= time))
+        surv *= 1.0 - np.sum((time == t) & (status == 1)) / at_risk
+        values.append(surv)
+    return np.concatenate(([0.0], ev_times)), np.array(values)
 
 
 def rk4_state_probabilities(a01, a02, a12, t_end, steps_per_unit=4000):

@@ -94,6 +94,13 @@ class TestFitCommand:
         assert doc["beta"] == [0.25, 1.0]
         assert doc["beta_source"] == "supplied"
 
+    def test_non_finite_time_exits_2(self, survival_csv, tmp_path, capsys):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text(survival_csv.read_text() + "nan,0\ninf,0\n")
+        code = main(["fit", str(bad), "--L", "20", "--seed", "1", "--out", str(tmp_path / "nf")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_env_var_seed(self, survival_csv, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         out = tmp_path / "envout"
@@ -162,6 +169,14 @@ class TestMultistateCommand:
         code = main(["multistate", str(path), "--L", "20", "--seed", "1",
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("state", ["1.5", "nan"])
+    def test_non_integer_state_exits_2(self, tmp_path, capsys, state):
+        path = tmp_path / "bad_state.csv"
+        path.write_text(f"id,from,to,t_start,t_stop\n1,0,1,0,1.0\n1,1,{state},1.0,2.0\n")
+        code = main(["multistate", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "row 1" in capsys.readouterr().err
 
 
 class TestCurvesCommand:

@@ -1,26 +1,59 @@
+import csv
+
 import numpy as np
 import pytest
 
 from hazstep import (
+    CENSORED_STATE,
+    MultiStateFrame,
     ParseError,
     SchemaError,
     SurvivalFrame,
-    SurvivalRecord,
-    TransitionRecord,
     ValidationError,
+    absorption_frame,
     parse_multistate_csv,
     parse_survival_csv,
-    risk_profile,
+    risk_set_sums,
     split_transitions,
     write_multistate_csv,
     write_survival_csv,
 )
+from hazstep.multistate import IllnessDeathModel
+from hazstep.simulate import simulate_illness_death
+from hazstep.stepfun import StepFunction, Window
+
+HEADER = "id,from,to,t_start,t_stop\n"
 
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def multistate(rows):
+    """Frame from (id, from, to, t_start, t_stop) tuples; to=None is censored."""
+    ids, src, dst, start, stop = zip(*rows)
+    dst = [CENSORED_STATE if d is None else d for d in dst]
+    return MultiStateFrame(id=ids, from_state=src, to_state=dst, t_start=start, t_stop=stop)
+
+
+def split_reference(path, transition):
+    """Dict walk over CSV rows: each subject's first sojourn in the source state."""
+    src, dst = transition
+    by_subject = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_subject.setdefault(row["id"], []).append(row)
+    time, status, entry = [], [], []
+    for rows in by_subject.values():
+        for row in sorted(rows, key=lambda r: float(r["t_start"])):
+            if int(row["from"]) == src:
+                time.append(float(row["t_stop"]))
+                status.append(int(row["to"] == str(dst)))
+                entry.append(float(row["t_start"]))
+                break
+    return time, status, entry
 
 
 class TestParseSurvival:
@@ -75,64 +108,94 @@ class TestParseSurvival:
 
 class TestRecordInvariants:
     def test_record_validation(self):
-        with pytest.raises(ValidationError):
-            SurvivalRecord(time=-1.0, status=1)
-        with pytest.raises(ValidationError):
-            SurvivalRecord(time=1.0, status=2)
-        with pytest.raises(ValidationError):
-            SurvivalRecord(time=1.0, status=1, entry=1.0)
-
-    def test_from_records_uniform_dimension(self):
-        records = [SurvivalRecord(1.0, 1, covariates=(1.0,)), SurvivalRecord(2.0, 0)]
-        with pytest.raises(ValidationError):
-            SurvivalFrame.from_records(records)
+        one = dict(time=[1.0], status=[1], entry=[0.0], covariates=[[0.5]])
+        for bad in (
+            dict(time=[-1.0]),
+            dict(status=[2]),
+            dict(entry=[1.0]),
+            dict(entry=[-0.5]),
+            dict(time=[np.nan]),
+            dict(time=[np.inf]),
+            dict(entry=[np.nan]),
+            dict(covariates=[[np.inf]]),
+            dict(covariates=[[np.nan]]),
+        ):
+            with pytest.raises(ValidationError):
+                SurvivalFrame(**{**one, **bad})
 
 
 class TestParseMultistate:
     def test_valid_trajectory(self, tmp_path):
-        text = "id,from,to,t_start,t_stop\n1,0,1,0,2.0\n1,1,2,2.0,5.0\n"
-        records = parse_multistate_csv(write(tmp_path, text))
-        assert len(records) == 2
-        assert records[0].to_state == 1
-        assert records[1].from_state == 1
+        text = HEADER + "1,0,1,0,2.0\n1,1,2,2.0,5.0\n"
+        frame = parse_multistate_csv(write(tmp_path, text))
+        assert len(frame) == 2
+        assert frame.to_state.tolist() == [1, 2]
+        assert frame.from_state.tolist() == [0, 1]
 
     def test_state_mismatch_names_subject(self, tmp_path):
-        text = "id,from,to,t_start,t_stop\n1,0,1,0,2.0\n1,0,2,2.0,5.0\n"
+        text = HEADER + "1,0,1,0,2.0\n1,0,2,2.0,5.0\n"
         with pytest.raises(ValidationError, match="subject 1"):
             parse_multistate_csv(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,0,1,0,2.0\n1,1,2,2.5,5.0\n", "subject 1: time gap between t=2.0 and t=2.5"),
+            ("1,1,2,2.0,5.0\n1,0,cens,0,2.0\n", "subject 1: row after censoring at t=2.0"),
+            ("1,0,1,0,2.0\n2,0,2,1.0,1.0\n", "subject 2: t_start 1.0 must be < t_stop 1.0"),
+            ("1,0,0,0,2.0\n", "subject 1: from and to states equal"),
+        ],
+    )
+    def test_broken_trajectory_named(self, tmp_path, rows, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_multistate_csv(write(tmp_path, HEADER + rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "1,0,1,0,2.0\n1,1.5,2,2.0,5.0\n",
+            "1,0,1,0,2.0\n1,1,nan,2.0,5.0\n",
+            "1,0,1,0,2.0\n1,1,-2,2.0,5.0\n",
+        ],
+    )
+    def test_non_integer_state_reports_row(self, tmp_path, rows):
+        with pytest.raises(ParseError, match="row 1"):
+            parse_multistate_csv(write(tmp_path, HEADER + rows))
+
     def test_censored_token(self, tmp_path):
-        text = "id,from,to,t_start,t_stop\n1,0,cens,0,3.0\n"
-        records = parse_multistate_csv(write(tmp_path, text))
-        assert records[0].to_state is None
-        assert records[0].t_stop == 3.0
+        text = HEADER + "1,0,cens,0,3.0\n"
+        frame = parse_multistate_csv(write(tmp_path, text))
+        assert frame.to_state.tolist() == [CENSORED_STATE]
+        assert frame.t_stop.tolist() == [3.0]
 
     def test_custom_censor_token(self, tmp_path):
-        text = "id,from,to,t_start,t_stop\n1,0,LOST,0,3.0\n"
-        records = parse_multistate_csv(write(tmp_path, text), censor_token="LOST")
-        assert records[0].to_state is None
+        text = HEADER + "1,0,LOST,0,3.0\n"
+        frame = parse_multistate_csv(write(tmp_path, text), censor_token="LOST")
+        assert frame.to_state.tolist() == [CENSORED_STATE]
 
     def test_roundtrip(self, tmp_path):
-        records = [
-            TransitionRecord("a", 0, 1, 0.0, 1.25),
-            TransitionRecord("a", 1, None, 1.25, 3.5),
-            TransitionRecord("b", 0, 2, 0.0, 0.75),
-        ]
+        frame = multistate(
+            [("a", 0, 1, 0.0, 1.25), ("a", 1, None, 1.25, 3.5), ("b", 0, 2, 0.0, 0.75)]
+        )
         path = tmp_path / "ms.csv"
-        write_multistate_csv(records, path)
+        write_multistate_csv(frame, path)
         back = parse_multistate_csv(path)
-        assert [(r.from_state, r.to_state, r.t_start, r.t_stop) for r in back] == [
-            (r.from_state, r.to_state, r.t_start, r.t_stop) for r in records
-        ]
+        for col in ("id", "from_state", "to_state", "t_start", "t_stop"):
+            assert np.array_equal(getattr(back, col), getattr(frame, col))
+
+    def test_rows_grouped_by_first_appearance(self):
+        frame = multistate(
+            [("b", 1, 2, 1.0, 2.0), ("a", 0, None, 0.0, 3.0), ("b", 0, 1, 0.0, 1.0)]
+        )
+        assert frame.id.tolist() == ["b", "b", "a"]
+        assert frame.subject.tolist() == [0, 0, 1]
+        assert frame.t_start.tolist() == [0.0, 1.0, 0.0]
 
 
 class TestSplitTransitions:
     @pytest.fixture
     def trajectory(self):
-        return [
-            TransitionRecord(1, 0, 1, 0.0, 2.0),
-            TransitionRecord(1, 1, 2, 2.0, 5.0),
-        ]
+        return multistate([(1, 0, 1, 0.0, 2.0), (1, 1, 2, 2.0, 5.0)])
 
     def test_01(self, trajectory):
         frame = split_transitions(trajectory, (0, 1))
@@ -156,53 +219,89 @@ class TestSplitTransitions:
 
     def test_event_count_identity(self, rng):
         # events of (0,1) plus (0,2) = observed exits from state 0
-        records = []
-        for sid in range(200):
-            exit_t = float(rng.exponential() + 0.1)
-            dest = rng.choice([1, 2, None], p=[0.4, 0.3, 0.3])
-            records.append(TransitionRecord(sid, 0, dest, 0.0, exit_t))
-            if dest == 1:
-                records.append(TransitionRecord(sid, 1, 2, exit_t, exit_t + 1.0))
-        f01 = split_transitions(records, (0, 1))
-        f02 = split_transitions(records, (0, 2))
-        observed_exits = sum(1 for r in records if r.from_state == 0 and r.to_state is not None)
-        assert int(f01.status.sum() + f02.status.sum()) == observed_exits
-        f12 = split_transitions(records, (1, 2))
+        n = 200
+        exit_t = rng.exponential(size=n) + 0.1
+        dest = rng.choice([1, 2, CENSORED_STATE], p=[0.4, 0.3, 0.3], size=n)
+        ill = dest == 1
+        frame = MultiStateFrame(
+            id=np.concatenate((np.arange(n), np.flatnonzero(ill))),
+            from_state=np.repeat([0, 1], [n, ill.sum()]),
+            to_state=np.concatenate((dest, np.full(ill.sum(), 2))),
+            t_start=np.concatenate((np.zeros(n), exit_t[ill])),
+            t_stop=np.concatenate((exit_t, exit_t[ill] + 1.0)),
+        )
+        f01 = split_transitions(frame, (0, 1))
+        f02 = split_transitions(frame, (0, 2))
+        assert int(f01.status.sum() + f02.status.sum()) == np.sum(dest != CENSORED_STATE)
+        f12 = split_transitions(frame, (1, 2))
         assert np.all(f12.entry < f12.time)
+
+    @pytest.fixture
+    def shuffled_csv(self, tmp_path, rng):
+        model = IllnessDeathModel(
+            a01=StepFunction(Window(0, 1), [0.3], [2.0, 1.0]),
+            a02=StepFunction(Window(0, 1), [], [0.75]),
+            a12=StepFunction(Window(0, 1), [], [1.5]),
+        )
+        ordered = tmp_path / "ordered.csv"
+        write_multistate_csv(simulate_illness_death(model, 400, 0.3, 4), ordered)
+        header, *rows = ordered.read_text().splitlines(keepends=True)
+        return write(tmp_path, header + "".join(rng.permutation(rows)), "shuffled.csv")
+
+    def test_matches_dict_walk_on_shuffled_rows(self, shuffled_csv):
+        frame = parse_multistate_csv(shuffled_csv)
+        for tr in ((0, 1), (0, 2), (1, 2)):
+            time, status, entry = split_reference(shuffled_csv, tr)
+            got = split_transitions(frame, tr)
+            assert got.time.tolist() == time
+            assert got.status.tolist() == status
+            assert got.entry.tolist() == entry
+
+    def test_absorption_frame_takes_last_rows(self, shuffled_csv):
+        last = {}
+        with open(shuffled_csv, newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["id"] not in last or float(row["t_stop"]) > last[row["id"]][0]:
+                    last[row["id"]] = (float(row["t_stop"]), int(row["to"] == "2"))
+        frame = absorption_frame(parse_multistate_csv(shuffled_csv), 2)
+        assert frame.time.tolist() == [t for t, _ in last.values()]
+        assert frame.status.tolist() == [s for _, s in last.values()]
+        assert not np.any(frame.entry)
 
 
 class TestRiskProfile:
+    """The at-risk process Y(t) computed by risk_set_sums."""
+
     def test_counts(self):
         frame = SurvivalFrame(
             time=[1.0, 2.0], status=[1, 0], entry=[0.0, 0.0], covariates=np.empty((2, 0))
         )
-        assert risk_profile(frame, 1.5).weighted_risk == 1.0
-        assert risk_profile(frame, 0.5).weighted_risk == 2.0
-        assert risk_profile(frame, 0.5).at_risk_count == 2
+        assert risk_set_sums(frame, np.ones(2), [1.5, 0.5]).tolist() == [1.0, 2.0]
 
     def test_covariate_weighting(self):
         frame = SurvivalFrame(
             time=[1.0], status=[1], entry=[0.0], covariates=[[1.0]]
         )
-        prof = risk_profile(frame, 0.5, beta=[np.log(2.0)])
-        assert prof.weighted_risk == pytest.approx(2.0, abs=1e-14)
+        weights = np.exp(frame.covariates @ [np.log(2.0)])
+        assert risk_set_sums(frame, weights, 0.5) == pytest.approx(2.0, abs=1e-14)
+        # vector weights sum coordinatewise
+        both = risk_set_sums(frame, np.column_stack((weights, np.ones(1))), [0.5, 2.0])
+        assert both.tolist() == [[pytest.approx(2.0, abs=1e-14), 1.0], [0.0, 0.0]]
 
     def test_dimension_mismatch(self):
         frame = SurvivalFrame(
             time=[1.0], status=[1], entry=[0.0], covariates=[[1.0]]
         )
         with pytest.raises(ValidationError):
-            risk_profile(frame, 0.5, beta=[0.1, 0.2])
+            risk_set_sums(frame, np.ones(2), [0.5])
 
     def test_left_open_interval_convention(self):
         # at-risk iff entry < t <= time
         frame = SurvivalFrame(
             time=[2.0], status=[1], entry=[1.0], covariates=np.empty((1, 0))
         )
-        assert risk_profile(frame, 1.0).at_risk_count == 0
-        assert risk_profile(frame, 1.5).at_risk_count == 1
-        assert risk_profile(frame, 2.0).at_risk_count == 1
-        assert risk_profile(frame, 2.5).at_risk_count == 0
+        counts = risk_set_sums(frame, np.ones(1), [1.0, 1.5, 2.0, 2.5])
+        assert counts.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_nonincreasing_between_entries(self, rng):
         frame = SurvivalFrame(
@@ -213,5 +312,5 @@ class TestRiskProfile:
         )
         # no entry times inside (0.5, inf): risk is nonincreasing there
         ts = np.linspace(0.6, 5.0, 50)
-        risks = [risk_profile(frame, t).weighted_risk for t in ts]
+        risks = risk_set_sums(frame, np.ones(100), ts)
         assert np.all(np.diff(risks) <= 0)

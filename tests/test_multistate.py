@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import rk4_state_probabilities
+from conftest import kaplan_meier_reference, rk4_state_probabilities
 from hazstep import (
+    CENSORED_STATE,
     FitConfig,
     IllnessDeathModel,
+    MultiStateFrame,
     StepFunction,
     SurvivalFrame,
     TuningConfig,
@@ -129,23 +131,36 @@ class TestKaplanMeier:
         curve = kaplan_meier(frame_of([1.0, 3.0], [1, 1], entry=[0.0, 2.0]))
         assert np.allclose(curve.values, [1.0, 0.0, 0.0])
 
+    def test_matches_brute_force_risk_sets(self, rng):
+        # ties (times rounded to 0.01), censoring, and left truncation
+        n = 300
+        time = np.round(rng.uniform(0.05, 3.0, n), 2)
+        status = rng.integers(0, 2, n)
+        for entry in (np.zeros(n), time * rng.choice([0.0, 0.3, 0.8], n)):
+            curve = kaplan_meier(frame_of(time, status, entry))
+            grid, values = kaplan_meier_reference(time, status, entry)
+            assert np.array_equal(curve.grid, grid)
+            assert np.array_equal(curve.values, values)
+
 
 class TestFitIllnessDeath:
     def test_zero_events_named(self):
         # nobody ever moves 0 -> 2 directly
-        from hazstep.data import TransitionRecord
-
         rng = np.random.default_rng(5)
-        records = []
-        for i in range(25):
-            t1 = float(rng.uniform(0.2, 2.0))
-            t2 = t1 + float(rng.uniform(0.2, 2.0))
-            records.append(TransitionRecord(i, 0, 1, 0.0, t1))
-            records.append(TransitionRecord(i, 1, 2, t1, t2))
-        for i in range(25, 35):
-            records.append(TransitionRecord(i, 0, None, 0.0, float(rng.uniform(0.2, 2.0))))
+        t1 = rng.uniform(0.2, 2.0, 25)
+        t2 = t1 + rng.uniform(0.2, 2.0, 25)
+        ids = np.arange(35)
+        frame = MultiStateFrame(
+            id=np.concatenate((ids, ids[:25])),
+            from_state=np.repeat([0, 1], [35, 25]),
+            to_state=np.concatenate(
+                (np.ones(25, int), np.full(10, CENSORED_STATE), np.full(25, 2))
+            ),
+            t_start=np.concatenate((np.zeros(35), t1)),
+            t_stop=np.concatenate((t1, rng.uniform(0.2, 2.0, 10), t2)),
+        )
         with pytest.raises(ValidationError, match=r"transition \(0, 2\)"):
-            fit_illness_death(records, FitConfig(tuning=TuningConfig(seed=0, l_boot=10)))
+            fit_illness_death(frame, FitConfig(tuning=TuningConfig(seed=0, l_boot=10)))
 
     def test_constant_hazards_recovered(self):
         # calibrated: each transition fit is flat (<= 2 change points) and

@@ -170,6 +170,21 @@ class TestFitHazard:
             )
         assert any("empty risk" in rec.message for rec in caplog.records)
 
+    def test_cox_separation_warns(self, caplog):
+        # events only where w = 1: the partial likelihood is monotone in beta
+        n = 200
+        w = np.tile([0.0, 1.0], n // 2)
+        frame = SurvivalFrame(
+            time=np.linspace(0.01, 1.0, n),
+            status=(w == 1).astype(int),
+            entry=np.zeros(n),
+            covariates=w[:, None],
+        )
+        with caplog.at_level(logging.WARNING, logger="hazstep.pipeline"):
+            fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=0, l_boot=20)))
+        assert not fit.beta.converged
+        assert any("did not converge" in rec.message for rec in caplog.records)
+
     def test_integral_gap_finite_and_small(self):
         frame = gen_scenario(Scenario(hazard=two_level_hazard(), n=800, name="A1"), 9)
         fit = fit_hazard(

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from hazstep import (
+    CENSORED_STATE,
     IllnessDeathModel,
+    MultiStateFrame,
     Scenario,
     StepFunction,
     ValidationError,
@@ -168,9 +170,9 @@ class TestIllnessDeathSimulator:
             a02=StepFunction(W01, [], [1.0]),
             a12=StepFunction(W01, [], [1.0]),
         )
-        records = simulate_illness_death(model, 300, 0.2, 9)
-        assert all(r.from_state == 0 for r in records)
-        assert all(r.to_state in (None, 2) for r in records)
+        frame = simulate_illness_death(model, 300, 0.2, 9)
+        assert np.all(frame.from_state == 0)
+        assert np.all(np.isin(frame.to_state, [CENSORED_STATE, 2]))
 
     def test_unit_rates_match_closed_form_survival(self):
         model = IllnessDeathModel(
@@ -179,16 +181,12 @@ class TestIllnessDeathSimulator:
             a12=StepFunction(W01, [], [1.0]),
         )
         n = 200_000
-        records = simulate_illness_death(model, n, 0.0, 21)
+        frame = simulate_illness_death(model, n, 0.0, 21)
         # overall survival: time of entering state 2
-        os_time = {}
-        for r in records:
-            if r.to_state == 2:
-                os_time[r.id] = r.t_stop
+        times = frame.t_stop[frame.to_state == 2]
+        assert np.array_equal(frame.id[frame.to_state == 2], np.arange(n))
         grid = np.array([0.25, 0.5, 1.0, 2.0])
         pfs, os_curve = survival_curves(model, grid)
-        times = np.array(list(os_time.values()))
-        assert times.size == n  # no censoring: everybody absorbed
         for t, s in zip(os_curve.grid[1:], os_curve.values[1:]):
             emp = np.mean(times > t)
             se = np.sqrt(s * (1 - s) / n)
@@ -200,8 +198,8 @@ class TestIllnessDeathSimulator:
             a02=StepFunction(W01, [], [0.5]),
             a12=StepFunction(W01, [], [0.5]),
         )
-        records = simulate_illness_death(model, 400, 200.0, 13)
-        censored_in_0 = sum(1 for r in records if r.from_state == 0 and r.to_state is None)
+        frame = simulate_illness_death(model, 400, 200.0, 13)
+        censored_in_0 = np.sum((frame.from_state == 0) & (frame.to_state == CENSORED_STATE))
         assert censored_in_0 >= 390
 
     def test_trajectories_validate(self):
@@ -210,9 +208,13 @@ class TestIllnessDeathSimulator:
             a02=StepFunction(W01, [], [0.6]),
             a12=StepFunction(W01, [], [1.5]),
         )
-        from hazstep.data import validate_trajectories
-
-        records = simulate_illness_death(model, 500, 0.4, 17)
-        validate_trajectories(records)  # must not raise
-        ids = {r.id for r in records}
-        assert len(ids) == 500
+        frame = simulate_illness_death(model, 500, 0.4, 17)
+        assert np.unique(frame.id).size == 500
+        # rebuilt from reversed rows: subjects come in reverse order, each
+        # with its rows in time order
+        cols = ("id", "from_state", "to_state", "t_start", "t_stop")
+        again = MultiStateFrame(**{c: getattr(frame, c)[::-1] for c in cols})
+        assert again.id[0] == 499
+        order = np.lexsort((again.t_start, again.id))
+        for c in cols:
+            assert np.array_equal(getattr(again, c)[order], getattr(frame, c))
