@@ -39,12 +39,17 @@ SEED_ENV_VAR = "HAZSTEP_SEED"
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    seed = secrets.randbits(32)
-    print(f"seed not supplied; using random seed {seed}", file=sys.stderr)
+        seed = args.seed
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    else:
+        seed = secrets.randbits(32)
+        print(f"seed not supplied; using random seed {seed}", file=sys.stderr)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
 
 

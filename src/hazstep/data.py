@@ -196,6 +196,19 @@ def _parse_state(text, row, col):
     return state
 
 
+def _check_fields(row: dict, i: int, width: int) -> None:
+    """Reject a ``csv.DictReader`` row whose field count differs from the header's.
+
+    DictReader keeps the surplus of a long row under the key ``None`` and fills
+    the missing fields of a short row with ``None``.
+    """
+    if None in row:
+        raise ParseError(f"{width + len(row[None])} fields, but the header has {width}", row=i)
+    if None in row.values():
+        got = sum(v is not None for v in row.values())
+        raise ParseError(f"{got} fields, but the header has {width}", row=i)
+
+
 def parse_survival_csv(path, schema: dict | None = None) -> SurvivalFrame:
     """Read a survival frame from CSV.
 
@@ -229,6 +242,7 @@ def parse_survival_csv(path, schema: dict | None = None) -> SurvivalFrame:
 
         time, status, entry, covs = [], [], [], []
         for i, row in enumerate(reader):
+            _check_fields(row, i, len(cols))
             t = _parse_float(row[time_col], i, time_col)
             s = _parse_float(row[status_col], i, status_col)
             if s not in (0.0, 1.0):
@@ -284,6 +298,7 @@ def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
             if c not in reader.fieldnames:
                 raise SchemaError(f"{path}: missing mandatory column '{c}'")
         for i, row in enumerate(reader):
+            _check_fields(row, i, len(reader.fieldnames))
             to_raw = row["to"].strip()
             ids.append(row["id"])
             src.append(_parse_state(row["from"], i, "from"))

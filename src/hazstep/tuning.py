@@ -28,7 +28,9 @@ class TuningConfig:
     ``l_boot`` defaults to 1000 (application scale); simulation studies use
     100.  The random generator is numpy's PCG64 (``default_rng``) and normal
     variates come from its ziggurat ``standard_normal``, so results are
-    bit-reproducible across platforms for a given seed.
+    bit-reproducible across platforms for a given seed.  The bootstrap
+    consumes the normal draws in row-major blocks, so ``u_boot`` does not
+    depend on the block size and its memory is O(m), not O(L*m).
     """
 
     q: float = 0.9
@@ -43,6 +45,8 @@ class TuningConfig:
             raise ValidationError(f"k_max must be >= 0, got {self.k_max}")
         if self.l_boot < 1:
             raise ValidationError(f"l_boot must be >= 1, got {self.l_boot}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -137,14 +141,30 @@ def effective_noise(u) -> float:
     return float(2.0 * np.max(np.abs(stats)))
 
 
-def _bootstrap_stats(residuals: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Effective-noise statistics of residuals * eps, one per bootstrap row."""
+# normal draws held at once by the bootstrap (2 MB of float64)
+_BLOCK = 1 << 18
+
+
+def _bootstrap_stats(residuals: np.ndarray, rng: np.random.Generator, l_boot: int) -> np.ndarray:
+    """Effective-noise statistics of residuals * eps, one per bootstrap row.
+
+    The ``l_boot`` normal rows eps are drawn in blocks of ``_BLOCK // m`` rows
+    (at least one).  PCG64 fills ``standard_normal`` in C order, so the blocks
+    consume exactly the stream of a single ``(l_boot, m)`` draw; every row goes
+    through the same operations in the same order, so the statistics do not
+    depend on the block height.
+    """
     n = residuals.size
-    w = residuals[None, :] * eps
-    s = np.cumsum(w, axis=1)
-    j = np.arange(2, n + 1)[None, :]
-    stats = -s[:, :-1] / n + (j - 1) * s[:, -1:] / n**2
-    return 2.0 * np.max(np.abs(stats), axis=1)
+    rows = max(1, _BLOCK // n)
+    j1 = np.arange(1, n)[None, :]  # j - 1 for j = 2..n
+    u_boot = np.empty(l_boot)
+    for lo in range(0, l_boot, rows):
+        eps = rng.standard_normal((min(rows, l_boot - lo), n))
+        w = residuals[None, :] * eps
+        s = np.cumsum(w, axis=1)
+        stats = -s[:, :-1] / n + j1 * s[:, -1:] / n**2
+        u_boot[lo : lo + eps.shape[0]] = 2.0 * np.max(np.abs(stats), axis=1)
+    return u_boot
 
 
 def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
@@ -157,9 +177,7 @@ def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
     y = np.asarray(y, dtype=float).reshape(-1)
     lam0 = pilot_lambda(y, config.k_max)
     residuals = y - flsa_solve(y, lam0).alpha
-    rng = np.random.default_rng(config.seed)
-    eps = rng.standard_normal((config.l_boot, y.size))
-    u_boot = _bootstrap_stats(residuals, eps)
+    u_boot = _bootstrap_stats(residuals, np.random.default_rng(config.seed), config.l_boot)
     order_stat = max(int(np.ceil(config.q * config.l_boot)), 1) - 1
     lam = float(np.sort(u_boot)[order_stat])
     return TuningResult(

@@ -101,6 +101,27 @@ class TestFitCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["2.0", "2.0,1,7,7"], ids=["short", "long"])
+    def test_field_count_mismatch_exits_2(self, survival_csv, tmp_path, capsys, row):
+        bad = tmp_path / "ragged.csv"
+        bad.write_text(survival_csv.read_text() + row + "\n")
+        code = main(["fit", str(bad), "--L", "20", "--seed", "1", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "fields, but the header has" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, survival_csv, tmp_path, capsys):
+        code = main(["fit", str(survival_csv), "--L", "20", "--seed", "-1",
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_env_var_seed_exits_2(self, survival_csv, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        code = main(["fit", str(survival_csv), "--L", "20", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err.lower()
+
     def test_env_var_seed(self, survival_csv, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         out = tmp_path / "envout"
@@ -123,6 +144,11 @@ class TestSimulateCommand:
             ["simulate", "--scenario", "A1", "--n", "100", "--reps", "0",
              "--seed", "1", "--out", str(tmp_path)]
         )
+        assert code == 2
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        code = main(["simulate", "--scenario", "A1", "--n", "150", "--reps", "2",
+                     "--seed", "-1", "--out", str(tmp_path)])
         assert code == 2
 
     def test_unknown_scenario_exits_2(self, tmp_path):
@@ -174,6 +200,15 @@ class TestMultistateCommand:
     def test_non_integer_state_exits_2(self, tmp_path, capsys, state):
         path = tmp_path / "bad_state.csv"
         path.write_text(f"id,from,to,t_start,t_stop\n1,0,1,0,1.0\n1,1,{state},1.0,2.0\n")
+        code = main(["multistate", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "row 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("row", ["1,1", "1,1,2,2.0,5.0,9"], ids=["short", "long"])
+    def test_field_count_mismatch_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"id,from,to,t_start,t_stop\n1,0,1,0,1.0\n{row}\n")
         code = main(["multistate", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "row 1" in capsys.readouterr().err

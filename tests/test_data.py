@@ -83,6 +83,12 @@ class TestParseSurvival:
         with pytest.raises(ParseError, match="row 1"):
             parse_survival_csv(path)
 
+    @pytest.mark.parametrize("row, got", [("2.0", 1), ("2.0,1,7", 3)], ids=["short", "long"])
+    def test_field_count_mismatch_reports_row(self, tmp_path, row, got):
+        path = write(tmp_path, f"time,status\n1.0,1\n{row}\n")
+        with pytest.raises(ParseError, match=f"row 1: {got} fields, but the header has 2"):
+            parse_survival_csv(path)
+
     def test_row_order_preserved(self, tmp_path):
         frame = parse_survival_csv(write(tmp_path, "time,status\n3,1\n1,0\n2,1\n"))
         assert frame.time.tolist() == [3.0, 1.0, 2.0]
@@ -161,6 +167,14 @@ class TestParseMultistate:
     def test_non_integer_state_reports_row(self, tmp_path, rows):
         with pytest.raises(ParseError, match="row 1"):
             parse_multistate_csv(write(tmp_path, HEADER + rows))
+
+    @pytest.mark.parametrize(
+        "row, got", [("1,1", 2), ("1,1,2,2.0,5.0,9", 6)], ids=["short", "long"]
+    )
+    def test_field_count_mismatch_reports_row(self, tmp_path, row, got):
+        path = write(tmp_path, HEADER + f"1,0,1,0,2.0\n{row}\n")
+        with pytest.raises(ParseError, match=f"row 1: {got} fields, but the header has 5"):
+            parse_multistate_csv(path)
 
     def test_censored_token(self, tmp_path):
         text = HEADER + "1,0,cens,0,3.0\n"

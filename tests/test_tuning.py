@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hazstep import (
     flsa_solve,
     pilot_lambda,
 )
+from hazstep.tuning import _BLOCK
 
 
 def centered_design_noise(u):
@@ -117,3 +120,31 @@ class TestBootstrap:
             TuningConfig(l_boot=0)
         with pytest.raises(ValidationError):
             TuningConfig(k_max=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            TuningConfig(seed=-1)
+
+    def test_streamed_rows_match_single_draw(self, rng):
+        # the rows are drawn in blocks; u_boot must equal the statistics of
+        # one (L, m) draw bit for bit, the ragged last block included
+        m, l_boot, seed = 30_000, 101, 17
+        rows = _BLOCK // m
+        assert 1 < rows < l_boot and l_boot % rows != 0
+        y = np.repeat([2.0, 0.5, 1.5], m // 3) + rng.normal(size=m)
+        result = bootstrap_lambda(y, TuningConfig(q=0.9, l_boot=l_boot, seed=seed))
+        eps = np.random.default_rng(seed).standard_normal((l_boot, m))
+        for row in range(l_boot):
+            assert result.u_boot[row] == effective_noise(result.residuals * eps[row])
+        assert result.lam == np.sort(result.u_boot)[90]  # ceil(0.9*101) = 91st
+
+    def test_memory_linear_in_m(self, rng):
+        # one (L, m) float64 matrix alone would take 80 MB here; a small m
+        # keeps the pilot's Python loops quick under tracemalloc
+        m, l_boot = 2_000, 5_000
+        y = np.repeat([2.0, 0.5], m // 2) + rng.normal(size=m)
+        tracemalloc.start()
+        try:
+            bootstrap_lambda(y, TuningConfig(l_boot=l_boot, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
