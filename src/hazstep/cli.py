@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import absorption_frame, parse_multistate_csv, parse_survival_csv, split_transitions
+from .data import _write_columns
 from .errors import ValidationError
 from .multistate import (
     TRANSITIONS,
@@ -54,11 +55,7 @@ def _resolve_seed(args) -> int:
 
 
 def _write_stepfun_csv(fun: StepFunction, path) -> None:
-    corners = fun.corner_points()
-    with open(path, "w", newline="") as fh:
-        fh.write("t,level\n")
-        for t, v in corners:
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    _write_columns(path, ["t", "level"], fun.corner_points().T, lineterminator="\n")
 
 
 def _tuning_from_args(args, seed) -> TuningConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -177,6 +178,10 @@ class MultiStateFrame:
 
 
 # -- CSV I/O -----------------------------------------------------------------
+# Every CSV file is read by _read_columns, _ROWS rows at a time, and written by
+# _write_columns, which formats each float once with repr (shortest round trip).
+
+_ROWS = 8192
 
 
 def _parse_float(text, row, col):
@@ -186,27 +191,92 @@ def _parse_float(text, row, col):
         raise ParseError(f"column '{col}': cannot parse number from {text!r}", row=row)
 
 
-def _parse_state(text, row, col):
+def _parse_count(text, row, col):
     try:
-        state = int(text)
+        value = int(text)
     except ValueError:
-        state = -1
-    if state < 0:
-        raise ParseError(f"column '{col}': state must be an integer >= 0, got {text!r}", row=row)
-    return state
+        value = -1
+    if value < 0:
+        raise ParseError(f"column '{col}': expected an integer >= 0, got {text!r}", row=row)
+    return value
 
 
-def _check_fields(row: dict, i: int, width: int) -> None:
-    """Reject a ``csv.DictReader`` row whose field count differs from the header's.
+def _floats(cells, row0, col) -> np.ndarray:
+    try:
+        return np.array(list(map(float, cells)))
+    except ValueError:
+        for i, text in enumerate(cells):
+            _parse_float(text, row0 + i, col)
+        raise
 
-    DictReader keeps the surplus of a long row under the key ``None`` and fills
-    the missing fields of a short row with ``None``.
+
+def _counts(cells, row0, col) -> np.ndarray:
+    return np.array([_parse_count(text, row0 + i, col) for i, text in enumerate(cells)])
+
+
+def _text(cells, row0, col) -> np.ndarray:
+    return np.array(cells)
+
+
+def _read_header(reader, path) -> list[str]:
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty file, header row required")
+    return header
+
+
+def _read_columns(path, converters: dict) -> dict:
+    """Read named columns; ``converters[name](cells, row0, name)`` converts a block.
+
+    ``cells`` holds the column's cells of data rows row0, row0 + 1, ...; blank
+    lines are skipped and not counted.  Ragged rows raise ``ParseError``.
     """
-    if None in row:
-        raise ParseError(f"{width + len(row[None])} fields, but the header has {width}", row=i)
-    if None in row.values():
-        got = sum(v is not None for v in row.values())
-        raise ParseError(f"{got} fields, but the header has {width}", row=i)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
+        index = {name: j for j, name in enumerate(header)}
+        for name in converters:
+            if name not in index:
+                raise SchemaError(f"{path}: missing mandatory column '{name}'")
+        width = len(header)
+        parts = {name: [] for name in converters}
+        rows = filter(None, reader)
+        row0 = 0
+        while block := list(islice(rows, _ROWS)):
+            if set(map(len, block)) != {width}:
+                i = next(i for i, row in enumerate(block) if len(row) != width)
+                raise ParseError(f"{len(block[i])} fields, but the header has {width}", row=row0 + i)
+            cells = list(zip(*block))
+            for name, convert in converters.items():
+                parts[name].append(convert(cells[index[name]], row0, name))
+            row0 += len(block)
+    if not row0:
+        raise ValidationError(f"{path}: no data rows")
+    return {name: np.concatenate(blocks) for name, blocks in parts.items()}
+
+
+def _cells(column):
+    """One column's cells, made _ROWS at a time: floats as repr strings."""
+    if not isinstance(column, np.ndarray):
+        return column
+    cells = chain.from_iterable(column[i : i + _ROWS].tolist() for i in range(0, column.size, _ROWS))
+    return map(repr, cells) if column.dtype.kind == "f" else cells
+
+
+def _write_columns(path, header, columns, lineterminator="\r\n") -> None:
+    """Write equal-length columns under ``header`` with one ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns)))
+
+
+def _status(cells, row0, col) -> np.ndarray:
+    status = _floats(cells, row0, col)
+    bad = np.flatnonzero((status != 0.0) & (status != 1.0))
+    if bad.size:
+        raise ParseError(f"status must be 0 or 1, got {cells[bad[0]]!r}", row=row0 + bad[0])
+    return status
 
 
 def parse_survival_csv(path, schema: dict | None = None) -> SurvivalFrame:
@@ -215,52 +285,30 @@ def parse_survival_csv(path, schema: dict | None = None) -> SurvivalFrame:
     The default schema takes columns named ``entry`` (optional), ``time`` and
     ``status``; every remaining column is a covariate.  ``schema`` may remap
     these: keys ``time``, ``status``, ``entry`` (column names) and
-    ``covariates`` (list of column names).
+    ``covariates`` (list of column names).  Every named column must exist.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        cols = list(reader.fieldnames)
-        schema = dict(schema or {})
-        time_col = schema.get("time", "time")
-        status_col = schema.get("status", "status")
-        entry_col = schema.get("entry", "entry" if "entry" in cols else None)
-        for c in (time_col, status_col):
-            if c not in cols:
-                raise SchemaError(f"{path}: missing mandatory column '{c}'")
-        if entry_col is not None and entry_col not in cols:
-            raise SchemaError(f"{path}: missing entry column '{entry_col}'")
-        cov_cols = schema.get("covariates")
-        if cov_cols is None:
-            used = {time_col, status_col} | ({entry_col} if entry_col else set())
-            cov_cols = [c for c in cols if c not in used]
-        else:
-            for c in cov_cols:
-                if c not in cols:
-                    raise SchemaError(f"{path}: missing covariate column '{c}'")
-
-        time, status, entry, covs = [], [], [], []
-        for i, row in enumerate(reader):
-            _check_fields(row, i, len(cols))
-            t = _parse_float(row[time_col], i, time_col)
-            s = _parse_float(row[status_col], i, status_col)
-            if s not in (0.0, 1.0):
-                raise ParseError(f"status must be 0 or 1, got {row[status_col]!r}", row=i)
-            e = _parse_float(row[entry_col], i, entry_col) if entry_col else 0.0
-            if e >= t:
-                raise ValidationError(f"row {i}: entry {e} must be < time {t}")
-            time.append(t)
-            status.append(int(s))
-            entry.append(e)
-            covs.append([_parse_float(row[c], i, c) for c in cov_cols])
-    if not time:
-        raise ValidationError(f"{path}: no data rows")
+        cols = _read_header(csv.reader(fh), path)
+    schema = dict(schema or {})
+    time_col = schema.get("time", "time")
+    status_col = schema.get("status", "status")
+    entry_col = schema.get("entry", "entry" if "entry" in cols else None)
+    cov_cols = schema.get("covariates")
+    if cov_cols is None:
+        cov_cols = [c for c in cols if c not in (time_col, status_col, entry_col)]
+    floats = dict.fromkeys([time_col, *([entry_col] if entry_col else []), *cov_cols], _floats)
+    columns = _read_columns(path, {**floats, status_col: _status})
+    time = columns[time_col]
+    entry = columns[entry_col] if entry_col else np.zeros(time.size)
+    late = entry >= time
+    if np.any(late):
+        i = int(np.argmax(late))
+        raise ValidationError(f"row {i}: entry {float(entry[i])} must be < time {float(time[i])}")
     return SurvivalFrame(
-        time=np.array(time),
-        status=np.array(status),
-        entry=np.array(entry),
-        covariates=np.array(covs).reshape(len(time), len(cov_cols)),
+        time=time,
+        status=columns[status_col],
+        entry=entry,
+        covariates=np.column_stack([np.empty((time.size, 0)), *(columns[c] for c in cov_cols)]),
     )
 
 
@@ -269,17 +317,8 @@ def write_survival_csv(frame: SurvivalFrame, path) -> None:
     has_entry = bool(np.any(frame.entry > 0))
     cov_cols = [f"w{j + 1}" for j in range(frame.d)]
     header = (["entry"] if has_entry else []) + ["time", "status"] + cov_cols
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(frame.n):
-            row = []
-            if has_entry:
-                row.append(repr(float(frame.entry[i])))
-            row.append(repr(float(frame.time[i])))
-            row.append(int(frame.status[i]))
-            row.extend(repr(float(v)) for v in frame.covariates[i])
-            writer.writerow(row)
+    columns = ([frame.entry] if has_entry else []) + [frame.time, frame.status]
+    _write_columns(path, header, columns + list(frame.covariates.T))
 
 
 def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
@@ -289,43 +328,25 @@ def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
     censored sojourn.  The rows are validated as trajectories by
     :class:`MultiStateFrame`.
     """
-    ids, src, dst, start, stop = [], [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        for c in ("id", "from", "to", "t_start", "t_stop"):
-            if c not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing mandatory column '{c}'")
-        for i, row in enumerate(reader):
-            _check_fields(row, i, len(reader.fieldnames))
-            to_raw = row["to"].strip()
-            ids.append(row["id"])
-            src.append(_parse_state(row["from"], i, "from"))
-            dst.append(CENSORED_STATE if to_raw == censor_token else _parse_state(to_raw, i, "to"))
-            start.append(_parse_float(row["t_start"], i, "t_start"))
-            stop.append(_parse_float(row["t_stop"], i, "t_stop"))
-    return MultiStateFrame(
-        id=np.array(ids), from_state=src, to_state=dst, t_start=start, t_stop=stop
-    )
+
+    def to_states(cells, row0, col):
+        cells = [cell.strip() for cell in cells]
+        return np.array(
+            [CENSORED_STATE if t == censor_token else _parse_count(t, row0 + i, col)
+             for i, t in enumerate(cells)]
+        )
+
+    # the columns in the order of the MultiStateFrame fields
+    columns = {"id": _text, "from": _counts, "to": to_states, "t_start": _floats, "t_stop": _floats}
+    return MultiStateFrame(*_read_columns(path, columns).values())
 
 
 def write_multistate_csv(frame: MultiStateFrame, path, censor_token: str = CENSORED) -> None:
     """Write the rows of ``frame`` in its stored order."""
     to = frame.to_state.astype(object)
     to[frame.to_state == CENSORED_STATE] = censor_token
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "from", "to", "t_start", "t_stop"])
-        writer.writerows(
-            zip(
-                frame.id.tolist(),
-                frame.from_state.tolist(),
-                to.tolist(),
-                map(repr, frame.t_start.tolist()),
-                map(repr, frame.t_stop.tolist()),
-            )
-        )
+    columns = [frame.id, frame.from_state, to, frame.t_start, frame.t_stop]
+    _write_columns(path, ["id", "from", "to", "t_start", "t_stop"], columns)
 
 
 # -- reductions to survival frames -------------------------------------------

@@ -12,12 +12,12 @@ the fused lasso is applied to.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .data import SurvivalFrame, risk_set_sums
+from .data import SurvivalFrame, _floats, _read_columns, _write_columns, risk_set_sums
 from .errors import ValidationError
 from .stepfun import Window
 
@@ -74,30 +74,22 @@ class BreslowCurve:
         return out if out.ndim else float(out)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "cumhaz"])
-            writer.writerow([0.0, 0.0])
-            total = 0.0
-            for t, s in zip(self.jump_times, self.jump_sizes):
-                writer.writerow([repr(float(t)), repr(float(total))])
-                total += float(s)
-                writer.writerow([repr(float(t)), repr(float(total))])
-            writer.writerow([repr(float(self.tau)), repr(float(total))])
+        """Corner points of the step curve: two rows (before, after) per jump."""
+        times = list(map(repr, self.jump_times.tolist()))
+        totals = ["0.0", *map(repr, np.cumsum(self.jump_sizes).tolist())]
+        columns = [["0.0", *_twice(times), repr(float(self.tau))], _twice(totals)]
+        _write_columns(path, ["time", "cumhaz"], columns)
 
     @classmethod
     def from_csv(cls, path) -> "BreslowCurve":
         """Rebuild a curve from its right-continuous step CSV."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = [(float(t), float(v)) for t, v in reader]
-        jump_times, jump_sizes = [], []
-        for (t0, v0), (t1, v1) in zip(rows[:-1], rows[1:]):
-            if t1 == t0 and v1 != v0:
-                jump_times.append(t1)
-                jump_sizes.append(v1 - v0)
-        return cls(jump_times=np.array(jump_times), jump_sizes=np.array(jump_sizes), tau=rows[-1][0])
+        t, v = _read_columns(path, {"time": _floats, "cumhaz": _floats}).values()
+        jump = (t[1:] == t[:-1]) & (v[1:] != v[:-1])
+        return cls(jump_times=t[1:][jump], jump_sizes=np.diff(v)[jump], tau=float(t[-1]))
+
+
+def _twice(items):
+    return chain.from_iterable(zip(items, items))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ constant.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiStateFrame, SurvivalFrame, risk_set_sums, split_transitions
+from .data import _floats, _read_columns, _write_columns
 from .errors import ValidationError
 from .pipeline import FitConfig, HazardFit, fit_hazard
 from .stepfun import StepFunction
@@ -197,19 +197,12 @@ def survival_curves(model: IllnessDeathModel, grid) -> tuple[SurvivalCurve, Surv
 def curves_to_csv(pfs: SurvivalCurve, os_: SurvivalCurve, path) -> None:
     if pfs.grid.size != os_.grid.size or np.any(pfs.grid != os_.grid):
         raise ValidationError("curves must share a grid")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "S_PFS", "S_OS"])
-        for t, a, b in zip(pfs.grid, pfs.values, os_.values):
-            writer.writerow([repr(float(t)), repr(float(a)), repr(float(b))])
+    _write_columns(path, ["t", "S_PFS", "S_OS"], [pfs.grid, pfs.values, os_.values])
 
 
 def curves_from_csv(path) -> tuple[SurvivalCurve, SurvivalCurve]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = np.array([[float(x) for x in row] for row in reader])
-    return SurvivalCurve(rows[:, 0], rows[:, 1]), SurvivalCurve(rows[:, 0], rows[:, 2])
+    grid, pfs, os_ = _read_columns(path, dict.fromkeys(("t", "S_PFS", "S_OS"), _floats)).values()
+    return SurvivalCurve(grid, pfs), SurvivalCurve(grid, os_)
 
 
 def kaplan_meier(frame: SurvivalFrame) -> SurvivalCurve:
@@ -230,16 +223,9 @@ def kaplan_meier(frame: SurvivalFrame) -> SurvivalCurve:
 
 
 def km_to_csv(curve: SurvivalCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "survival"])
-        for t, v in zip(curve.grid, curve.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    _write_columns(path, ["t", "survival"], [curve.grid, curve.values])
 
 
 def km_from_csv(path) -> SurvivalCurve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = np.array([[float(x) for x in row] for row in reader])
-    return SurvivalCurve(rows[:, 0], rows[:, 1])
+    grid, values = _read_columns(path, dict.fromkeys(("t", "survival"), _floats)).values()
+    return SurvivalCurve(grid, values)

@@ -41,7 +41,7 @@ class FitConfig:
 
     ``window`` overrides the quantile policy (``p_low`` defaults to 0, or
     0.025 when the data carry entry times; ``p_high`` to 0.975).  ``grid_size``
-    defaults to the sample size.  ``beta`` selects the coefficient source:
+    (>= 2) defaults to the sample size.  ``beta`` selects the coefficient source:
     "auto" fits coefficients when covariates are present, "fit" always fits,
     "none" uses a zero vector, and an explicit sequence is used as given.
     """
@@ -52,6 +52,10 @@ class FitConfig:
     grid_size: int | None = None
     tuning: TuningConfig = field(default_factory=TuningConfig)
     beta: object = "auto"
+
+    def __post_init__(self):
+        if self.grid_size is not None and self.grid_size < 2:
+            raise ValidationError(f"grid size must be >= 2, got {self.grid_size}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
             p_low = 0.025 if np.any(frame.entry > 0) else 0.0
         window = choose_window(frame, p_low, config.p_high)
 
-    m = config.grid_size or frame.n
+    m = frame.n if config.grid_size is None else config.grid_size
     _warn_on_empty_risk(frame, beta_vec, window, m)
     inc, tuning_result, fused = fit_from_curve(curve, window, m, config.tuning)
 

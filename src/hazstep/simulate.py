@@ -9,7 +9,6 @@ and scoring it against the discretized true hazard.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
+from .data import _counts, _parse_float, _read_columns, _text, _write_columns
 from .errors import ValidationError
 from .flsa import interpolate
 from .multistate import IllnessDeathModel
@@ -215,44 +215,41 @@ class StudyReport:
         return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
+_REPORT_METRICS = ("l2_sq", "d_asym", "snr", "censored_fraction")
+
+
+def _mean_sd_text(agg: dict) -> str:
+    sd = "" if math.isnan(agg["sd"]) else f" ({agg['sd']:.3f})"
+    return f"{agg['mean']:.3f}{sd}"
+
+
+def _mean_sd(cells, row0, col) -> np.ndarray:
+    """Cells "mean (sd)" or "mean" as (mean, sd) rows; sd is nan when absent."""
+    out = np.full((len(cells), 2), math.nan)
+    for i, text in enumerate(cells):
+        mean, paren, sd = text.partition(" (")
+        out[i, 0] = _parse_float(mean, row0 + i, col)
+        if paren:
+            out[i, 1] = _parse_float(sd.rstrip(")"), row0 + i, col)
+    return out
+
+
 def report_table_csv(reports, path) -> None:
     """Summary table, one row per (scenario, n) cell, "mean (sd)" formatted."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "n", "replications", "l2_sq", "d_asym", "snr", "censored_fraction"]
-        )
-        for rep in reports:
-            agg = rep.aggregates()
-
-            def fmt(key):
-                a = agg[key]
-                if math.isnan(a["sd"]):
-                    return f"{a['mean']:.3f}"
-                return f"{a['mean']:.3f} ({a['sd']:.3f})"
-
-            writer.writerow(
-                [rep.scenario, rep.n, rep.replications]
-                + [fmt(k) for k in ("l2_sq", "d_asym", "snr", "censored_fraction")]
-            )
+    aggs = [rep.aggregates() for rep in reports]
+    columns = [[getattr(rep, key) for rep in reports] for key in ("scenario", "n", "replications")]
+    columns += [[_mean_sd_text(agg[key]) for agg in aggs] for key in _REPORT_METRICS]
+    _write_columns(path, ["scenario", "n", "replications", *_REPORT_METRICS], columns)
 
 
 def report_table_from_csv(path) -> list[dict]:
     """Parse a summary table back into one dict per cell."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = {"scenario": row["scenario"], "n": int(row["n"]),
-                      "replications": int(row["replications"])}
-            for key in ("l2_sq", "d_asym", "snr", "censored_fraction"):
-                text = row[key]
-                if "(" in text:
-                    mean, sd = text.split(" (")
-                    parsed[key] = {"mean": float(mean), "sd": float(sd.rstrip(")"))}
-                else:
-                    parsed[key] = {"mean": float(text), "sd": math.nan}
-            out.append(parsed)
-    return out
+    converters = {"scenario": _text, "n": _counts, "replications": _counts}
+    columns = _read_columns(path, {**converters, **dict.fromkeys(_REPORT_METRICS, _mean_sd)})
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    for row in rows:
+        row.update({key: dict(zip(("mean", "sd"), row[key])) for key in _REPORT_METRICS})
+    return rows
 
 
 def _fit_config_for(scenario: Scenario, tune_seed: int) -> FitConfig:

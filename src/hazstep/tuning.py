@@ -175,6 +175,8 @@ def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
     resulting effective-noise sample.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size < 2:
+        raise ValidationError(f"need at least 2 observations, got {y.size}")
     lam0 = pilot_lambda(y, config.k_max)
     residuals = y - flsa_solve(y, lam0).alpha
     u_boot = _bootstrap_stats(residuals, np.random.default_rng(config.seed), config.l_boot)

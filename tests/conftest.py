@@ -3,9 +3,12 @@
 These implementations deliberately avoid the package's own algorithms: the
 proximal-gradient solver works on the dual of the total-variation problem,
 the cumulative-hazard and product-limit references count risk sets by brute
-force, and the forward-equation reference integrates with a fixed-step RK4
-scheme.
+force, the forward-equation reference integrates with a fixed-step RK4
+scheme, and the CSV writer references format and write one row at a time.
 """
+
+import csv
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +136,103 @@ def rk4_state_probabilities(a01, a02, a12, t_end, steps_per_unit=4000):
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         p00, p01 = state
     return p00, p01
+
+
+# -- row-by-row CSV writers ----------------------------------------------------
+#
+# Each writes the same file as the package writer of the same name, one
+# ``writerow`` per row with every float formatted on its own.
+
+
+def write_survival_csv_rows(frame, path):
+    has_entry = bool(np.any(frame.entry > 0))
+    cov_cols = [f"w{j + 1}" for j in range(frame.d)]
+    header = (["entry"] if has_entry else []) + ["time", "status"] + cov_cols
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(frame.n):
+            row = []
+            if has_entry:
+                row.append(repr(float(frame.entry[i])))
+            row.append(repr(float(frame.time[i])))
+            row.append(int(frame.status[i]))
+            row.extend(repr(float(v)) for v in frame.covariates[i])
+            writer.writerow(row)
+
+
+def write_multistate_csv_rows(frame, path, censor_token="cens"):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "from", "to", "t_start", "t_stop"])
+        for i in range(len(frame)):
+            to = int(frame.to_state[i])
+            writer.writerow(
+                [
+                    frame.id[i].item(),
+                    int(frame.from_state[i]),
+                    censor_token if to == -1 else to,
+                    repr(float(frame.t_start[i])),
+                    repr(float(frame.t_stop[i])),
+                ]
+            )
+
+
+def breslow_to_csv_rows(curve, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "cumhaz"])
+        writer.writerow([0.0, 0.0])
+        total = 0.0
+        for t, s in zip(curve.jump_times, curve.jump_sizes):
+            writer.writerow([repr(float(t)), repr(float(total))])
+            total += float(s)
+            writer.writerow([repr(float(t)), repr(float(total))])
+        writer.writerow([repr(float(curve.tau)), repr(float(total))])
+
+
+def curves_to_csv_rows(pfs, os_, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "S_PFS", "S_OS"])
+        for t, a, b in zip(pfs.grid, pfs.values, os_.values):
+            writer.writerow([repr(float(t)), repr(float(a)), repr(float(b))])
+
+
+def km_to_csv_rows(curve, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "survival"])
+        for t, v in zip(curve.grid, curve.values):
+            writer.writerow([repr(float(t)), repr(float(v))])
+
+
+def report_table_csv_rows(reports, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["scenario", "n", "replications", "l2_sq", "d_asym", "snr", "censored_fraction"]
+        )
+        for rep in reports:
+            agg = rep.aggregates()
+
+            def fmt(key):
+                a = agg[key]
+                if math.isnan(a["sd"]):
+                    return f"{a['mean']:.3f}"
+                return f"{a['mean']:.3f} ({a['sd']:.3f})"
+
+            writer.writerow(
+                [rep.scenario, rep.n, rep.replications]
+                + [fmt(k) for k in ("l2_sq", "d_asym", "snr", "censored_fraction")]
+            )
+
+
+def stepfun_csv_rows(fun, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("t,level\n")
+        for t, v in fun.corner_points():
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
 @pytest.fixture

@@ -109,6 +109,13 @@ class TestFitCommand:
         assert code == 2
         assert "fields, but the header has" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "1", "-3"])
+    def test_grid_below_two_exits_2(self, survival_csv, tmp_path, capsys, grid):
+        code = main(["fit", str(survival_csv), "--grid", grid, "--L", "20", "--seed", "1",
+                     "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert f"grid size must be >= 2, got {grid}" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, survival_csv, tmp_path, capsys):
         code = main(["fit", str(survival_csv), "--L", "20", "--seed", "-1",
                      "--out", str(tmp_path / "s")])

@@ -1,13 +1,26 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import (
+    breslow_to_csv_rows,
+    curves_to_csv_rows,
+    km_to_csv_rows,
+    report_table_csv_rows,
+    stepfun_csv_rows,
+    write_multistate_csv_rows,
+    write_survival_csv_rows,
+)
 
 from hazstep import (
     CENSORED_STATE,
+    BreslowCurve,
     MultiStateFrame,
     ParseError,
     SchemaError,
+    StudyReport,
+    SurvivalCurve,
     SurvivalFrame,
     ValidationError,
     absorption_frame,
@@ -18,8 +31,16 @@ from hazstep import (
     write_multistate_csv,
     write_survival_csv,
 )
-from hazstep.multistate import IllnessDeathModel
-from hazstep.simulate import simulate_illness_death
+from hazstep.cli import _write_stepfun_csv
+from hazstep.data import _ROWS
+from hazstep.multistate import (
+    IllnessDeathModel,
+    curves_from_csv,
+    curves_to_csv,
+    km_from_csv,
+    km_to_csv,
+)
+from hazstep.simulate import report_table_csv, report_table_from_csv, simulate_illness_death
 from hazstep.stepfun import StepFunction, Window
 
 HEADER = "id,from,to,t_start,t_stop\n"
@@ -110,6 +131,234 @@ class TestParseSurvival:
         assert np.array_equal(back.entry, frame.entry)
         assert np.array_equal(back.status, frame.status)
         assert np.array_equal(back.covariates, frame.covariates)
+
+
+class TestBlockReader:
+    """The survival parser reads in blocks of _ROWS rows; row indices stay absolute."""
+
+    @staticmethod
+    def lines(n):
+        return [f"{i + 1}.5,{i % 2}" for i in range(n)]
+
+    def test_non_numeric_cell_in_second_block(self, tmp_path):
+        lines = self.lines(_ROWS + 10)
+        lines[_ROWS + 3] = "x1,0"
+        path = write(tmp_path, "time,status\n" + "\n".join(lines) + "\n")
+        with pytest.raises(
+            ParseError, match=f"row {_ROWS + 3}: column 'time': cannot parse number from 'x1'"
+        ):
+            parse_survival_csv(path)
+
+    def test_short_row_in_second_block(self, tmp_path):
+        lines = self.lines(_ROWS + 10)
+        lines[_ROWS + 5] = "2.0"
+        path = write(tmp_path, "time,status\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"row {_ROWS + 5}: 1 fields, but the header has 2"):
+            parse_survival_csv(path)
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        lines = self.lines(_ROWS + 10)
+        good = "\n".join(line + ("\n" if i % 1000 == 0 else "") for i, line in enumerate(lines))
+        frame = parse_survival_csv(write(tmp_path, "time,status\n" + good + "\n\n"))
+        assert frame.time.tolist() == [float(line.split(",")[0]) for line in lines]
+        lines[_ROWS + 3] = "4.0,2"
+        bad = "\n".join(line + ("\n" if i % 1000 == 0 else "") for i, line in enumerate(lines))
+        with pytest.raises(ParseError, match=f"row {_ROWS + 3}: status must be 0 or 1, got '2'"):
+            parse_survival_csv(write(tmp_path, "time,status\n" + bad + "\n"))
+
+    def test_whitespace_accepted_as_float_does(self, tmp_path):
+        frame = parse_survival_csv(write(tmp_path, "time,status,w1\n 1.5 ,1, -2e0\n"))
+        assert frame.time.tolist() == [1.5]
+        assert frame.covariates.tolist() == [[-2.0]]
+
+    def test_entry_after_time_names_first_row(self, tmp_path):
+        lines = [f"0.1,{i + 1}.0,1" for i in range(_ROWS + 10)]
+        lines[_ROWS + 7] = "9.5,9.0,0"
+        lines[_ROWS + 8] = "9.5,9.5,0"
+        path = write(tmp_path, "entry,time,status\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"row {_ROWS + 7}: entry 9.5 must be < time 9.0"):
+            parse_survival_csv(path)
+
+    def test_multi_block_roundtrip_bit_exact(self, tmp_path, rng):
+        n = 2 * _ROWS + 17
+        time = rng.exponential(2.0, n) + 0.5
+        frame = SurvivalFrame(
+            time=time,
+            status=rng.integers(0, 2, n),
+            entry=time * rng.uniform(0, 0.9, n),
+            covariates=rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2)),
+        )
+        path = tmp_path / "blocks.csv"
+        write_survival_csv(frame, path)
+        back = parse_survival_csv(path)
+        for col in ("time", "status", "entry", "covariates"):
+            assert np.array_equal(getattr(back, col), getattr(frame, col))
+
+    def test_memory_bounded_by_columns(self, tmp_path, rng):
+        # the file is ~4.6 MB of text; holding its rows at once peaks at ~25 MB
+        n = 100_000
+        frame = SurvivalFrame(
+            time=rng.exponential(size=n) + 0.01,
+            status=rng.integers(0, 2, n),
+            entry=np.zeros(n),
+            covariates=rng.normal(size=(n, 2)),
+        )
+        path = tmp_path / "big.csv"
+        write_survival_csv(frame, path)
+        tracemalloc.start()
+        try:
+            parse_survival_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+ODD_FLOATS = [5e-324, -0.0, 1e308, 0.1 + 0.2, 3.0, 1e16, -7.0, 1 / 3]
+
+
+class TestWritersMatchRowOracles:
+    """Every column writer writes the bytes of the row-by-row writer it replaced."""
+
+    @staticmethod
+    def same_bytes(tmp_path, write_new, write_rows):
+        new, rows = tmp_path / "new.csv", tmp_path / "rows.csv"
+        write_new(new)
+        write_rows(rows)
+        assert new.read_bytes() == rows.read_bytes()
+        return new.read_bytes()
+
+    @pytest.mark.parametrize("with_entry", [False, True])
+    def test_survival(self, tmp_path, with_entry):
+        time = np.array([5e-324, 0.1 + 0.2, 1e308, 3.0, 1e16, 2.5])
+        entry = np.array([0.0, 0.1, 1.0, 2.0, 0.0, 5e-324]) if with_entry else np.zeros(6)
+        cov = np.array(ODD_FLOATS[:6] + ODD_FLOATS[2:8]).reshape(6, 2)
+        frame = SurvivalFrame(time=time, status=[1, 0, 1, 1, 0, 0], entry=entry, covariates=cov)
+        text = self.same_bytes(
+            tmp_path,
+            lambda p: write_survival_csv(frame, p),
+            lambda p: write_survival_csv_rows(frame, p),
+        )
+        assert text.startswith(b"entry,time" if with_entry else b"time,status,w1,w2\r\n")
+
+    def test_multistate(self, tmp_path):
+        frame = MultiStateFrame(
+            id=["a,b", 'say "hi"', "a,b", "cens", "7"],
+            from_state=[0, 0, 1, 0, 0],
+            to_state=[1, CENSORED_STATE, CENSORED_STATE, 2, 1],
+            t_start=[0.0, 0.0, 0.1 + 0.2, -0.0, 0.0],
+            t_stop=[0.1 + 0.2, 5e-324, 1e308, 3.0, 1e16],
+        )
+        text = self.same_bytes(
+            tmp_path,
+            lambda p: write_multistate_csv(frame, p),
+            lambda p: write_multistate_csv_rows(frame, p),
+        )
+        assert b'"a,b",0,1,0.0,0.30000000000000004\r\n' in text
+        assert b'"say ""hi""",0,cens,0.0,5e-324\r\n' in text
+        back = parse_multistate_csv(tmp_path / "new.csv")
+        assert back.id.tolist() == frame.id.tolist()
+
+    def test_breslow_odd_values(self, tmp_path):
+        curve = BreslowCurve(
+            jump_times=[5e-324, 0.1 + 0.2, 3.0, 1e16],
+            jump_sizes=[5e-324, 0.1, 0.2, 1e308],
+            tau=1e308,
+        )
+        self.same_bytes(tmp_path, curve.to_csv, lambda p: breslow_to_csv_rows(curve, p))
+        empty = BreslowCurve(jump_times=[], jump_sizes=[], tau=2.0)
+        text = self.same_bytes(tmp_path, empty.to_csv, lambda p: breslow_to_csv_rows(empty, p))
+        assert text == b"time,cumhaz\r\n0.0,0.0\r\n2.0,0.0\r\n"
+
+    def test_breslow_cumsum_equals_running_sum(self, tmp_path, rng):
+        n = 100_000
+        curve = BreslowCurve(
+            jump_times=np.cumsum(rng.exponential(size=n)),
+            jump_sizes=rng.exponential(size=n) * 10.0 ** rng.integers(-8, 3, n),
+            tau=float(n) * 3,
+        )
+        self.same_bytes(tmp_path, curve.to_csv, lambda p: breslow_to_csv_rows(curve, p))
+
+    def test_curves_and_km(self, tmp_path):
+        grid = [0.0, 5e-324, 0.1 + 0.2, 3.0, 1e16, 1e308]
+        pfs = SurvivalCurve(grid, [1.0, 1.0, 0.1 + 0.2, 1 / 3 - 0.1, 5e-324, -0.0])
+        os_ = SurvivalCurve(grid, [1.0, 1.0, 0.5, 1 / 3, 1e-300, 0.0])
+        self.same_bytes(
+            tmp_path,
+            lambda p: curves_to_csv(pfs, os_, p),
+            lambda p: curves_to_csv_rows(pfs, os_, p),
+        )
+        self.same_bytes(tmp_path, lambda p: km_to_csv(pfs, p), lambda p: km_to_csv_rows(pfs, p))
+
+    def test_report_table(self, tmp_path):
+        def report(name, values):
+            rows = [
+                dict(l2_sq=v, d_asym=v / 3, snr=-v, censored_fraction=0.1 + 0.2,
+                     n_changepoints=1)
+                for v in values
+            ]
+            return StudyReport(name, 1000, len(rows), 1, rows, [])
+
+        reports = [report('B2,"x"', [0.5, 1e100, 3.0]), report("cens", [5e-324])]
+        text = self.same_bytes(
+            tmp_path,
+            lambda p: report_table_csv(reports, p),
+            lambda p: report_table_csv_rows(reports, p),
+        )
+        assert b"cens,1000,1,0.000,0.000,-0.000,0.300\r\n" in text
+        back = report_table_from_csv(tmp_path / "new.csv")
+        assert [row["scenario"] for row in back] == ['B2,"x"', "cens"]
+
+    def test_stepfun(self, tmp_path):
+        fun = StepFunction(Window(0.0, 1e16), [5e-324, 0.1 + 0.2, 3.0], [-0.0, 1e308, 1 / 3, 3.0])
+        text = self.same_bytes(
+            tmp_path,
+            lambda p: _write_stepfun_csv(fun, p),
+            lambda p: stepfun_csv_rows(fun, p),
+        )
+        assert b"\r" not in text
+
+
+ARTIFACT_READERS = {
+    "cumhaz": (BreslowCurve.from_csv, "time,cumhaz", "0.0,0.0", "0.5,abc"),
+    "curves": (curves_from_csv, "t,S_PFS,S_OS", "0.0,1.0,1.0", "0.5,0.9,x"),
+    "km": (km_from_csv, "t,survival", "0.0,1.0", "x,0.5"),
+    "report": (
+        report_table_from_csv,
+        "scenario,n,replications,l2_sq,d_asym,snr,censored_fraction",
+        "A1,1000,5,0.010 (0.002),0.1,2.0,0.3",
+        "A1,1000,many,0.010 (0.002),0.1,2.0,0.3",
+    ),
+}
+
+
+class TestHostileArtifactFiles:
+    @pytest.mark.parametrize("reader", sorted(ARTIFACT_READERS))
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty", "empty file, header row required"),
+            ("header only", "no data rows"),
+            ("short row", "row 1: 1 fields, but the header has"),
+            ("non-numeric", "row 1: column '"),
+        ],
+    )
+    def test_rejected_with_validation_error(self, tmp_path, reader, case, message):
+        read, header, good, bad = ARTIFACT_READERS[reader]
+        text = {
+            "empty": "",
+            "header only": header + "\r\n",
+            "short row": f"{header}\r\n{good}\r\n0.5\r\n",
+            "non-numeric": f"{header}\r\n{good}\r\n{bad}\r\n",
+        }[case]
+        with pytest.raises(ValidationError, match=message):
+            read(write(tmp_path, text))
+
+    def test_report_cell_without_closing_paren_rejected(self, tmp_path):
+        _, header, good, _ = ARTIFACT_READERS["report"]
+        text = f"{header}\n{good}\nA1,1000,5,0.010(0.002),0.1,2.0,0.3\n"
+        with pytest.raises(ParseError, match="row 1: column 'l2_sq'"):
+            report_table_from_csv(write(tmp_path, text))
 
 
 class TestRecordInvariants:

@@ -157,6 +157,12 @@ class TestFitHazard:
         with pytest.raises(ValidationError):
             fit_hazard(frame, FitConfig(beta=[1.0], tuning=TuningConfig(seed=0, l_boot=10)))
 
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_grid_below_two_rejected(self, grid_size):
+        frame = gen_scenario(constant_scenario(50), 0)
+        with pytest.raises(ValidationError, match=f"grid size must be >= 2, got {grid_size}"):
+            fit_hazard(frame, FitConfig(grid_size=grid_size, tuning=TuningConfig(seed=0, l_boot=10)))
+
     def test_empty_risk_interval_warns(self, caplog):
         # nobody is at risk on (0.4, 0.6): late entries start at 0.6
         time = np.concatenate((np.linspace(0.05, 0.4, 40), np.linspace(0.65, 1.0, 40)))

@@ -82,6 +82,11 @@ class TestBootstrap:
         # the final fit reproduces the signal exactly
         assert np.array_equal(flsa_solve(y, result.lam).alpha, y)
 
+    @pytest.mark.parametrize("y", [[], [1.0]], ids=["empty", "one"])
+    def test_requires_two_points(self, y):
+        with pytest.raises(ValidationError, match=f"need at least 2 observations, got {len(y)}"):
+            bootstrap_lambda(y, TuningConfig(l_boot=5))
+
     def test_deterministic_given_seed(self, rng):
         y = rng.normal(size=80)
         a = bootstrap_lambda(y, TuningConfig(seed=123, l_boot=50))
