@@ -58,6 +58,12 @@ def _write_stepfun_csv(fun: StepFunction, path) -> None:
     _write_columns(path, ["t", "level"], fun.corner_points().T, lineterminator="\n")
 
 
+def _curve_points(args) -> int:
+    if args.curve_points < 2:
+        raise ValidationError(f"--curve-points must be >= 2, got {args.curve_points}")
+    return args.curve_points
+
+
 def _tuning_from_args(args, seed) -> TuningConfig:
     return TuningConfig(q=args.q, k_max=args.kmax, l_boot=args.L, seed=seed)
 
@@ -123,6 +129,7 @@ def cmd_multistate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
+    points = _curve_points(args)
     frame = parse_multistate_csv(args.input)
     config = {
         tr: FitConfig(
@@ -142,7 +149,7 @@ def cmd_multistate(args) -> int:
     (out / "model.json").write_text(model.to_json(indent=2) + "\n")
 
     horizon = max(f.window.tau_max for f in fits.values())
-    grid = np.linspace(0.0, horizon, args.curve_points)
+    grid = np.linspace(0.0, horizon, points)
     pfs, os_curve = survival_curves(model, grid)
     curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
     (out / "survival_curves.json").write_text(
@@ -159,13 +166,14 @@ def cmd_multistate(args) -> int:
 def cmd_curves(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    points = _curve_points(args)
     model = IllnessDeathModel.from_dict(json.loads(Path(args.model).read_text()))
     horizon = args.horizon
     if horizon is None:
         horizon = max(
             model.a01.domain.tau_max, model.a02.domain.tau_max, model.a12.domain.tau_max
         )
-    grid = np.linspace(0.0, horizon, args.curve_points)
+    grid = np.linspace(0.0, horizon, points)
     pfs, os_curve = survival_curves(model, grid)
     curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
     print(f"wrote survival_curves.csv to {out}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -89,6 +90,21 @@ class SurvivalFrame:
 
     def event_times(self) -> np.ndarray:
         return self.time[self.status == 1]
+
+    # the columns are read-only, so what is derived from them alone is kept
+
+    @cached_property
+    def _event_ties(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct event times, ascending, and the number of events at each."""
+        ev_times, inverse = np.unique(self.event_times(), return_inverse=True)
+        return ev_times, np.bincount(inverse, minlength=ev_times.size).astype(float)
+
+    @cached_property
+    def _risk_orders(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(sorted keys, stable order) of time, and of entry under left truncation."""
+        keys = [self.time, self.entry] if np.any(self.entry > 0) else [self.time]
+        orders = [np.argsort(k, kind="stable") for k in keys]
+        return [(k[order], order) for k, order in zip(keys, orders)]
 
 
 def _state_column(values) -> np.ndarray:
@@ -390,15 +406,10 @@ def absorption_frame(frame: MultiStateFrame, state: int) -> SurvivalFrame:
 # -- risk sets -----------------------------------------------------------------
 
 
-def _suffix_sums(sorted_keys: np.ndarray, values: np.ndarray):
-    """Return a callable t -> sum of values over keys >= t (keys ascending)."""
+def _suffix_sums(sorted_keys: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Sum of values over keys >= t at each t (keys ascending)."""
     suffix = np.concatenate((np.cumsum(values[::-1], axis=0)[::-1], np.zeros((1,) + values.shape[1:])))
-
-    def query(t: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(sorted_keys, t, side="left")
-        return suffix[idx]
-
-    return query
+    return suffix[np.searchsorted(sorted_keys, t, side="left")]
 
 
 def risk_set_sums(frame: SurvivalFrame, weights, times) -> np.ndarray:
@@ -406,16 +417,14 @@ def risk_set_sums(frame: SurvivalFrame, weights, times) -> np.ndarray:
 
     This is the weighted at-risk process Y(t) = sum_i w_i 1{entry_i < t <=
     time_i} at each t of ``times``.  Weights may carry trailing dimensions;
-    two suffix-sum passes make left truncation cost the same as none.
+    two suffix-sum passes, over the frame's stable sort orders (built once
+    per frame), make left truncation cost the same as none.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape[:1] != (frame.n,):
         raise ValidationError(f"weights of shape {weights.shape} for {frame.n} records")
-    order_t = np.argsort(frame.time, kind="stable")
-    by_time = _suffix_sums(frame.time[order_t], weights[order_t])
-    total = by_time(times)
-    if np.any(frame.entry > 0):
-        order_e = np.argsort(frame.entry, kind="stable")
-        not_yet = _suffix_sums(frame.entry[order_e], weights[order_e])
-        total = total - not_yet(times)
+    (by_time, order_t), *truncated = frame._risk_orders
+    total = _suffix_sums(by_time, weights[order_t], times)
+    for by_entry, order_e in truncated:
+        total = total - _suffix_sums(by_entry, weights[order_e], times)
     return total

@@ -115,9 +115,7 @@ class IncrementSample:
 def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     """Log partial likelihood, gradient and information (Breslow ties)."""
     events = frame.status == 1
-    ev_times, inverse = np.unique(frame.time[events], return_inverse=True)
-    d_k = np.bincount(inverse, minlength=ev_times.size).astype(float)
-
+    ev_times, d_k = frame._event_ties
     W = frame.covariates
     eta = W @ beta
     w = np.exp(eta)
@@ -193,9 +191,7 @@ def breslow_fit(frame: SurvivalFrame, beta=None) -> BreslowCurve:
     beta = np.asarray([] if beta is None else beta, dtype=float).reshape(-1)
     if beta.size != frame.d:
         raise ValidationError(f"beta has length {beta.size}, expected {frame.d}")
-    events = frame.status == 1
-    ev_times, inverse = np.unique(frame.time[events], return_inverse=True)
-    d_k = np.bincount(inverse, minlength=ev_times.size).astype(float)
+    ev_times, d_k = frame._event_ties
     weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
     z = risk_set_sums(frame, weights, ev_times)
     keep = z > 0

@@ -188,6 +188,8 @@ def survival_curves(model: IllnessDeathModel, grid) -> tuple[SurvivalCurve, Surv
     probability of not yet being absorbed in state 2.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("evaluation grid must be finite")
     if grid.size == 0 or grid[0] != 0.0:
         grid = np.concatenate(([0.0], grid[grid > 0]))
     p00, p01 = state_probabilities(model, grid)
@@ -209,11 +211,9 @@ def kaplan_meier(frame: SurvivalFrame) -> SurvivalCurve:
     """Product-limit survival estimator with truncation-adjusted risk sets."""
     if frame.n == 0:
         raise ValidationError("empty frame")
-    events = frame.status == 1
-    ev_times, inverse = np.unique(frame.time[events], return_inverse=True)
+    ev_times, d_k = frame._event_ties
     if ev_times.size == 0:
         return SurvivalCurve(np.array([0.0]), np.array([1.0]))
-    d_k = np.bincount(inverse, minlength=ev_times.size).astype(float)
     n_at_risk = risk_set_sums(frame, np.ones(frame.n), ev_times)
     factors = 1.0 - d_k / n_at_risk
     surv = np.cumprod(factors)

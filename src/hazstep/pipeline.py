@@ -191,11 +191,14 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
 
 
 def _warn_on_empty_risk(frame, beta_vec, window: Window, m: int) -> None:
-    grid = window.tau_min + np.arange(1, m + 1) * (window.length / m)
+    grid = window.tau_min + np.arange(m + 1) * (window.length / m)
     weights = np.exp(frame.covariates @ beta_vec) if frame.d else np.ones(frame.n)
-    if np.any(risk_set_sums(frame, weights, grid) <= 0):
+    empty = np.flatnonzero(risk_set_sums(frame, weights, grid[1:]) <= 0)
+    if empty.size:
+        first = grid[empty[0] : empty[0] + 2]  # the cell (t_{j-1}, t_j]
         logger.warning(
-            "empty risk set inside the estimation window: increments there are zero (0/0 := 0)"
+            "empty risk set in %d of %d grid cells inside the estimation window, the first "
+            "(%.10g, %.10g]: increments there are zero (0/0 := 0)", empty.size, m, *first
         )
 
 

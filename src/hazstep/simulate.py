@@ -67,8 +67,8 @@ class Scenario:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"sample size must be >= 1, got {self.n}")
+        if self.n < 2:
+            raise ValidationError(f"sample size must be >= 2, got {self.n}")
         if self.censoring_rate < 0:
             raise ValidationError(f"censoring rate must be >= 0, got {self.censoring_rate}")
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).reshape(-1))
@@ -298,6 +298,8 @@ def run_study(scenario: Scenario, replications: int, seed, threads: int = 1) -> 
     """
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     children = np.random.SeedSequence(seed).spawn(replications)
     tasks = []
     for r, child in enumerate(children):

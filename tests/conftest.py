@@ -5,6 +5,8 @@ proximal-gradient solver works on the dual of the total-variation problem,
 the cumulative-hazard and product-limit references count risk sets by brute
 force, the forward-equation reference integrates with a fixed-step RK4
 scheme, and the CSV writer references format and write one row at a time.
+The sort-per-call risk-set sums are the package's rule without the frame's
+cached sort orders, for bit-for-bit comparisons.
 """
 
 import csv
@@ -136,6 +138,28 @@ def rk4_state_probabilities(a01, a02, a12, t_end, steps_per_unit=4000):
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         p00, p01 = state
     return p00, p01
+
+
+def risk_set_sums_sort_per_call(frame, weights, times):
+    """Sum of weights over {i: entry_i < t <= time_i}, sorting on every call.
+
+    The same suffix sums over the same stable orders as
+    ``hazstep.data.risk_set_sums``, recomputed from the columns each time.
+    """
+    weights = np.asarray(weights, dtype=float)
+
+    def not_before(keys):
+        order = np.argsort(keys, kind="stable")
+        values = weights[order]
+        suffix = np.concatenate(
+            (np.cumsum(values[::-1], axis=0)[::-1], np.zeros((1,) + values.shape[1:]))
+        )
+        return suffix[np.searchsorted(keys[order], times, side="left")]
+
+    total = not_before(frame.time)
+    if np.any(frame.entry > 0):
+        total = total - not_before(frame.entry)
+    return total
 
 
 # -- row-by-row CSV writers ----------------------------------------------------

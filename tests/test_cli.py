@@ -158,6 +158,20 @@ class TestSimulateCommand:
                      "--seed", "-1", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_sample_size_below_two_exits_2(self, tmp_path, capsys, n):
+        code = main(["simulate", "--scenario", "A1", "--n", n, "--reps", "2",
+                     "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"sample size must be >= 2, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        code = main(["simulate", "--scenario", "A1", "--n", "100", "--reps", "2",
+                     "--threads", threads, "--seed", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+
     def test_unknown_scenario_exits_2(self, tmp_path):
         code = main(
             ["simulate", "--scenario", "Z9", "--n", "100", "--reps", "1",
@@ -220,8 +234,45 @@ class TestMultistateCommand:
         assert code == 2
         assert "row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_curve_points_below_two_exits_2(self, multistate_csv, tmp_path, capsys, points):
+        out = tmp_path / "p"
+        code = main(["multistate", str(multistate_csv), "--curve-points", points, "--L", "20",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert f"--curve-points must be >= 2, got {points}" in capsys.readouterr().err
+        assert not (out / "survival_curves.csv").exists()
+
 
 class TestCurvesCommand:
+    @pytest.fixture
+    def model_json(self, tmp_path):
+        model = IllnessDeathModel(
+            a01=StepFunction(Window(0, 1), [0.3], [2.0, 1.0]),
+            a02=StepFunction(Window(0, 1), [], [0.75]),
+            a12=StepFunction(Window(0, 1), [], [1.5]),
+        )
+        path = tmp_path / "model.json"
+        path.write_text(model.to_json())
+        return path
+
+    @pytest.mark.parametrize("points", ["-5", "0", "1"])
+    def test_curve_points_below_two_exits_2(self, model_json, tmp_path, capsys, points):
+        out = tmp_path / "c"
+        code = main(["curves", str(model_json), "--curve-points", points, "--out", str(out)])
+        assert code == 2
+        assert f"--curve-points must be >= 2, got {points}" in capsys.readouterr().err
+        assert not (out / "survival_curves.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_non_finite_horizon_exits_2(self, model_json, tmp_path, capsys, horizon):
+        out = tmp_path / "h"
+        code = main(["curves", str(model_json), "--horizon", horizon, "--out", str(out)])
+        assert code == 2
+        assert "evaluation grid must be finite" in capsys.readouterr().err
+        assert not (out / "survival_curves.csv").exists()
+
     def test_roundtrip_from_model_json(self, multistate_csv, tmp_path):
         out = tmp_path / "ms_out2"
         assert main(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import nelson_aalen_reference
+from conftest import nelson_aalen_reference, risk_set_sums_sort_per_call
 from hazstep import (
     SurvivalFrame,
     ValidationError,
@@ -10,7 +10,9 @@ from hazstep import (
     build_increments,
     choose_window,
     cox_fit,
+    risk_set_sums,
 )
+from hazstep import estimators
 
 
 def frame_of(time, status, cov=None, entry=None):
@@ -216,3 +218,59 @@ class TestIncrements:
         curve = BreslowCurve(jump_times=[0.5], jump_sizes=[0.1], tau=1.0)
         with pytest.raises(ValidationError):
             build_increments(curve, Window(0, 2.0), 10)
+
+
+def tied_frame(truncated: bool, n: int = 400, seed: int = 12) -> SurvivalFrame:
+    """Times on a 0.1 lattice (heavy ties), two covariates, optional entries."""
+    rng = np.random.default_rng(seed)
+    entry = np.round(rng.uniform(0, 1, n), 1) if truncated else np.zeros(n)
+    cov = rng.normal(size=(n, 2))
+    time = entry + 0.1 + np.round(rng.exponential(np.exp(-cov @ [0.5, -1.0])), 1)
+    return SurvivalFrame(time=time, status=rng.random(n) < 0.7, entry=entry, covariates=cov)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["no-entry", "left-truncated"])
+class TestRiskSetCache:
+    """The frame's cached sort orders give the bits of sorting on every call."""
+
+    def test_risk_set_sums_bit_equal(self, truncated):
+        frame = tied_frame(truncated)
+        W = frame.covariates
+        w = np.exp(W @ [0.3, -0.7])
+        # event times, exact ties with entry times, and points outside the data
+        times = np.concatenate((frame._event_ties[0], frame.entry[:50], [-1.0, 0.0, 1e9]))
+        for weights in (w, W * w[:, None], (W[:, :, None] * W[:, None, :]) * w[:, None, None]):
+            for _ in range(2):  # the second call reads the cache
+                got = risk_set_sums(frame, weights, times)
+                want = risk_set_sums_sort_per_call(frame, weights, times)
+                assert got.shape == want.shape == times.shape + weights.shape[1:]
+                assert got.tobytes() == want.tobytes()
+
+    def test_cox_and_breslow_bit_equal(self, truncated, monkeypatch):
+        fit = cox_fit(tied_frame(truncated))
+        curve = breslow_fit(tied_frame(truncated), fit.beta)
+        monkeypatch.setattr(estimators, "risk_set_sums", risk_set_sums_sort_per_call)
+        ref = cox_fit(tied_frame(truncated))
+        ref_curve = breslow_fit(tied_frame(truncated), ref.beta)
+        assert fit.iterations == ref.iterations >= 3
+        assert fit.converged and ref.converged
+        assert fit.beta.tobytes() == ref.beta.tobytes()
+        assert fit.log_partial_likelihood == ref.log_partial_likelihood
+        assert curve.jump_times.tobytes() == ref_curve.jump_times.tobytes()
+        assert curve.jump_sizes.tobytes() == ref_curve.jump_sizes.tobytes()
+
+    def test_frame_sorts_once(self, truncated, monkeypatch):
+        frame = tied_frame(truncated)
+        sorts = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            sorts.append(a.size)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        fit = cox_fit(frame)
+        breslow_fit(frame, fit.beta)
+        assert fit.iterations >= 3
+        # one stable sort of time, plus one of entry under left truncation
+        assert sorts == [frame.n] * (1 + truncated)

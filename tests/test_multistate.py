@@ -40,6 +40,12 @@ def frame_of(time, status, entry=None):
 
 
 class TestSurvivalCurves:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # dropping the point would silently shorten the curve
+        with pytest.raises(ValidationError, match="evaluation grid must be finite"):
+            survival_curves(constant_model(1.0, 1.0, 1.0), [0.0, 0.5, bad])
+
     def test_unit_rates_closed_form(self):
         model = constant_model(1.0, 1.0, 1.0)
         grid = np.linspace(0, 2, 21)

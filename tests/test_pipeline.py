@@ -174,7 +174,11 @@ class TestFitHazard:
                 frame,
                 FitConfig(window=Window(0, 1), tuning=TuningConfig(seed=0, l_boot=20)),
             )
-        assert any("empty risk" in rec.message for rec in caplog.records)
+        [message] = [rec.message for rec in caplog.records if "empty risk" in rec.message]
+        # grid t_j = j/80: nobody is at risk at t_33 = 0.4125, ..., t_47 = 0.5875
+        # (t_48 = 48 * 0.0125 rounds to just above the late entries at 0.6)
+        assert "in 15 of 80 grid cells" in message
+        assert "the first (0.4, 0.4125]" in message
 
     def test_cox_separation_warns(self, caplog):
         # events only where w = 1: the partial likelihood is monotone in beta

@@ -156,6 +156,16 @@ class TestRunStudy:
         with pytest.raises(ValidationError):
             run_study(named_scenario("A1", 100), 0, seed=1)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_invalid_threads(self, threads):
+        with pytest.raises(ValidationError, match=f"threads must be >= 1, got {threads}"):
+            run_study(named_scenario("A1", 100), 2, seed=1, threads=threads)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_scenario_needs_two_subjects(self, n):
+        with pytest.raises(ValidationError, match=f"sample size must be >= 2, got {n}"):
+            named_scenario("A1", n)
+
     def test_threads_agree_with_serial(self):
         sc = named_scenario("A1", 150)
         serial = run_study(sc, 4, seed=55, threads=1)

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from hazstep import (
     flsa_solve,
     pilot_lambda,
 )
+from hazstep import tuning
 from hazstep.tuning import _BLOCK
 
 
@@ -25,6 +27,26 @@ def centered_design_noise(u):
     return float(2.0 * np.max(np.abs(Xc.T @ uc)) / n)
 
 
+def pilot_instance(rng, family: int) -> np.ndarray:
+    """One signal of a family the pilot must handle, m <= 300."""
+    m = int(rng.integers(2, 301))
+    if family == 0:  # normal noise
+        return rng.normal(size=m)
+    if family == 1:  # noisy steps
+        levels = rng.normal(scale=3.0, size=int(rng.integers(1, 8)))
+        cuts = np.sort(rng.integers(0, m, size=levels.size - 1))
+        return np.repeat(levels, np.diff(np.concatenate(([0], cuts, [m])))) + rng.normal(size=m)
+    if family == 2:  # integer ties
+        return rng.integers(0, 4, size=m).astype(float)
+    if family == 3:  # magnitudes 1e-12 .. 1e12
+        return rng.normal(size=m) * 10.0 ** int(rng.integers(-12, 13))
+    if family == 4:  # rounded exponentials, as Breslow increments come
+        return np.round(rng.exponential(size=m), int(rng.integers(0, 4)))
+    if family == 5:  # m = 2
+        return rng.normal(size=2)
+    return np.full(m, float(rng.normal()))  # constant
+
+
 class TestPilot:
     def test_already_sparse_signal_gives_zero(self):
         y = np.where(np.arange(40) < 15, 4.0, 1.0)
@@ -34,12 +56,19 @@ class TestPilot:
         # the single merge event sits at lambda = 1/2
         assert pilot_lambda(np.array([0.0, 1.0]), 0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_counts_bracket_kmax(self, rng):
-        for _ in range(10):
-            y = rng.normal(size=100)
-            lam0 = pilot_lambda(y, 20)
-            assert flsa_solve(y, lam0 * (1 + 1e-6)).changepoints.size <= 20
-            assert flsa_solve(y, lam0 * (1 - 1e-6)).changepoints.size > 20
+    def test_counts_bracket_kmax(self):
+        # lambda0 comes off the path alone; the exact solver must agree with it
+        rng = np.random.default_rng(20261018)
+        for i in range(1050):
+            y = pilot_instance(rng, i % 7)
+            k_max = (0, 1, 5, 20)[(i // 7) % 4]
+            lam0 = pilot_lambda(y, k_max)
+            assert flsa_solve(y, lam0).changepoints.size <= k_max, (i, k_max)
+            assert flsa_solve(y, lam0 * (1 + 1e-6)).changepoints.size <= k_max, (i, k_max)
+            if lam0 > 0:
+                assert flsa_solve(y, lam0 * (1 - 1e-6)).changepoints.size > k_max, (i, k_max)
+            else:
+                assert lam0 == 0.0 and flsa_path(y)[0].changepoint_count <= k_max
 
     def test_consistent_with_path(self, rng):
         y = rng.normal(size=60)
@@ -71,6 +100,16 @@ class TestEffectiveNoise:
         with pytest.raises(ValidationError):
             effective_noise([1.0])
 
+    def test_bit_equal_to_written_order_of_operations(self, rng):
+        # seeded u_boot and lambda stay reproducible across versions only while
+        # the statistic keeps this order of floating-point operations
+        for _ in range(20):
+            n = int(rng.integers(2, 3000))
+            u = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            s = np.cumsum(u)
+            stats = -s[:-1] / n + np.arange(1, n) * s[-1] / n**2
+            assert effective_noise(u) == 2.0 * np.max(np.abs(stats))
+
 
 class TestBootstrap:
     def test_piecewise_constant_signal_gives_zero_lambda(self):
@@ -86,6 +125,19 @@ class TestBootstrap:
     def test_requires_two_points(self, y):
         with pytest.raises(ValidationError, match=f"need at least 2 observations, got {len(y)}"):
             bootstrap_lambda(y, TuningConfig(l_boot=5))
+
+    def test_pilot_disagreement_is_logged(self, rng, caplog, monkeypatch):
+        y = np.repeat([3.0, 1.0, 2.0], 40) + rng.normal(size=120)
+        lam0 = pilot_lambda(y, 2)
+        with caplog.at_level(logging.WARNING, logger="hazstep.tuning"):
+            bootstrap_lambda(y, TuningConfig(k_max=2, l_boot=20, seed=1))
+            assert not caplog.records
+            # a lambda below the true lambda0 stands in for a path that is off
+            monkeypatch.setattr(tuning, "pilot_lambda", lambda y, k_max: 0.5 * lam0)
+            result = bootstrap_lambda(y, TuningConfig(k_max=2, l_boot=20, seed=1))
+        assert result.lambda0 == 0.5 * lam0
+        [record] = caplog.records
+        assert "more than k_max = 2" in record.message and "disagree" in record.message
 
     def test_deterministic_given_seed(self, rng):
         y = rng.normal(size=80)
