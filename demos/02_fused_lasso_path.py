@@ -40,9 +40,3 @@ step = hs.interpolate(fit, hs.Window(0.0, 1.0))
 print(f"tuned fit: {fit.changepoints.size} change points at "
       f"{np.round(step.breaks, 3)}, levels {np.round(step.levels, 2)}")
 print(f"true jumps at 0.305 and 0.705 (indices 60 and 140 of {m})")
-
-# the reparametrized standard-lasso solution agrees with the direct solver
-alt = hs.reparametrized_check(y[:40], 0.1)
-direct = hs.flsa_solve(y[:40], 0.1).alpha
-print(f"\nreparametrized-lasso max deviation on a sub-problem: "
-      f"{np.max(np.abs(alt - direct)):.2e}")

@@ -25,7 +25,7 @@ from .data import (
     write_multistate_csv,
     write_survival_csv,
 )
-from .errors import ConvergenceError, ParseError, SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError
 from .estimators import (
     BreslowCurve,
     CoxFit,
@@ -39,19 +39,16 @@ from .estimators import (
 from .flsa import (
     FusedLassoFit,
     PathBreakpoint,
-    elementwise_bound_check,
     flsa_path,
     flsa_solve,
     interpolate,
     kkt_residual,
-    reparametrized_check,
 )
 from .multistate import (
     IllnessDeathModel,
     SurvivalCurve,
     curves_from_csv,
     curves_to_csv,
-    fit_illness_death,
     fit_illness_death_detailed,
     kaplan_meier,
     km_from_csv,
@@ -84,7 +81,6 @@ __all__ = [
     "CENSORED",
     "CENSORED_STATE",
     "BreslowCurve",
-    "ConvergenceError",
     "CoxFit",
     "FitConfig",
     "FusedLassoFit",
@@ -113,11 +109,9 @@ __all__ = [
     "cox_fit",
     "discretize_truth",
     "effective_noise",
-    "elementwise_bound_check",
     "empirical_quantile",
     "fit_from_curve",
     "fit_hazard",
-    "fit_illness_death",
     "fit_illness_death_detailed",
     "flsa_path",
     "flsa_solve",
@@ -132,7 +126,6 @@ __all__ = [
     "parse_multistate_csv",
     "parse_survival_csv",
     "pilot_lambda",
-    "reparametrized_check",
     "risk_set_sums",
     "run_study",
     "sample_piecewise_exponential",

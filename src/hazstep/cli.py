@@ -173,6 +173,8 @@ def cmd_curves(args) -> int:
         horizon = max(
             model.a01.domain.tau_max, model.a02.domain.tau_max, model.a12.domain.tau_max
         )
+    elif not np.isfinite(horizon):
+        raise ValidationError(f"--horizon must be finite, got {horizon}")
     grid = np.linspace(0.0, horizon, points)
     pfs, os_curve = survival_curves(model, grid)
     curves_to_csv(pfs, os_curve, out / "survival_curves.csv")

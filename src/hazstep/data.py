@@ -48,10 +48,12 @@ class SurvivalFrame:
     covariates: np.ndarray  # shape (n, d), d may be 0
 
     def __post_init__(self):
-        time = np.asarray(self.time, dtype=float).reshape(-1)
-        status = np.asarray(self.status, dtype=np.int8).reshape(-1)
-        entry = np.asarray(self.entry, dtype=float).reshape(-1)
-        cov = np.asarray(self.covariates, dtype=float)
+        # private copies: a write through the caller's arrays must not reach
+        # a validated frame or its cached sort orders
+        time = np.array(self.time, dtype=float).reshape(-1)
+        status = np.array(self.status, dtype=np.int8).reshape(-1)
+        entry = np.array(self.entry, dtype=float).reshape(-1)
+        cov = np.array(self.covariates, dtype=float)
         if cov.ndim == 1:
             cov = cov.reshape(len(time), -1) if cov.size else cov.reshape(len(time), 0)
         n = time.size

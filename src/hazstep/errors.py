@@ -18,6 +18,3 @@ class ParseError(ValidationError):
         super().__init__(message)
         self.row = row
 
-
-class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its iteration budget."""

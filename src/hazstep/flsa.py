@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .stepfun import StepFunction, Window
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "flsa_solve",
     "flsa_path",
     "interpolate",
-    "reparametrized_check",
-    "elementwise_bound_check",
     "kkt_residual",
 ]
 
@@ -359,112 +357,3 @@ def interpolate(fit: FusedLassoFit, window: Window) -> StepFunction:
     levels = [lv for _, _, lv in fit.blocks]
     breaks = window.tau_min + fit.changepoints * step
     return StepFunction(window, breaks, levels)
-
-
-def reparametrized_check(y, lam: float, tol: float = 1e-13, max_sweeps: int = 100_000) -> np.ndarray:
-    """Solve the fused lasso through its standard-lasso reparametrization.
-
-    Writing a = X theta with X lower-triangular of ones, the problem becomes
-    a lasso in the centered design for theta_2..theta_m with unpenalized
-    intercept theta_1; this routine solves that lasso by cyclic coordinate
-    descent and returns cumsum(theta).  Used as an independent cross-check of
-    :func:`flsa_solve`.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    m = y.size
-    if m == 0:
-        raise ValidationError("y must be nonempty")
-    if not np.isfinite(lam) or lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if lam == 0 or m == 1:
-        return y.copy()  # the unpenalized problem interpolates the data
-
-    ybar = y.mean()
-    yc = y - ybar
-    # centered design columns X^c_j = 1(i >= j) - (m - j + 1)/m for j = 2..m
-    cols = np.arange(2, m + 1)
-    xbar = (m - cols + 1) / m
-    X = (np.arange(1, m + 1)[:, None] >= cols[None, :]).astype(float) - xbar[None, :]
-    norm2 = np.sum(X * X, axis=0)
-    thresh = 0.5 * m * lam
-
-    theta = np.diff(y)  # warm start at the unpenalized solution
-    r = yc - X @ theta
-    scale = max(1.0, float(np.max(np.abs(y))))
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(m - 1):
-            old = theta[j]
-            z = X[:, j] @ r + norm2[j] * old
-            new = np.sign(z) * max(abs(z) - thresh, 0.0) / norm2[j]
-            if new != old:
-                r += X[:, j] * (old - new)
-                theta[j] = new
-                delta = max(delta, abs(new - old))
-        if delta <= tol * scale:
-            break
-    else:
-        raise ConvergenceError("coordinate descent did not converge")
-
-    theta1 = ybar - xbar @ theta
-    return theta1 + np.concatenate(([0.0], np.cumsum(theta)))
-
-
-def _jump_geometry(truth: np.ndarray):
-    """d_j and r_{k(j)} for the discretized step signal (see the bound)."""
-    m = truth.size
-    jump_idx = np.flatnonzero(np.diff(truth) != 0) + 2  # 1-based jump indices n_k
-    bounds = np.concatenate(([1], jump_idx, [m + 1]))
-    j = np.arange(1, m + 1)
-    seg = np.searchsorted(bounds, j, side="right") - 1
-    lo = bounds[seg]
-    hi = bounds[seg + 1]
-    d = np.minimum(j + 1 - lo, hi - j).astype(float)
-    r = (hi - lo).astype(float)
-    return d, r
-
-
-def elementwise_bound_check(
-    fit: FusedLassoFit, truth, m: int | None = None, lam: float | None = None
-) -> bool:
-    """Deterministic elementwise error bound for the exact fused lasso.
-
-    With u = y - truth and kappa the maximal normalized partial sum
-    max_{k<=l} |sum_{j=k}^{l} u_j| / sqrt(l-k+1), every coordinate must obey
-
-        |alpha_j - truth_j| <= max{ kappa/sqrt(d_j),
-                                    kappa^2/(4*m*lam),
-                                    2*m*lam/r_{k(j)} + 2*kappa/sqrt(r_{k(j)}) }
-
-    where d_j is the distance of j to the nearest jump index of the truth
-    and r_{k(j)} the length of the surrounding constant segment.  A False
-    return certifies that the fitted vector is not the exact minimizer.
-    """
-    truth = np.asarray(truth, dtype=float).reshape(-1)
-    if truth.size != fit.m:
-        raise ValidationError("truth grid does not match the fitted grid")
-    if m is None:
-        m = fit.m
-    elif m != fit.m:
-        raise ValidationError("m does not match the fitted grid")
-    if lam is None:
-        lam = fit.lam
-    if lam <= 0:
-        raise ValidationError("the bound requires lambda > 0")
-
-    u = fit.y - truth
-    prefix = np.concatenate(([0.0], np.cumsum(u)))
-    diff = prefix[None, :] - prefix[:, None]  # diff[k, l] = sum_{j=k+1}^{l} u_j
-    lengths = np.arange(m + 1)[None, :] - np.arange(m + 1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(diff) / np.sqrt(np.where(lengths > 0, lengths, 1))
-    kappa = float(np.max(np.where(lengths > 0, ratios, 0.0)))
-
-    d, r = _jump_geometry(truth)
-    rhs = np.maximum(
-        kappa / np.sqrt(d),
-        np.maximum(kappa**2 / (4.0 * m * lam), 2.0 * m * lam / r + 2.0 * kappa / np.sqrt(r)),
-    )
-    lhs = np.abs(fit.alpha - truth)
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(fit.y))))
-    return bool(np.all(lhs <= rhs + slack))

@@ -25,7 +25,7 @@ __all__ = [
     "IllnessDeathModel",
     "SurvivalCurve",
     "TRANSITIONS",
-    "fit_illness_death",
+    "fit_illness_death_detailed",
     "survival_curves",
     "state_probabilities",
     "kaplan_meier",
@@ -103,9 +103,11 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
     """Per-transition hazard fits, keyed by transition tuple.
 
     ``config`` may be a single :class:`FitConfig` applied to every
-    transition or a mapping keyed by transition tuples.  The 1->2 frame
-    carries entry times, so its default window starts at the 0.025 quantile
-    of its uncensored times.
+    transition or a mapping keyed by transition tuples.  Each fit is
+    ``fit_hazard(split_transitions(frame, tr), cfg)``: a frame keeps the
+    entry times of its sojourns, so the 1->2 frame, and a 0->x frame whose
+    subjects enter state 0 after time 0, are left-truncated and their
+    default windows start at the 0.025 quantile of their uncensored times.
     """
     out = {}
     for tr in TRANSITIONS:
@@ -116,24 +118,8 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
             cfg = config.get(tr, FitConfig())
         else:
             cfg = config or FitConfig()
-        # sojourns in the initial state all start at 0: no real truncation
-        if tr[0] == 0:
-            sub = SurvivalFrame(
-                time=sub.time,
-                status=sub.status,
-                entry=np.zeros(sub.n),
-                covariates=sub.covariates,
-            )
         out[tr] = fit_hazard(sub, cfg)
     return out
-
-
-def fit_illness_death(frame: MultiStateFrame, config=None) -> IllnessDeathModel:
-    """Fit all three transition hazards from a long-format multi-state frame."""
-    fits = fit_illness_death_detailed(frame, config)
-    return IllnessDeathModel(
-        a01=fits[(0, 1)].hazard, a02=fits[(0, 2)].hazard, a12=fits[(1, 2)].hazard
-    )
 
 
 def _phi(delta: float, rate_diff: float) -> float:

@@ -1,11 +1,14 @@
 """Shared independent oracles for the test suite.
 
 These implementations deliberately avoid the package's own algorithms: the
-proximal-gradient solver works on the dual of the total-variation problem,
-the cumulative-hazard and product-limit references count risk sets by brute
-force, the forward-equation reference integrates with a fixed-step RK4
-scheme, and the CSV writer references format and write one row at a time.
-The sort-per-call risk-set sums are the package's rule without the frame's
+fused-lasso solution is computed exactly by Condat's direct algorithm for
+1-D total-variation denoising and, on small problems, by coordinate descent
+on the standard-lasso reparametrization; the elementwise error bound is
+checked with dense O(m^2) partial sums; the cumulative-hazard and
+product-limit references count risk sets by brute force, the
+forward-equation reference integrates with a fixed-step RK4 scheme, and the
+CSV writer references format and write one row at a time.  The
+sort-per-call risk-set sums are the package's rule without the frame's
 cached sort orders, for bit-for-bit comparisons.
 """
 
@@ -15,6 +18,8 @@ import math
 import numpy as np
 import pytest
 
+from hazstep import ValidationError
+
 
 def fused_objective(y, a, lam):
     y = np.asarray(y, float)
@@ -22,45 +27,164 @@ def fused_objective(y, a, lam):
     return float(np.sum((y - a) ** 2) / y.size + lam * np.sum(np.abs(np.diff(a))))
 
 
-def prox_gradient_oracle(y, lam, max_iter=200_000, gap_tol=1e-13):
-    """Accelerated projected gradient on the dual of TV denoising.
+def tv_denoise_oracle(y, lam):
+    """Exact 1-D total-variation denoising by Condat's direct algorithm.
 
-    Solves min_a (1/m)||y-a||^2 + lam*TV(a) by running FISTA on the
-    box-constrained dual and mapping back; iterates until the primal-dual
-    gap is tiny.  Used purely as an optimality oracle for the exact solver.
+    Solves min_a (1/m)||y-a||^2 + lam*TV(a), which is
+    min_a (1/2)||y-a||^2 + gamma*TV(a) with gamma = m*lam/2.  The segment
+    [k0, k] is grown left to right while the dual variable of its right end
+    stays within the bounds (umin, umax) that its lowest and highest
+    admissible values (vmin, vmax) allow; when it leaves them the segment is
+    closed at vmin or vmax, restarting after the last index where that bound
+    was attained (Condat 2013, "A direct algorithm for 1-D total variation
+    denoising", IEEE Signal Processing Letters 20(11)).
     """
     y = np.asarray(y, dtype=float)
     m = y.size
     if m == 1 or lam == 0:
         return y.copy()
-    gamma = 0.5 * m * lam  # penalty level of the (1/2)||.||^2 form
+    gamma = 0.5 * m * lam
+    y = y.tolist()  # scalar reads from a list are faster
+    x = np.empty(m)
+    k = k0 = kminus = kplus = 0
+    vmin, vmax = y[0] - gamma, y[0] + gamma
+    umin, umax = gamma, -gamma
+    while True:
+        while k == m - 1:  # the right boundary: the last segment's dual is 0
+            if umin < 0.0:  # vmin too high: a negative jump after kminus
+                x[k0 : kminus + 1] = vmin
+                k = k0 = kminus = kminus + 1
+                vmin, umin = y[k], gamma
+                umax = vmin + umin - vmax
+            elif umax > 0.0:  # vmax too low: a positive jump after kplus
+                x[k0 : kplus + 1] = vmax
+                k = k0 = kplus = kplus + 1
+                vmax, umax = y[k], -gamma
+                umin = vmax + umax - vmin
+            else:
+                vmin += umin / (k - k0 + 1)
+                x[k0:] = vmin
+                return x
+        umin += y[k + 1] - vmin
+        umax += y[k + 1] - vmax
+        if umin < -gamma:  # a negative jump after kminus, where the dual is gamma
+            x[k0 : kminus + 1] = vmin
+            k = k0 = kminus = kplus = kminus + 1
+            vmin, vmax = y[k], y[k] + 2.0 * gamma
+            umin, umax = gamma, -gamma
+        elif umax > gamma:  # a positive jump after kplus, where the dual is -gamma
+            x[k0 : kplus + 1] = vmax
+            k = k0 = kminus = kplus = kplus + 1
+            vmin, vmax = y[k] - 2.0 * gamma, y[k]
+            umin, umax = gamma, -gamma
+        else:  # no jump: extend the segment to k + 1
+            k += 1
+            if umin >= gamma:
+                kminus = k
+                vmin += (umin - gamma) / (k - k0 + 1)
+                umin = gamma
+            if umax <= -gamma:
+                kplus = k
+                vmax += (umax + gamma) / (k - k0 + 1)
+                umax = -gamma
 
-    def D(v):
-        return np.diff(v)
 
-    def Dt(z):
-        out = np.zeros(m)
-        out[:-1] -= z
-        out[1:] += z
-        return out
+def reparametrized_check(y, lam):
+    """Solve the fused lasso through its standard-lasso reparametrization.
 
-    z = np.zeros(m - 1)
-    w = z.copy()
-    t = 1.0
-    for it in range(max_iter):
-        grad = -D(y - Dt(w))
-        z_new = np.clip(w - grad / 4.0, -gamma, gamma)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        w = z_new + ((t - 1.0) / t_new) * (z_new - z)
-        z = z_new
-        t = t_new
-        if it % 50 == 49:
-            a = y - Dt(z)
-            primal = 0.5 * np.sum((y - a) ** 2) + gamma * np.sum(np.abs(D(a)))
-            dual = z @ D(y) - 0.5 * np.sum(Dt(z) ** 2)
-            if primal - dual < gap_tol * max(1.0, primal):
-                break
-    return y - Dt(z)
+    Writing a = X theta with X lower-triangular of ones, the problem becomes
+    a lasso in the centered design for theta_2..theta_m with unpenalized
+    intercept theta_1; this routine solves that lasso by cyclic coordinate
+    descent (dense, O(m^2) per sweep) and returns cumsum(theta).
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    m = y.size
+    if lam == 0 or m == 1:
+        return y.copy()  # the unpenalized problem interpolates the data
+
+    ybar = y.mean()
+    yc = y - ybar
+    # centered design columns X^c_j = 1(i >= j) - (m - j + 1)/m for j = 2..m
+    cols = np.arange(2, m + 1)
+    xbar = (m - cols + 1) / m
+    X = (np.arange(1, m + 1)[:, None] >= cols[None, :]).astype(float) - xbar[None, :]
+    norm2 = np.sum(X * X, axis=0)
+    thresh = 0.5 * m * lam
+
+    theta = np.diff(y)  # warm start at the unpenalized solution
+    r = yc - X @ theta
+    scale = max(1.0, float(np.max(np.abs(y))))
+    for _ in range(100_000):
+        delta = 0.0
+        for j in range(m - 1):
+            old = theta[j]
+            z = X[:, j] @ r + norm2[j] * old
+            new = np.sign(z) * max(abs(z) - thresh, 0.0) / norm2[j]
+            if new != old:
+                r += X[:, j] * (old - new)
+                theta[j] = new
+                delta = max(delta, abs(new - old))
+        if delta <= 1e-13 * scale:
+            break
+    else:
+        raise AssertionError("coordinate descent did not converge")
+
+    theta1 = ybar - xbar @ theta
+    return theta1 + np.concatenate(([0.0], np.cumsum(theta)))
+
+
+def _jump_geometry(truth):
+    """d_j and r_{k(j)} for the discretized step signal (see the bound)."""
+    m = truth.size
+    jump_idx = np.flatnonzero(np.diff(truth) != 0) + 2  # 1-based jump indices n_k
+    bounds = np.concatenate(([1], jump_idx, [m + 1]))
+    j = np.arange(1, m + 1)
+    seg = np.searchsorted(bounds, j, side="right") - 1
+    lo = bounds[seg]
+    hi = bounds[seg + 1]
+    d = np.minimum(j + 1 - lo, hi - j).astype(float)
+    r = (hi - lo).astype(float)
+    return d, r
+
+
+def elementwise_bound_check(fit, truth):
+    """Deterministic elementwise error bound for the exact fused lasso.
+
+    With m = fit.m, lam = fit.lam, u = y - truth and kappa the maximal
+    normalized partial sum max_{k<=l} |sum_{j=k}^{l} u_j| / sqrt(l-k+1),
+    every coordinate must obey
+
+        |alpha_j - truth_j| <= max{ kappa/sqrt(d_j),
+                                    kappa^2/(4*m*lam),
+                                    2*m*lam/r_{k(j)} + 2*kappa/sqrt(r_{k(j)}) }
+
+    where d_j is the distance of j to the nearest jump index of the truth
+    and r_{k(j)} the length of the surrounding constant segment.  A False
+    return certifies that the fitted vector is not the exact minimizer.
+    """
+    truth = np.asarray(truth, dtype=float).reshape(-1)
+    if truth.size != fit.m:
+        raise ValidationError("truth grid does not match the fitted grid")
+    m, lam = fit.m, fit.lam
+    if lam <= 0:
+        raise ValidationError("the bound requires lambda > 0")
+
+    u = fit.y - truth
+    prefix = np.concatenate(([0.0], np.cumsum(u)))
+    diff = prefix[None, :] - prefix[:, None]  # diff[k, l] = sum_{j=k+1}^{l} u_j
+    lengths = np.arange(m + 1)[None, :] - np.arange(m + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.abs(diff) / np.sqrt(np.where(lengths > 0, lengths, 1))
+    kappa = float(np.max(np.where(lengths > 0, ratios, 0.0)))
+
+    d, r = _jump_geometry(truth)
+    rhs = np.maximum(
+        kappa / np.sqrt(d),
+        np.maximum(kappa**2 / (4.0 * m * lam), 2.0 * m * lam / r + 2.0 * kappa / np.sqrt(r)),
+    )
+    lhs = np.abs(fit.alpha - truth)
+    slack = 1e-9 * max(1.0, float(np.max(np.abs(fit.y))))
+    return bool(np.all(lhs <= rhs + slack))
 
 
 def nelson_aalen_reference(time, status, entry=None):

@@ -20,10 +20,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    elementwise_bound_check,
     fused_objective,
     nelson_aalen_reference,
-    prox_gradient_oracle,
+    reparametrized_check,
     rk4_state_probabilities,
+    tv_denoise_oracle,
 )
 from hazstep import (
     FitConfig,
@@ -34,7 +36,6 @@ from hazstep import (
     Window,
     breslow_fit,
     effective_noise,
-    elementwise_bound_check,
     fit_hazard,
     fit_illness_death_detailed,
     flsa_solve,
@@ -42,7 +43,6 @@ from hazstep import (
     kkt_residual,
     metric_dasym,
     named_scenario,
-    reparametrized_check,
     run_study,
     simulate_illness_death,
     state_probabilities,
@@ -206,20 +206,22 @@ def _random_flsa_instance(rng, max_m):
     return y, lam
 
 
-def test_property_a_kkt_and_prox_oracle():
+def test_property_a_kkt_and_exact_oracle():
     rng = np.random.default_rng(7001)
-    worst_kkt, worst_gap = 0.0, 0.0
+    worst_kkt, worst_gap, worst_diff = 0.0, 0.0, 0.0
     for _ in range(1000):
         y, lam = _random_flsa_instance(rng, 200)
         fit = flsa_solve(y, lam)
         scale = max(1.0, float(np.max(np.abs(y))))
         worst_kkt = max(worst_kkt, kkt_residual(fit) / scale)
-        oracle = prox_gradient_oracle(y, lam, max_iter=40_000, gap_tol=1e-12)
+        oracle = tv_denoise_oracle(y, lam)
         gap = fused_objective(y, fit.alpha, lam) - fused_objective(y, oracle, lam)
         worst_gap = max(worst_gap, gap / max(1.0, scale * scale))
-    ok = worst_kkt <= 1e-9 and worst_gap <= 1e-9
+        worst_diff = max(worst_diff, float(np.max(np.abs(fit.alpha - oracle))) / scale)
+    ok = worst_kkt <= 1e-9 and worst_gap <= 1e-9 and worst_diff <= 1e-9
     print(f"\n[{'PASS' if ok else 'FAIL'}] flsa KKT {worst_kkt:.2e} <= 1e-9, "
-          f"objective excess over prox oracle {worst_gap:.2e} <= 1e-9 (1000 instances)")
+          f"objective excess over the exact TV-denoising oracle (Condat) {worst_gap:.2e} "
+          f"<= 1e-9, max|alpha - oracle| {worst_diff:.2e} <= 1e-9 (1000 instances)")
     assert ok
 
 

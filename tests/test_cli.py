@@ -264,13 +264,13 @@ class TestCurvesCommand:
         assert f"--curve-points must be >= 2, got {points}" in capsys.readouterr().err
         assert not (out / "survival_curves.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("horizon", ["nan", "inf"])
     def test_non_finite_horizon_exits_2(self, model_json, tmp_path, capsys, horizon):
         out = tmp_path / "h"
         code = main(["curves", str(model_json), "--horizon", horizon, "--out", str(out)])
         assert code == 2
-        assert "evaluation grid must be finite" in capsys.readouterr().err
+        assert f"--horizon must be finite, got {horizon}" in capsys.readouterr().err
         assert not (out / "survival_curves.csv").exists()
 
     def test_roundtrip_from_model_json(self, multistate_csv, tmp_path):

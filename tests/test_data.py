@@ -378,6 +378,21 @@ class TestRecordInvariants:
             with pytest.raises(ValidationError):
                 SurvivalFrame(**{**one, **bad})
 
+    def test_columns_do_not_alias_caller_arrays(self):
+        base = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+        status = np.ones(4, dtype=np.int8)
+        frame = SurvivalFrame(time=base[0], status=status, entry=base[1], covariates=base[1:].T)
+        ones = np.ones(4)
+        assert risk_set_sums(frame, ones, [2.5]).tolist() == [2.0]  # caches the sort orders
+        base[0, 3] = 0.5
+        base[1, 0] = 0.25
+        status[0] = 0
+        assert frame.time.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert frame.entry.tolist() == [0.0] * 4
+        assert frame.covariates.tolist() == [[0.0]] * 4
+        assert frame.status.tolist() == [1] * 4
+        assert risk_set_sums(frame, ones, [2.5]).tolist() == [2.0]
+
 
 class TestParseMultistate:
     def test_valid_trajectory(self, tmp_path):

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import fused_objective, prox_gradient_oracle
-from hazstep import (
-    ValidationError,
-    Window,
+from conftest import (
     elementwise_bound_check,
-    flsa_path,
-    flsa_solve,
-    interpolate,
-    kkt_residual,
+    fused_objective,
     reparametrized_check,
+    tv_denoise_oracle,
 )
+from hazstep import ValidationError, Window, flsa_path, flsa_solve, interpolate, kkt_residual
 
 
 def random_instance(rng, max_m=60):
@@ -60,19 +56,22 @@ class TestSolveBasics:
 
 
 class TestOptimality:
-    def test_kkt_certificate_and_prox_oracle(self, rng):
+    def test_kkt_certificate_and_exact_oracle(self, rng):
         worst_kkt = 0.0
         worst_gap = 0.0
+        worst_diff = 0.0
         for _ in range(120):
             y, lam = random_instance(rng)
             fit = flsa_solve(y, lam)
             scale = max(1.0, float(np.max(np.abs(y))))
             worst_kkt = max(worst_kkt, kkt_residual(fit) / scale)
-            oracle = prox_gradient_oracle(y, lam)
+            oracle = tv_denoise_oracle(y, lam)
             gap = fused_objective(y, fit.alpha, lam) - fused_objective(y, oracle, lam)
             worst_gap = max(worst_gap, gap / max(1.0, scale**2))
+            worst_diff = max(worst_diff, float(np.max(np.abs(fit.alpha - oracle))) / scale)
         assert worst_kkt <= 1e-9
         assert worst_gap <= 1e-9
+        assert worst_diff <= 1e-9
 
     def test_block_boundary_identity(self, rng):
         # (2/m) * sum_block (c - y_j) = lam * (sigma_right - sigma_left)
@@ -210,7 +209,7 @@ class TestElementwiseBound:
         truth = np.where(np.arange(1, m + 1) <= 10, 4.0, 1.0)
         lam = 0.05
         fit = flsa_solve(truth, lam)
-        assert elementwise_bound_check(fit, truth, m, lam)
+        assert elementwise_bound_check(fit, truth)
         # with kappa = 0 the bound is exactly 2*m*lam / r_{k(j)}
         jump_idx = 11  # 1-based first index of the second segment
         r1, r2 = jump_idx - 1, m + 1 - jump_idx

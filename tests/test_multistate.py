@@ -12,10 +12,11 @@ from hazstep import (
     TuningConfig,
     ValidationError,
     Window,
-    fit_illness_death,
+    fit_hazard,
     fit_illness_death_detailed,
     kaplan_meier,
     simulate_illness_death,
+    split_transitions,
     state_probabilities,
     survival_curves,
 )
@@ -166,7 +167,28 @@ class TestFitIllnessDeath:
             t_stop=np.concatenate((t1, rng.uniform(0.2, 2.0, 10), t2)),
         )
         with pytest.raises(ValidationError, match=r"transition \(0, 2\)"):
-            fit_illness_death(frame, FitConfig(tuning=TuningConfig(seed=0, l_boot=10)))
+            fit_illness_death_detailed(
+                frame, FitConfig(tuning=TuningConfig(seed=0, l_boot=10))
+            )
+
+    def test_delayed_entry_kept(self):
+        # subjects enter state 0 at times in [0.05, 0.3): every transition
+        # fit is the fit of its own split frame, truncation included
+        records = simulate_illness_death(constant_model(1.0, 0.5, 2.0), 1500, 0.3, 21)
+        delay = np.random.default_rng(21).uniform(0.05, 0.3, 1500)[records.subject]
+        frame = MultiStateFrame(
+            id=records.id,
+            from_state=records.from_state,
+            to_state=records.to_state,
+            t_start=records.t_start + delay,
+            t_stop=records.t_stop + delay,
+        )
+        cfg = FitConfig(tuning=TuningConfig(seed=4, l_boot=20))
+        fits = fit_illness_death_detailed(frame, cfg)
+        for tr in ((0, 1), (0, 2), (1, 2)):
+            sub = split_transitions(frame, tr)
+            assert np.all(sub.entry > 0)
+            assert fits[tr].to_json() == fit_hazard(sub, cfg).to_json()
 
     def test_constant_hazards_recovered(self):
         # calibrated: each transition fit is flat (<= 2 change points) and
