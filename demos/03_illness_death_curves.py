@@ -10,6 +10,7 @@ overlaid against Kaplan-Meier estimates.
 import numpy as np
 
 import hazstep as hs
+from hazstep.data import sojourn_frame
 
 w = hs.Window(0.0, 1.0)
 truth = hs.IllnessDeathModel(
@@ -39,7 +40,8 @@ grid = np.linspace(0.0, 1.5, 7)
 pfs_true, os_true = hs.survival_curves(truth, grid)
 pfs_fit, os_fit = hs.survival_curves(fitted, grid)
 
-km_pfs = hs.kaplan_meier(hs.split_transitions(trajectories, (0, 1)))
+# progression-free: the time until leaving state 0, by progression or by death
+km_pfs = hs.kaplan_meier(sojourn_frame(trajectories, 0))
 
 print("\n   t    S_PFS true   fitted    S_OS true   fitted")
 for i, t in enumerate(pfs_true.grid):

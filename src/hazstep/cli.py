@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import absorption_frame, parse_multistate_csv, parse_survival_csv, split_transitions
-from .data import _write_columns
+from .data import absorption_frame, parse_multistate_csv, parse_survival_csv, sojourn_frame
+from .data import _write_columns, split_transitions  # noqa: F401 - perfbench/tracer.py wraps it
 from .errors import ValidationError
 from .multistate import (
     TRANSITIONS,
@@ -54,6 +54,10 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _write_json(path, record: dict) -> None:
+    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
 def _write_stepfun_csv(fun: StepFunction, path) -> None:
     _write_columns(path, ["t", "level"], fun.corner_points().T, lineterminator="\n")
 
@@ -76,7 +80,7 @@ def _fit_config_from_args(args, seed) -> FitConfig:
         except ValueError:
             raise ValidationError(f"--window expects 'tmin,tmax', got {args.window!r}")
         window = Window(lo, hi)
-    beta = "auto"
+    beta = None
     if args.beta:
         try:
             beta = [float(x) for x in args.beta.split(",")]
@@ -98,10 +102,10 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
     frame = parse_survival_csv(args.input)
     fit = fit_hazard(frame, _fit_config_from_args(args, seed))
-    (out / "hazard.json").write_text(fit.to_json(indent=2) + "\n")
+    _write_json(out / "hazard.json", fit.to_dict())
     _write_stepfun_csv(fit.hazard, out / "hazard_steps.csv")
     fit.cumulative.to_csv(out / "cumhaz.csv")
-    (out / "tuning.json").write_text(fit.tuning.to_json(indent=2) + "\n")
+    _write_json(out / "tuning.json", fit.tuning.to_dict())
     print(f"wrote hazard.json, hazard_steps.csv, cumhaz.csv, tuning.json to {out}")
     return 0
 
@@ -115,7 +119,7 @@ def cmd_simulate(args) -> int:
     scenario = named_scenario(args.scenario, args.n)
     report = run_study(scenario, args.reps, seed, threads=args.threads)
     report_table_csv([report], out / "study_report.csv")
-    (out / "study_runs.json").write_text(report.to_json(indent=2) + "\n")
+    _write_json(out / "study_runs.json", report.to_dict())
     agg = report.aggregates()
     print(
         f"scenario {scenario.name} n={scenario.n} reps={args.reps}: "
@@ -144,20 +148,17 @@ def cmd_multistate(args) -> int:
     )
     for (src, dst), fit in fits.items():
         name = f"hazard_{src}{dst}"
-        (out / f"{name}.json").write_text(fit.to_json(indent=2) + "\n")
+        _write_json(out / f"{name}.json", fit.to_dict())
         _write_stepfun_csv(fit.hazard, out / f"{name}_steps.csv")
-    (out / "model.json").write_text(model.to_json(indent=2) + "\n")
+    _write_json(out / "model.json", model.to_dict())
 
     horizon = max(f.window.tau_max for f in fits.values())
     grid = np.linspace(0.0, horizon, points)
     pfs, os_curve = survival_curves(model, grid)
     curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
-    (out / "survival_curves.json").write_text(
-        json.dumps({"S_PFS": pfs.to_dict(), "S_OS": os_curve.to_dict()}, sort_keys=True, indent=2)
-        + "\n"
-    )
+    _write_json(out / "survival_curves.json", {"S_PFS": pfs.to_dict(), "S_OS": os_curve.to_dict()})
 
-    km_to_csv(kaplan_meier(split_transitions(frame, (0, 1))), out / "km_pfs.csv")
+    km_to_csv(kaplan_meier(sojourn_frame(frame, 0)), out / "km_pfs.csv")
     km_to_csv(kaplan_meier(absorption_frame(frame, 2)), out / "km_os.csv")
     print(f"wrote per-transition hazards, model.json, survival_curves.csv, km_*.csv to {out}")
     return 0

@@ -10,6 +10,7 @@ computed by :func:`risk_set_sums`.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -28,6 +29,7 @@ __all__ = [
     "parse_multistate_csv",
     "write_multistate_csv",
     "split_transitions",
+    "sojourn_frame",
     "absorption_frame",
     "risk_set_sums",
 ]
@@ -51,7 +53,8 @@ class SurvivalFrame:
         # private copies: a write through the caller's arrays must not reach
         # a validated frame or its cached sort orders
         time = np.array(self.time, dtype=float).reshape(-1)
-        status = np.array(self.status, dtype=np.int8).reshape(-1)
+        # status is checked before its int8 copy, which would truncate 1.7 or wrap 257
+        status = np.asarray(self.status).reshape(-1)
         entry = np.array(self.entry, dtype=float).reshape(-1)
         cov = np.array(self.covariates, dtype=float)
         if cov.ndim == 1:
@@ -69,6 +72,7 @@ class SurvivalFrame:
             raise ValidationError("entry times must be >= 0")
         if np.any((status != 0) & (status != 1)):
             raise ValidationError("status must be 0 or 1")
+        status = status.astype(np.int8)
         if np.any(entry >= time):
             bad = int(np.argmax(entry >= time))
             raise ValidationError(f"entry >= time for record {bad}")
@@ -195,7 +199,16 @@ class MultiStateFrame:
         return self.id.size
 
 
-# -- CSV I/O -----------------------------------------------------------------
+# -- JSON and CSV I/O ----------------------------------------------------------
+
+
+class _JsonRecord:
+    """Records serialise ``to_dict()`` as JSON with sorted keys."""
+
+    def to_json(self, **kwargs) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
+
+
 # Every CSV file is read by _read_columns, _ROWS rows at a time, and written by
 # _write_columns, which formats each float once with repr (shortest round trip).
 
@@ -297,34 +310,26 @@ def _status(cells, row0, col) -> np.ndarray:
     return status
 
 
-def parse_survival_csv(path, schema: dict | None = None) -> SurvivalFrame:
+def parse_survival_csv(path) -> SurvivalFrame:
     """Read a survival frame from CSV.
 
-    The default schema takes columns named ``entry`` (optional), ``time`` and
-    ``status``; every remaining column is a covariate.  ``schema`` may remap
-    these: keys ``time``, ``status``, ``entry`` (column names) and
-    ``covariates`` (list of column names).  Every named column must exist.
+    The columns are ``time``, ``status`` and an optional ``entry``; every
+    other column is a covariate.
     """
     with open(path, newline="") as fh:
         cols = _read_header(csv.reader(fh), path)
-    schema = dict(schema or {})
-    time_col = schema.get("time", "time")
-    status_col = schema.get("status", "status")
-    entry_col = schema.get("entry", "entry" if "entry" in cols else None)
-    cov_cols = schema.get("covariates")
-    if cov_cols is None:
-        cov_cols = [c for c in cols if c not in (time_col, status_col, entry_col)]
-    floats = dict.fromkeys([time_col, *([entry_col] if entry_col else []), *cov_cols], _floats)
-    columns = _read_columns(path, {**floats, status_col: _status})
-    time = columns[time_col]
-    entry = columns[entry_col] if entry_col else np.zeros(time.size)
+    cov_cols = [c for c in cols if c not in ("time", "status", "entry")]
+    floats = dict.fromkeys(["time", *(["entry"] if "entry" in cols else []), *cov_cols], _floats)
+    columns = _read_columns(path, {**floats, "status": _status})
+    time = columns["time"]
+    entry = columns.get("entry", np.zeros(time.size))
     late = entry >= time
     if np.any(late):
         i = int(np.argmax(late))
         raise ValidationError(f"row {i}: entry {float(entry[i])} must be < time {float(time[i])}")
     return SurvivalFrame(
         time=time,
-        status=columns[status_col],
+        status=columns["status"],
         entry=entry,
         covariates=np.column_stack([np.empty((time.size, 0)), *(columns[c] for c in cov_cols)]),
     )
@@ -339,10 +344,10 @@ def write_survival_csv(frame: SurvivalFrame, path) -> None:
     _write_columns(path, header, columns + list(frame.covariates.T))
 
 
-def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
+def parse_multistate_csv(path) -> MultiStateFrame:
     """Read long-format multi-state rows (id, from, to, t_start, t_stop).
 
-    States are nonnegative integers; ``censor_token`` in ``to`` marks a
+    States are nonnegative integers; ``CENSORED`` in ``to`` marks a
     censored sojourn.  The rows are validated as trajectories by
     :class:`MultiStateFrame`.
     """
@@ -350,7 +355,7 @@ def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
     def to_states(cells, row0, col):
         cells = [cell.strip() for cell in cells]
         return np.array(
-            [CENSORED_STATE if t == censor_token else _parse_count(t, row0 + i, col)
+            [CENSORED_STATE if t == CENSORED else _parse_count(t, row0 + i, col)
              for i, t in enumerate(cells)]
         )
 
@@ -359,10 +364,10 @@ def parse_multistate_csv(path, censor_token: str = CENSORED) -> MultiStateFrame:
     return MultiStateFrame(*_read_columns(path, columns).values())
 
 
-def write_multistate_csv(frame: MultiStateFrame, path, censor_token: str = CENSORED) -> None:
+def write_multistate_csv(frame: MultiStateFrame, path) -> None:
     """Write the rows of ``frame`` in its stored order."""
     to = frame.to_state.astype(object)
-    to[frame.to_state == CENSORED_STATE] = censor_token
+    to[frame.to_state == CENSORED_STATE] = CENSORED
     columns = [frame.id, frame.from_state, to, frame.t_start, frame.t_stop]
     _write_columns(path, ["id", "from", "to", "t_start", "t_stop"], columns)
 
@@ -376,6 +381,12 @@ def _event_frame(time, status, entry) -> SurvivalFrame:
     )
 
 
+def _first_sojourns(frame: MultiStateFrame, state: int) -> np.ndarray:
+    """Rows of each subject's first sojourn in ``state``."""
+    rows = np.flatnonzero(frame.from_state == state)
+    return rows[np.unique(frame.subject[rows], return_index=True)[1]]
+
+
 def split_transitions(frame: MultiStateFrame, transition: tuple[int, int]) -> SurvivalFrame:
     """Reduce trajectories to the survival frame of one direct transition.
 
@@ -387,11 +398,20 @@ def split_transitions(frame: MultiStateFrame, transition: tuple[int, int]) -> Su
     src, dst = transition
     if src == dst or src < 0 or dst < 0:
         raise ValidationError(f"transition ({src}, {dst}) not present in the state diagram")
-    rows = np.flatnonzero(frame.from_state == src)
-    rows = rows[np.unique(frame.subject[rows], return_index=True)[1]]
+    rows = _first_sojourns(frame, src)
     if not rows.size:
         raise ValidationError(f"transition ({src}, {dst}): no subjects at risk")
     return _event_frame(frame.t_stop[rows], frame.to_state[rows] == dst, frame.t_start[rows])
+
+
+def sojourn_frame(frame: MultiStateFrame, state: int) -> SurvivalFrame:
+    """Time in ``state`` until leaving it by any transition, or censoring.
+
+    The rows of :func:`split_transitions` from ``state``.
+    """
+    rows = _first_sojourns(frame, state)
+    left = frame.to_state[rows] != CENSORED_STATE
+    return _event_frame(frame.t_stop[rows], left, frame.t_start[rows])
 
 
 def absorption_frame(frame: MultiStateFrame, state: int) -> SurvivalFrame:

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 SEPARATION_GUARD = 50.0  # |beta| beyond this is treated as monotone likelihood
+SCORE_TOL = 1e-8  # converged when every score component is this small
+MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     return loglik, grad, info
 
 
-def cox_fit(frame: SurvivalFrame, tol: float = 1e-8, max_iter: int = 100) -> CoxFit:
+def cox_fit(frame: SurvivalFrame) -> CoxFit:
     """Newton-Raphson maximizer of the Cox log partial likelihood.
 
     Breslow handling of ties, step-halving on likelihood decrease, and a
@@ -149,11 +151,11 @@ def cox_fit(frame: SurvivalFrame, tol: float = 1e-8, max_iter: int = 100) -> Cox
 
     beta = np.zeros(frame.d)
     loglik, grad, info = _partial_loglik_parts(frame, beta)
-    if np.max(np.abs(grad)) <= tol:
+    if np.max(np.abs(grad)) <= SCORE_TOL:
         # score flat at the start: non-identifiable direction, return 0 by
         # convention (e.g. a covariate constant across subjects)
         return CoxFit(beta, loglik, 0, True)
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_STEPS):
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError:
@@ -161,7 +163,7 @@ def cox_fit(frame: SurvivalFrame, tol: float = 1e-8, max_iter: int = 100) -> Cox
         # a monotone (separated) likelihood keeps the score tiny while the
         # Newton step stays O(1) or the information degenerates, so declaring
         # convergence requires a small step and a nonsingular information
-        if np.max(np.abs(grad)) <= tol and np.max(np.abs(step)) <= 1e-3 * (
+        if np.max(np.abs(grad)) <= SCORE_TOL and np.max(np.abs(step)) <= 1e-3 * (
             1.0 + np.max(np.abs(beta))
         ):
             eigmin = float(np.min(np.linalg.eigvalsh(info)))
@@ -177,8 +179,8 @@ def cox_fit(frame: SurvivalFrame, tol: float = 1e-8, max_iter: int = 100) -> Cox
                 break
             step = step / 2.0
         beta, loglik, grad, info = cand, new_loglik, new_grad, new_info
-    converged = bool(np.max(np.abs(grad)) <= tol)
-    return CoxFit(beta, loglik, max_iter, converged)
+    converged = bool(np.max(np.abs(grad)) <= SCORE_TOL)
+    return CoxFit(beta, loglik, MAX_NEWTON_STEPS, converged)
 
 
 def breslow_fit(frame: SurvivalFrame, beta=None) -> BreslowCurve:

@@ -13,7 +13,8 @@ never split as lambda grows, so all merge events can be enumerated exactly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ValidationError
@@ -33,29 +34,22 @@ __all__ = [
 class FusedLassoFit:
     """Solution of the fused-lasso problem at a fixed penalty level.
 
-    ``blocks`` lists maximal fused runs as (start, end, level) with 0-based
-    inclusive indices; ``changepoints`` are the 0-based indices j such that
+    Maximal runs of exactly equal values of ``alpha`` are the fused blocks;
+    ``changepoints`` are the 0-based indices j such that
     ``alpha[j-1] != alpha[j]`` (i.e. the first index of each new block).
     """
 
     lam: float
     alpha: np.ndarray
     y: np.ndarray
-    blocks: list = field(default_factory=list)
-    changepoints: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     @property
     def m(self) -> int:
         return self.alpha.size
 
-    def residuals(self) -> np.ndarray:
-        return self.y - self.alpha
-
-    def objective(self) -> float:
-        m = self.m
-        fit = float(np.sum((self.y - self.alpha) ** 2)) / m
-        tv = float(np.sum(np.abs(np.diff(self.alpha))))
-        return fit + self.lam * tv
+    @property
+    def changepoints(self) -> np.ndarray:
+        return _run_starts(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -66,19 +60,12 @@ class PathBreakpoint:
     changepoint_count: int
 
 
-def _blocks_from_alpha(alpha: np.ndarray):
-    """Maximal runs of exactly-equal adjacent values."""
-    m = alpha.size
-    starts = np.flatnonzero(np.diff(alpha) != 0) + 1
-    bounds = np.concatenate(([0], starts, [m]))
-    blocks = [
-        (int(bounds[i]), int(bounds[i + 1] - 1), float(alpha[bounds[i]]))
-        for i in range(bounds.size - 1)
-    ]
-    return blocks, starts
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """First index of every maximal run of exactly equal values but the first."""
+    return np.flatnonzero(np.diff(values) != 0) + 1
 
 
-def _dp_fused(ys, gamma: float, snap: float = 0.0) -> np.ndarray:
+def _dp_fused(ys, gamma: float, snap: float) -> np.ndarray:
     """Exact minimizer of (1/2) sum (y_j - b_j)^2 + gamma sum |b_j - b_{j+1}|.
 
     Dynamic programming with clipped derivative messages; the derivative of
@@ -169,7 +156,7 @@ def _dp_fused(ys, gamma: float, snap: float = 0.0) -> np.ndarray:
     return np.array(beta)
 
 
-def flsa_solve(y, lam: float, m: int | None = None) -> FusedLassoFit:
+def flsa_solve(y, lam: float) -> FusedLassoFit:
     """Exact global minimizer of the fused-lasso objective.
 
     Parameters
@@ -179,12 +166,8 @@ def flsa_solve(y, lam: float, m: int | None = None) -> FusedLassoFit:
     lam : float
         Nonnegative total-variation penalty level, on the scale of the
         (1/m)-normalized quadratic loss.
-    m : int, optional
-        Expected length of y, checked if given.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    if m is not None and y.size != m:
-        raise ValidationError(f"expected y of length {m}, got {y.size}")
     if y.size == 0:
         raise ValidationError("y must be nonempty")
     if np.any(~np.isfinite(y)):
@@ -197,8 +180,7 @@ def flsa_solve(y, lam: float, m: int | None = None) -> FusedLassoFit:
     # scale-relative so the solver stays exactly scaling-equivariant
     snap = 1e-10 * float(np.max(np.abs(y)))
     alpha = _dp_fused(y.tolist(), gamma, snap)
-    blocks, starts = _blocks_from_alpha(alpha)
-    return FusedLassoFit(lam=float(lam), alpha=alpha, y=y.copy(), blocks=blocks, changepoints=starts)
+    return FusedLassoFit(lam=float(lam), alpha=alpha, y=y.copy())
 
 
 def kkt_residual(fit: FusedLassoFit) -> float:
@@ -242,8 +224,8 @@ def flsa_path(y) -> list[PathBreakpoint]:
         raise ValidationError("y contains non-finite values")
     m = y.size
 
-    blocks, _ = _blocks_from_alpha(y)
-    nb = len(blocks)
+    starts = _run_starts(y)
+    nb = starts.size + 1
     if nb == 1:
         return [PathBreakpoint(0.0, 0)]
 
@@ -254,8 +236,8 @@ def flsa_path(y) -> list[PathBreakpoint]:
     # cross or separate, so signs are fixed at initialization and only ever
     # deleted when a boundary fuses; they are never re-derived from (noisy)
     # float values.
-    size = [e - s + 1 for s, e, _ in blocks]
-    base = [lv for _, _, lv in blocks]
+    size = np.diff(starts, prepend=0, append=m).tolist()
+    base = y[np.r_[0, starts]].tolist()
     base_lam = [0.0] * nb
     prev = list(range(-1, nb - 1))
     nxt = list(range(1, nb + 1))
@@ -353,7 +335,6 @@ def interpolate(fit: FusedLassoFit, window: Window) -> StepFunction:
     t_{j-1}: the breaks are exactly the change points mapped to times
     tau_min + i*length/m for the 0-based change-point index i.
     """
-    step = window.length / fit.m
-    levels = [lv for _, _, lv in fit.blocks]
-    breaks = window.tau_min + fit.changepoints * step
-    return StepFunction(window, breaks, levels)
+    starts = fit.changepoints
+    breaks = window.tau_min + starts * (window.length / fit.m)
+    return StepFunction(window, breaks, fit.alpha[np.r_[0, starts]])

@@ -10,13 +10,12 @@ constant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiStateFrame, SurvivalFrame, risk_set_sums, split_transitions
-from .data import _floats, _read_columns, _write_columns
+from .data import _floats, _JsonRecord, _read_columns, _write_columns
 from .errors import ValidationError
 from .pipeline import FitConfig, HazardFit, fit_hazard
 from .stepfun import StepFunction
@@ -35,7 +34,7 @@ TRANSITIONS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
-class IllnessDeathModel:
+class IllnessDeathModel(_JsonRecord):
     """Transition hazards of the illness-death model without recovery.
 
     Each hazard is a step function on its own fitting window, extended by
@@ -55,9 +54,6 @@ class IllnessDeathModel:
     def to_dict(self) -> dict:
         return {"a01": self.a01.to_dict(), "a02": self.a02.to_dict(), "a12": self.a12.to_dict()}
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
     @classmethod
     def from_dict(cls, d: dict) -> "IllnessDeathModel":
         return cls(
@@ -68,19 +64,12 @@ class IllnessDeathModel:
 
 
 @dataclass(frozen=True)
-class SurvivalCurve:
+class SurvivalCurve(_JsonRecord):
     grid: np.ndarray
     values: np.ndarray
 
     def to_dict(self) -> dict:
         return {"grid": self.grid.tolist(), "values": self.values.tolist()}
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SurvivalCurve":
-        return cls(np.asarray(d["grid"], dtype=float), np.asarray(d["values"], dtype=float))
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float).reshape(-1)

@@ -9,13 +9,12 @@ back to a step function in original time units.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalFrame, risk_set_sums
+from .data import SurvivalFrame, _JsonRecord, risk_set_sums
 from .errors import ValidationError
 from .estimators import (
     BreslowCurve,
@@ -41,9 +40,9 @@ class FitConfig:
 
     ``window`` overrides the quantile policy (``p_low`` defaults to 0, or
     0.025 when the data carry entry times; ``p_high`` to 0.975).  ``grid_size``
-    (>= 2) defaults to the sample size.  ``beta`` selects the coefficient source:
-    "auto" fits coefficients when covariates are present, "fit" always fits,
-    "none" uses a zero vector, and an explicit sequence is used as given.
+    (>= 2) defaults to the sample size.  ``beta`` is a sequence of supplied
+    coefficients, used as given; ``None`` fits them by :func:`cox_fit` when
+    the frame has covariates.
     """
 
     window: Window | None = None
@@ -51,7 +50,7 @@ class FitConfig:
     p_high: float = 0.975
     grid_size: int | None = None
     tuning: TuningConfig = field(default_factory=TuningConfig)
-    beta: object = "auto"
+    beta: object = None
 
     def __post_init__(self):
         if self.grid_size is not None and self.grid_size < 2:
@@ -59,14 +58,15 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
-class HazardFit:
+class HazardFit(_JsonRecord):
     """Composite result of a hazard fit, in original time units."""
 
     hazard: StepFunction  # nonnegative (clamped) hazard estimate
     raw_levels: np.ndarray  # unclamped levels, same breaks as `hazard`
     cumulative: BreslowCurve
     tuning: TuningResult
-    beta: object  # CoxFit, plain vector, or None
+    beta: np.ndarray  # coefficients, supplied or fitted (length d, may be 0)
+    cox: CoxFit | None  # the Cox fit that gave `beta`, if any
     window: Window
     increments: IncrementSample
     flsa: FusedLassoFit
@@ -75,13 +75,6 @@ class HazardFit:
     def changepoints(self) -> np.ndarray:
         """Estimated change-point times (original units)."""
         return self.hazard.breaks
-
-    def beta_vector(self) -> np.ndarray:
-        if isinstance(self.beta, CoxFit):
-            return self.beta.beta
-        if self.beta is None:
-            return np.empty(0)
-        return np.asarray(self.beta, dtype=float)
 
     def integral_gap(self) -> float:
         """Fitted integral over the window minus the Breslow increment."""
@@ -100,8 +93,8 @@ class HazardFit:
             "hazard": self.hazard.to_dict(),
             "raw_levels": self.raw_levels.tolist(),
             "window": self.window.to_dict(),
-            "beta": self.beta_vector().tolist(),
-            "beta_source": "cox_fit" if isinstance(self.beta, CoxFit) else "supplied",
+            "beta": self.beta.tolist(),
+            "beta_source": "supplied" if self.cox is None else "cox_fit",
             "lambda": self.tuning.lam,
             "lambda0": self.tuning.lambda0,
             "seed": self.tuning.seed,
@@ -109,32 +102,27 @@ class HazardFit:
             "integral_gap": self.integral_gap(),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
-
-def _resolve_beta(frame: SurvivalFrame, config: FitConfig):
-    spec = config.beta
-    if isinstance(spec, str):
-        if spec == "auto":
-            spec = "fit" if frame.d > 0 else "none"
-        if spec == "none":
-            return None, np.zeros(frame.d)
-        if spec == "fit":
-            fit = cox_fit(frame)
-            if not fit.converged:
-                logger.warning(
-                    "Cox fit did not converge after %d iterations (beta = %s): the partial "
-                    "likelihood may be monotone, e.g. separated covariates",
-                    fit.iterations,
-                    fit.beta.tolist(),
-                )
-            return fit, fit.beta
-        raise ValidationError(f"unknown beta source {spec!r}")
-    beta = np.asarray(spec, dtype=float).reshape(-1)
+def _resolve_beta(frame: SurvivalFrame, config: FitConfig) -> tuple[np.ndarray, CoxFit | None]:
+    if config.beta is None:
+        if frame.d == 0:
+            return np.zeros(0), None
+        fit = cox_fit(frame)
+        if not fit.converged:
+            logger.warning(
+                "Cox fit did not converge after %d iterations (beta = %s): the partial "
+                "likelihood may be monotone, e.g. separated covariates",
+                fit.iterations,
+                fit.beta.tolist(),
+            )
+        return fit.beta, fit
+    try:
+        beta = np.asarray(config.beta, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ValidationError(f"beta must be a sequence of numbers, got {config.beta!r}")
     if beta.size != frame.d:
         raise ValidationError(f"supplied beta has length {beta.size}, expected {frame.d}")
-    return beta, beta
+    return beta, None
 
 
 def fit_from_curve(
@@ -155,8 +143,8 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
     are kept in ``raw_levels``.
     """
     config = config or FitConfig()
-    beta_obj, beta_vec = _resolve_beta(frame, config)
-    curve = breslow_fit(frame, beta_vec)
+    beta, cox = _resolve_beta(frame, config)
+    curve = breslow_fit(frame, beta)
 
     if config.window is not None:
         window = config.window
@@ -167,8 +155,8 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
         window = choose_window(frame, p_low, config.p_high)
 
     m = frame.n if config.grid_size is None else config.grid_size
-    _warn_on_empty_risk(frame, beta_vec, window, m)
     inc, tuning_result, fused = fit_from_curve(curve, window, m, config.tuning)
+    _warn_on_empty_risk(frame, beta, inc)
 
     scaled = interpolate(fused, window)
     raw_levels = scaled.levels / inc.scale
@@ -178,7 +166,8 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
         raw_levels=raw_levels,
         cumulative=curve,
         tuning=tuning_result,
-        beta=beta_obj,
+        beta=beta,
+        cox=cox,
         window=window,
         increments=inc,
         flsa=fused,
@@ -190,9 +179,9 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
     return fit
 
 
-def _warn_on_empty_risk(frame, beta_vec, window: Window, m: int) -> None:
-    grid = window.tau_min + np.arange(m + 1) * (window.length / m)
-    weights = np.exp(frame.covariates @ beta_vec) if frame.d else np.ones(frame.n)
+def _warn_on_empty_risk(frame: SurvivalFrame, beta: np.ndarray, inc: IncrementSample) -> None:
+    grid, m = inc.grid, inc.m
+    weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
     empty = np.flatnonzero(risk_set_sums(frame, weights, grid[1:]) <= 0)
     if empty.size:
         first = grid[empty[0] : empty[0] + 2]  # the cell (t_{j-1}, t_j]

@@ -9,7 +9,6 @@ and scoring it against the discretized true hazard.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
-from .data import _counts, _parse_float, _read_columns, _text, _write_columns
+from .data import _counts, _JsonRecord, _parse_float, _read_columns, _text, _write_columns
 from .errors import ValidationError
-from .flsa import interpolate
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
 from .stepfun import StepFunction, Window
@@ -173,7 +171,7 @@ def metric_snr(alpha_star, u) -> float:
 
 
 @dataclass(frozen=True)
-class StudyReport:
+class StudyReport(_JsonRecord):
     """Per-replication metrics and their aggregates for one scenario cell."""
 
     scenario: str
@@ -210,9 +208,6 @@ class StudyReport:
             "rows": self.rows,
             "failures": self.failures,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 _REPORT_METRICS = ("l2_sq", "d_asym", "snr", "censored_fraction")
@@ -257,7 +252,6 @@ def _fit_config_for(scenario: Scenario, tune_seed: int) -> FitConfig:
         window=scenario.window,
         grid_size=scenario.n,
         tuning=TuningConfig(q=0.9, k_max=20, l_boot=100, seed=tune_seed),
-        beta="auto",
     )
 
 
@@ -273,19 +267,19 @@ def _run_one(args):
     frame = gen_scenario(scenario, data_seed)
     fit = fit_hazard(frame, _fit_config_for(scenario, tune_seed))
     truth_vec = discretize_truth(scenario.hazard, scenario.window, fit.increments.m)
-    est_changes = interpolate(fit.flsa, scenario.window).breaks
+    changes = fit.changepoints
     return {
         "replication": rep_index,
         "data_seed": int(data_seed),
         "tune_seed": int(tune_seed),
         "l2_sq": metric_l2(fit.flsa.alpha, truth_vec),
-        "d_asym": metric_dasym(est_changes, scenario.hazard.breaks),
+        "d_asym": metric_dasym(changes, scenario.hazard.breaks),
         "snr": metric_snr(truth_vec, fit.increments.y - truth_vec),
         "censored_fraction": float(np.mean(frame.status == 0)),
-        "n_changepoints": int(fit.flsa.changepoints.size),
+        "n_changepoints": int(changes.size),
         "lambda": fit.tuning.lam,
         "lambda0": fit.tuning.lambda0,
-        "changepoint_times": [float(b) for b in est_changes],
+        "changepoint_times": changes.tolist(),
     }
 
 

@@ -9,11 +9,11 @@ integrals from time 0 and sampling are always well defined.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _JsonRecord
 from .errors import ValidationError
 
 __all__ = ["Window", "StepFunction"]
@@ -47,7 +47,7 @@ class Window:
 
 
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_JsonRecord):
     """Right-continuous piecewise constant function on a window.
 
     Parameters
@@ -171,16 +171,9 @@ class StepFunction:
             "levels": self.levels.tolist(),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
     @classmethod
     def from_dict(cls, d: dict) -> "StepFunction":
         return cls(Window.from_dict(d["domain"]), d["breaks"], d["levels"])
-
-    @classmethod
-    def from_json(cls, s: str) -> "StepFunction":
-        return cls.from_dict(json.loads(s))
 
     def corner_points(self) -> np.ndarray:
         """(t, level) rows tracing the exact steps, two rows per break."""

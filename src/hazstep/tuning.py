@@ -10,12 +10,12 @@ q-quantile.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _JsonRecord
 from .errors import ValidationError
 from .estimators import empirical_quantile
 from .flsa import flsa_path, flsa_solve
@@ -54,7 +54,7 @@ class TuningConfig:
 
 
 @dataclass(frozen=True)
-class TuningResult:
+class TuningResult(_JsonRecord):
     lambda0: float
     lam: float
     u_boot: np.ndarray
@@ -69,19 +69,6 @@ class TuningResult:
             "u_boot": self.u_boot.tolist(),
             "residuals": self.residuals.tolist(),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TuningResult":
-        return cls(
-            lambda0=float(d["lambda0"]),
-            lam=float(d["lambda"]),
-            u_boot=np.asarray(d["u_boot"], dtype=float),
-            residuals=np.asarray(d["residuals"], dtype=float),
-            seed=int(d["seed"]),
-        )
 
 
 def pilot_lambda(y, k_max: int) -> float:

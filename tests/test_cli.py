@@ -2,19 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from conftest import kaplan_meier_reference
 
 from hazstep import (
+    CENSORED_STATE,
     IllnessDeathModel,
     StepFunction,
     Window,
     gen_scenario,
     named_scenario,
+    parse_multistate_csv,
     parse_survival_csv,
     simulate_illness_death,
     write_multistate_csv,
     write_survival_csv,
 )
 from hazstep.cli import SEED_ENV_VAR, main
+from hazstep.multistate import km_from_csv
 
 
 @pytest.fixture
@@ -206,6 +210,21 @@ class TestMultistateCommand:
         model = IllnessDeathModel.from_dict(json.loads((out / "model.json").read_text()))
         assert model.a01.is_nonnegative()
 
+    def test_km_pfs_is_km_of_leaving_state_0(self, multistate_csv, tmp_path):
+        # a direct death 0 -> 2 ends progression-free survival too
+        out = tmp_path / "km"
+        assert main(["multistate", str(multistate_csv), "--L", "20", "--seed", "3",
+                     "--out", str(out)]) == 0
+        frame = parse_multistate_csv(multistate_csv)
+        state0 = frame.from_state == 0
+        assert np.any(frame.to_state[state0] == 2)
+        grid, values = kaplan_meier_reference(
+            frame.t_stop[state0], frame.to_state[state0] != CENSORED_STATE, frame.t_start[state0]
+        )
+        km = km_from_csv(out / "km_pfs.csv")
+        assert np.array_equal(km.grid, grid)
+        assert np.allclose(km.values, values, rtol=1e-12, atol=0)
+
     def test_missing_transition_exits_2(self, tmp_path):
         # no subject ever enters state 1 -> no 1->2 data
         path = tmp_path / "no12.csv"
@@ -291,7 +310,7 @@ class TestRoundTrip:
         assert frame.n == 300
 
     def test_every_fit_artifact_reparses(self, survival_csv, tmp_path):
-        from hazstep import BreslowCurve, TuningResult
+        from hazstep import BreslowCurve
 
         out = tmp_path / "rt"
         assert main(["fit", str(survival_csv), "--L", "60", "--seed", "8",
@@ -304,8 +323,8 @@ class TestRoundTrip:
         assert np.array_equal(rebuilt.levels, hazard.levels)
         curve = BreslowCurve.from_csv(out / "cumhaz.csv")
         assert curve.jump_times.size > 0
-        tuning = TuningResult.from_dict(json.loads((out / "tuning.json").read_text()))
-        assert tuning.lam == doc["lambda"]
+        tuning = json.loads((out / "tuning.json").read_text())
+        assert tuning["lambda"] == doc["lambda"]
 
     def test_multistate_and_simulate_artifacts_reparse(self, multistate_csv, tmp_path):
         from hazstep.multistate import curves_from_csv, km_from_csv

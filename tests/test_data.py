@@ -32,7 +32,7 @@ from hazstep import (
     write_survival_csv,
 )
 from hazstep.cli import _write_stepfun_csv
-from hazstep.data import _ROWS
+from hazstep.data import _ROWS, sojourn_frame
 from hazstep.multistate import (
     IllnessDeathModel,
     curves_from_csv,
@@ -378,6 +378,12 @@ class TestRecordInvariants:
             with pytest.raises(ValidationError):
                 SurvivalFrame(**{**one, **bad})
 
+    @pytest.mark.parametrize("status", [[0.5, 1.7], np.array([257, 256])], ids=["float", "wraps"])
+    def test_non_binary_status_rejected(self, status):
+        # checked before the int8 cast, which would truncate or wrap the values
+        with pytest.raises(ValidationError, match="status must be 0 or 1"):
+            SurvivalFrame(time=[1.0, 2.0], status=status, entry=[0.0, 0.0], covariates=[])
+
     def test_columns_do_not_alias_caller_arrays(self):
         base = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
         status = np.ones(4, dtype=np.int8)
@@ -446,10 +452,10 @@ class TestParseMultistate:
         assert frame.to_state.tolist() == [CENSORED_STATE]
         assert frame.t_stop.tolist() == [3.0]
 
-    def test_custom_censor_token(self, tmp_path):
+    def test_other_censor_token_rejected(self, tmp_path):
         text = HEADER + "1,0,LOST,0,3.0\n"
-        frame = parse_multistate_csv(write(tmp_path, text), censor_token="LOST")
-        assert frame.to_state.tolist() == [CENSORED_STATE]
+        with pytest.raises(ParseError, match="row 0: column 'to'"):
+            parse_multistate_csv(write(tmp_path, text))
 
     def test_roundtrip(self, tmp_path):
         frame = multistate(
@@ -490,6 +496,18 @@ class TestSplitTransitions:
         assert frame.entry.tolist() == [2.0]
         assert frame.time.tolist() == [5.0]
         assert frame.status.tolist() == [1]
+
+    def test_sojourn_frame_counts_any_exit(self):
+        frame = multistate(
+            [(1, 0, 1, 0.0, 2.0), (1, 1, 2, 2.0, 5.0), (2, 0, 2, 0.0, 1.5), (3, 0, None, 0.0, 3.0)]
+        )
+        state0 = sojourn_frame(frame, 0)
+        assert state0.time.tolist() == [2.0, 1.5, 3.0]
+        assert state0.status.tolist() == [1, 1, 0]
+        assert state0.entry.tolist() == [0.0] * 3
+        state1 = sojourn_frame(frame, 1)
+        assert (state1.entry.tolist(), state1.time.tolist()) == ([2.0], [5.0])
+        assert state1.status.tolist() == [1]
 
     def test_bad_transition(self, trajectory):
         with pytest.raises(ValidationError):

@@ -87,7 +87,7 @@ class TestCoxFit:
         time = rng.exponential(np.exp(-cov @ np.array([0.3, 0.6])))
         status = (time < rng.exponential(2.0, n)).astype(int)
         frame = SurvivalFrame(time=time, status=status, entry=np.zeros(n), covariates=cov)
-        fit = cox_fit(frame, tol=1e-9)
+        fit = cox_fit(frame)
         assert fit.converged
 
         def loglik(b):

@@ -37,9 +37,9 @@ class TestSolveBasics:
 
     def test_hand_solved_two_block_instance(self):
         # stationarity per block gives c1 = m*lam/4, c2 = 1 - m*lam/4
-        fit = flsa_solve([0.0, 0.0, 1.0, 1.0], 0.25, m=4)
+        fit = flsa_solve([0.0, 0.0, 1.0, 1.0], 0.25)
         assert np.allclose(fit.alpha, [0.25, 0.25, 0.75, 0.75], atol=1e-12)
-        assert fit.blocks == [(0, 1, 0.25), (2, 3, 0.75)]
+        assert fit.alpha.tolist() == [0.25, 0.25, 0.75, 0.75]
         assert fit.changepoints.tolist() == [2]
 
     def test_degenerate_single_point(self):
@@ -51,8 +51,6 @@ class TestSolveBasics:
             flsa_solve([1.0, np.nan], 0.1)
         with pytest.raises(ValidationError):
             flsa_solve([1.0, 2.0], -0.1)
-        with pytest.raises(ValidationError):
-            flsa_solve([1.0, 2.0], 0.1, m=3)
 
 
 class TestOptimality:
@@ -81,10 +79,12 @@ class TestOptimality:
                 lam = 0.05
             fit = flsa_solve(y, lam)
             m = y.size
-            for b, (s, e, c) in enumerate(fit.blocks):
-                sig_l = 0.0 if b == 0 else np.sign(c - fit.blocks[b - 1][2])
-                sig_r = 0.0 if b == len(fit.blocks) - 1 else np.sign(fit.blocks[b + 1][2] - c)
-                lhs = (2.0 / m) * np.sum(c - y[s : e + 1])
+            bounds = np.r_[0, fit.changepoints, m]
+            levels = fit.alpha[bounds[:-1]]
+            for b, c in enumerate(levels):
+                sig_l = 0.0 if b == 0 else np.sign(c - levels[b - 1])
+                sig_r = 0.0 if b == levels.size - 1 else np.sign(levels[b + 1] - c)
+                lhs = (2.0 / m) * np.sum(c - y[bounds[b] : bounds[b + 1]])
                 assert lhs == pytest.approx(lam * (sig_r - sig_l), abs=1e-9)
 
     def test_scaling_equivariance(self, rng):

@@ -234,6 +234,6 @@ class TestFitIllnessDeath:
         import json
 
         pfs, _ = survival_curves(constant_model(1.0, 1.0, 1.0), np.linspace(0, 1, 5))
-        back = SurvivalCurve.from_dict(json.loads(pfs.to_json()))
+        back = SurvivalCurve(**json.loads(pfs.to_json()))
         assert np.array_equal(back.grid, pfs.grid)
         assert np.array_equal(back.values, pfs.values)

@@ -149,8 +149,8 @@ class TestFitHazard:
             window=Window(0, 1), tuning=TuningConfig(seed=1, l_boot=50), beta=[0.25, 1.0]
         )
         fit = fit_hazard(frame, cfg)
-        assert fit.beta_vector().tolist() == [0.25, 1.0]
-        assert not hasattr(fit.beta, "converged")  # plain vector, not a CoxFit
+        assert fit.beta.tolist() == [0.25, 1.0]
+        assert fit.cox is None
 
     def test_beta_dimension_checked(self):
         frame = gen_scenario(constant_scenario(50), 0)
@@ -192,7 +192,7 @@ class TestFitHazard:
         )
         with caplog.at_level(logging.WARNING, logger="hazstep.pipeline"):
             fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=0, l_boot=20)))
-        assert not fit.beta.converged
+        assert not fit.cox.converged
         assert any("did not converge" in rec.message for rec in caplog.records)
 
     def test_integral_gap_finite_and_small(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ class TestStepFunction:
 
     def test_json_roundtrip(self):
         f = StepFunction(Window(0, 1), [0.2, 0.6], [4.0, 1.5, 0.5])
-        g = StepFunction.from_json(f.to_json())
+        g = StepFunction.from_dict(json.loads(f.to_json()))
         assert g.domain == f.domain
         assert np.array_equal(g.breaks, f.breaks)
         assert np.array_equal(g.levels, f.levels)
