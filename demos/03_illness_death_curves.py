@@ -10,7 +10,6 @@ overlaid against Kaplan-Meier estimates.
 import numpy as np
 
 import hazstep as hs
-from hazstep.data import sojourn_frame
 
 w = hs.Window(0.0, 1.0)
 truth = hs.IllnessDeathModel(
@@ -41,7 +40,7 @@ pfs_true, os_true = hs.survival_curves(truth, grid)
 pfs_fit, os_fit = hs.survival_curves(fitted, grid)
 
 # progression-free: the time until leaving state 0, by progression or by death
-km_pfs = hs.kaplan_meier(sojourn_frame(trajectories, 0))
+km_pfs = hs.kaplan_meier(hs.sojourn_frame(trajectories, 0))
 
 print("\n   t    S_PFS true   fitted    S_OS true   fitted")
 for i, t in enumerate(pfs_true.grid):

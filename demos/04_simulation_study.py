@@ -8,7 +8,6 @@ acceptance-scale runs live in tests/test_acceptance.py.
 import numpy as np
 
 import hazstep as hs
-from hazstep.simulate import report_table_csv
 
 scenario = hs.named_scenario("A2", n=500)
 report = hs.run_study(scenario, replications=50, seed=20240613)
@@ -27,5 +26,5 @@ row = report.rows[0]
 print(f"\nfirst replication: l2={row['l2_sq']:.3f}, lambda={row['lambda']:.3f}, "
       f"change points at {np.round(row['changepoint_times'], 3)}")
 
-report_table_csv([report], "study_report_demo.csv")
+hs.report_table_csv([report], "study_report_demo.csv")
 print("\nwrote study_report_demo.csv")

@@ -12,133 +12,28 @@ to survival curves in closed form; a simulation harness reproduces the
 accompanying Monte-Carlo studies.
 """
 
-from .data import (
-    CENSORED,
-    CENSORED_STATE,
-    MultiStateFrame,
-    SurvivalFrame,
-    absorption_frame,
-    parse_multistate_csv,
-    parse_survival_csv,
-    risk_set_sums,
-    split_transitions,
-    write_multistate_csv,
-    write_survival_csv,
-)
-from .errors import ParseError, SchemaError, ValidationError
-from .estimators import (
-    BreslowCurve,
-    CoxFit,
-    IncrementSample,
-    breslow_fit,
-    build_increments,
-    choose_window,
-    cox_fit,
-    empirical_quantile,
-)
-from .flsa import (
-    FusedLassoFit,
-    PathBreakpoint,
-    flsa_path,
-    flsa_solve,
-    interpolate,
-    kkt_residual,
-)
-from .multistate import (
-    IllnessDeathModel,
-    SurvivalCurve,
-    curves_from_csv,
-    curves_to_csv,
-    fit_illness_death_detailed,
-    kaplan_meier,
-    km_from_csv,
-    km_to_csv,
-    state_probabilities,
-    survival_curves,
-)
-from .pipeline import FitConfig, HazardFit, discretize_truth, fit_from_curve, fit_hazard
-from .simulate import (
-    SCENARIO_NAMES,
-    Scenario,
-    StudyReport,
-    gen_scenario,
-    metric_dasym,
-    metric_l2,
-    metric_snr,
-    named_scenario,
-    run_study,
-    sample_piecewise_exponential,
-    simulate_illness_death,
-    three_level_hazard,
-    two_level_hazard,
-)
-from .stepfun import StepFunction, Window
-from .tuning import TuningConfig, TuningResult, bootstrap_lambda, effective_noise, pilot_lambda
+from . import data, errors, estimators, flsa, multistate, pipeline, simulate, stepfun, tuning
+from .data import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .flsa import *  # noqa: F403
+from .multistate import *  # noqa: F403
+from .pipeline import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .stepfun import *  # noqa: F403
+from .tuning import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# the public API is the union of the module lists
 __all__ = [
-    "CENSORED",
-    "CENSORED_STATE",
-    "BreslowCurve",
-    "CoxFit",
-    "FitConfig",
-    "FusedLassoFit",
-    "HazardFit",
-    "IllnessDeathModel",
-    "IncrementSample",
-    "MultiStateFrame",
-    "ParseError",
-    "PathBreakpoint",
-    "SCENARIO_NAMES",
-    "Scenario",
-    "SchemaError",
-    "StepFunction",
-    "StudyReport",
-    "SurvivalCurve",
-    "SurvivalFrame",
-    "TuningConfig",
-    "TuningResult",
-    "ValidationError",
-    "Window",
-    "absorption_frame",
-    "bootstrap_lambda",
-    "breslow_fit",
-    "build_increments",
-    "choose_window",
-    "cox_fit",
-    "discretize_truth",
-    "effective_noise",
-    "empirical_quantile",
-    "fit_from_curve",
-    "fit_hazard",
-    "fit_illness_death_detailed",
-    "flsa_path",
-    "flsa_solve",
-    "gen_scenario",
-    "interpolate",
-    "kaplan_meier",
-    "kkt_residual",
-    "metric_dasym",
-    "metric_l2",
-    "metric_snr",
-    "named_scenario",
-    "parse_multistate_csv",
-    "parse_survival_csv",
-    "pilot_lambda",
-    "risk_set_sums",
-    "run_study",
-    "sample_piecewise_exponential",
-    "simulate_illness_death",
-    "split_transitions",
-    "state_probabilities",
-    "survival_curves",
-    "curves_from_csv",
-    "curves_to_csv",
-    "km_from_csv",
-    "km_to_csv",
-    "three_level_hazard",
-    "two_level_hazard",
-    "write_multistate_csv",
-    "write_survival_csv",
+    *errors.__all__,
+    *data.__all__,
+    *stepfun.__all__,
+    *estimators.__all__,
+    *flsa.__all__,
+    *tuning.__all__,
+    *pipeline.__all__,
+    *multistate.__all__,
+    *simulate.__all__,
 ]

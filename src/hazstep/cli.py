@@ -136,10 +136,7 @@ def cmd_multistate(args) -> int:
     points = _curve_points(args)
     frame = parse_multistate_csv(args.input)
     config = {
-        tr: FitConfig(
-            p_high=args.p,
-            tuning=TuningConfig(q=args.q, k_max=args.kmax, l_boot=args.L, seed=seed + i),
-        )
+        tr: FitConfig(p_high=args.p, tuning=_tuning_from_args(args, seed + i))
         for i, tr in enumerate(TRANSITIONS)
     }
     fits = fit_illness_death_detailed(frame, config)

@@ -73,9 +73,10 @@ class SurvivalFrame:
         if np.any((status != 0) & (status != 1)):
             raise ValidationError("status must be 0 or 1")
         status = status.astype(np.int8)
-        if np.any(entry >= time):
-            bad = int(np.argmax(entry >= time))
-            raise ValidationError(f"entry >= time for record {bad}")
+        late = entry >= time
+        if np.any(late):
+            i = int(np.argmax(late))
+            raise ValidationError(f"row {i}: entry {entry[i]} must be < time {time[i]}")
         for a in (time, status, entry, cov):
             a.setflags(write=False)
         object.__setattr__(self, "time", time)
@@ -322,15 +323,10 @@ def parse_survival_csv(path) -> SurvivalFrame:
     floats = dict.fromkeys(["time", *(["entry"] if "entry" in cols else []), *cov_cols], _floats)
     columns = _read_columns(path, {**floats, "status": _status})
     time = columns["time"]
-    entry = columns.get("entry", np.zeros(time.size))
-    late = entry >= time
-    if np.any(late):
-        i = int(np.argmax(late))
-        raise ValidationError(f"row {i}: entry {float(entry[i])} must be < time {float(time[i])}")
     return SurvivalFrame(
         time=time,
         status=columns["status"],
-        entry=entry,
+        entry=columns.get("entry", np.zeros(time.size)),
         covariates=np.column_stack([np.empty((time.size, 0)), *(columns[c] for c in cov_cols)]),
     )
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "SchemaError", "ParseError"]
+
 
 class ValidationError(ValueError):
     """Invalid input data or configuration (CLI maps this to exit code 2)."""

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import SurvivalFrame, _floats, _read_columns, _write_columns, risk_set_sums
+from .data import SurvivalFrame, _write_columns, risk_set_sums
 from .errors import ValidationError
 from .stepfun import Window
 
@@ -82,13 +82,6 @@ class BreslowCurve:
         columns = [["0.0", *_twice(times), repr(float(self.tau))], _twice(totals)]
         _write_columns(path, ["time", "cumhaz"], columns)
 
-    @classmethod
-    def from_csv(cls, path) -> "BreslowCurve":
-        """Rebuild a curve from its right-continuous step CSV."""
-        t, v = _read_columns(path, {"time": _floats, "cumhaz": _floats}).values()
-        jump = (t[1:] == t[:-1]) & (v[1:] != v[:-1])
-        return cls(jump_times=t[1:][jump], jump_sizes=np.diff(v)[jump], tau=float(t[-1]))
-
 
 def _twice(items):
     return chain.from_iterable(zip(items, items))
@@ -106,7 +99,10 @@ class IncrementSample:
     window: Window
     m: int
     y: np.ndarray
-    scale: float
+
+    @property
+    def scale(self) -> float:
+        return self.window.length
 
     @property
     def grid(self) -> np.ndarray:
@@ -243,8 +239,7 @@ def build_increments(curve: BreslowCurve, window: Window, m: int) -> IncrementSa
         raise ValidationError(
             f"window ({window.tau_min}, {window.tau_max}) outside data support [0, {curve.tau}]"
         )
-    scale = window.length
-    grid = window.tau_min + np.arange(m + 1) * (scale / m)
+    grid = window.tau_min + np.arange(m + 1) * (window.length / m)
     y = m * np.diff(curve.cumhaz(grid))
     y = np.maximum(y, 0.0)  # guard against roundoff of equal cumhaz values
-    return IncrementSample(window=window, m=m, y=y, scale=scale)
+    return IncrementSample(window=window, m=m, y=y)

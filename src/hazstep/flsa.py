@@ -261,8 +261,9 @@ def flsa_path(y) -> list[PathBreakpoint]:
 
     heap: list = []
     # mathematically simultaneous merges come out of the float bookkeeping a
-    # few ulps apart; gaps below this (scale-relative) tolerance count as
-    # touching
+    # few ulps apart; after a merge (lam > 0), gaps below this scale-relative
+    # tolerance count as touching.  The runs of y at lam = 0 are exactly
+    # distinct, however small their gaps.
     vtol = 1e-9 * float(np.max(np.abs(y)))
 
     def push_merge(i, lam):
@@ -273,7 +274,7 @@ def flsa_path(y) -> list[PathBreakpoint]:
             return
         dv = val(j, lam) - val(i, lam)
         ds = slope[i] - slope[j]
-        if abs(dv) <= vtol:
+        if lam > 0 and abs(dv) <= vtol:
             heapq.heappush(heap, (lam, i, j, version[i], version[j]))
             return
         if ds == 0.0:

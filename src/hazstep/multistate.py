@@ -28,6 +28,9 @@ __all__ = [
     "survival_curves",
     "state_probabilities",
     "kaplan_meier",
+    "curves_to_csv",
+    "curves_from_csv",
+    "km_to_csv",
 ]
 
 TRANSITIONS = ((0, 1), (0, 2), (1, 2))
@@ -199,8 +202,3 @@ def kaplan_meier(frame: SurvivalFrame) -> SurvivalCurve:
 
 def km_to_csv(curve: SurvivalCurve, path) -> None:
     _write_columns(path, ["t", "survival"], [curve.grid, curve.values])
-
-
-def km_from_csv(path) -> SurvivalCurve:
-    grid, values = _read_columns(path, dict.fromkeys(("t", "survival"), _floats)).values()
-    return SurvivalCurve(grid, values)

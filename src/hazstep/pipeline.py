@@ -29,7 +29,7 @@ from .flsa import FusedLassoFit, flsa_solve, interpolate
 from .stepfun import StepFunction, Window
 from .tuning import TuningConfig, TuningResult, bootstrap_lambda
 
-__all__ = ["FitConfig", "HazardFit", "fit_hazard", "fit_from_curve", "discretize_truth"]
+__all__ = ["FitConfig", "HazardFit", "fit_hazard", "discretize_truth"]
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +67,12 @@ class HazardFit(_JsonRecord):
     tuning: TuningResult
     beta: np.ndarray  # coefficients, supplied or fitted (length d, may be 0)
     cox: CoxFit | None  # the Cox fit that gave `beta`, if any
-    window: Window
     increments: IncrementSample
     flsa: FusedLassoFit
+
+    @property
+    def window(self) -> Window:
+        return self.increments.window
 
     @property
     def changepoints(self) -> np.ndarray:
@@ -125,16 +128,6 @@ def _resolve_beta(frame: SurvivalFrame, config: FitConfig) -> tuple[np.ndarray, 
     return beta, None
 
 
-def fit_from_curve(
-    curve: BreslowCurve, window: Window, m: int, tuning: TuningConfig
-) -> tuple[IncrementSample, TuningResult, FusedLassoFit]:
-    """Steps 2 and 3: increments, bootstrap-tuned penalty, fused lasso."""
-    inc = build_increments(curve, window, m)
-    result = bootstrap_lambda(inc.y, tuning)
-    fit = flsa_solve(inc.y, result.lam)
-    return inc, result, fit
-
-
 def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardFit:
     """Fit a piecewise constant hazard to a survival frame.
 
@@ -155,7 +148,9 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
         window = choose_window(frame, p_low, config.p_high)
 
     m = frame.n if config.grid_size is None else config.grid_size
-    inc, tuning_result, fused = fit_from_curve(curve, window, m, config.tuning)
+    inc = build_increments(curve, window, m)
+    tuning_result = bootstrap_lambda(inc.y, config.tuning)
+    fused = flsa_solve(inc.y, tuning_result.lam)
     _warn_on_empty_risk(frame, beta, inc)
 
     scaled = interpolate(fused, window)
@@ -168,7 +163,6 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
         tuning=tuning_result,
         beta=beta,
         cox=cox,
-        window=window,
         increments=inc,
         flsa=fused,
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
-from .data import _counts, _JsonRecord, _parse_float, _read_columns, _text, _write_columns
+from .data import _JsonRecord, _write_columns
 from .errors import ValidationError
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
@@ -30,12 +30,12 @@ __all__ = [
     "three_level_hazard",
     "named_scenario",
     "SCENARIO_NAMES",
-    "sample_piecewise_exponential",
     "gen_scenario",
     "metric_l2",
     "metric_dasym",
     "metric_snr",
     "run_study",
+    "report_table_csv",
     "simulate_illness_death",
 ]
 
@@ -61,7 +61,6 @@ class Scenario:
     with_covariates: bool = False
     beta: np.ndarray = field(default_factory=lambda: np.array([0.25, 1.0]))
     censoring_rate: float = 0.5
-    window: Window = field(default_factory=lambda: Window(0.0, 1.0))
     name: str = "custom"
 
     def __post_init__(self):
@@ -70,6 +69,11 @@ class Scenario:
         if self.censoring_rate < 0:
             raise ValidationError(f"censoring rate must be >= 0, got {self.censoring_rate}")
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).reshape(-1))
+
+    @property
+    def window(self) -> Window:
+        """Estimation window of the fits: the hazard's domain."""
+        return self.hazard.domain
 
 
 def named_scenario(name: str, n: int) -> Scenario:
@@ -83,21 +87,6 @@ def named_scenario(name: str, n: int) -> Scenario:
         with_covariates=(name[0] == "B"),
         name=name,
     )
-
-
-def sample_piecewise_exponential(hazard: StepFunction, rng, size=None):
-    """Event times by inversion: T = A^{-1}(E) with E unit exponential.
-
-    The hazard is extended beyond its domain by constant continuation; draws
-    whose exponential deviate exceeds the total available mass come out as
-    +inf (only possible when the extension level is zero).
-    """
-    if not hazard.is_nonnegative():
-        raise ValidationError("hazard levels must be nonnegative")
-    if np.all(hazard.levels == 0):
-        raise ValidationError("hazard is identically zero: no finite event time")
-    e = rng.exponential(size=size)
-    return hazard.inverse_cumulative(e)
 
 
 def gen_scenario(scenario: Scenario, seed) -> SurvivalFrame:
@@ -218,33 +207,12 @@ def _mean_sd_text(agg: dict) -> str:
     return f"{agg['mean']:.3f}{sd}"
 
 
-def _mean_sd(cells, row0, col) -> np.ndarray:
-    """Cells "mean (sd)" or "mean" as (mean, sd) rows; sd is nan when absent."""
-    out = np.full((len(cells), 2), math.nan)
-    for i, text in enumerate(cells):
-        mean, paren, sd = text.partition(" (")
-        out[i, 0] = _parse_float(mean, row0 + i, col)
-        if paren:
-            out[i, 1] = _parse_float(sd.rstrip(")"), row0 + i, col)
-    return out
-
-
 def report_table_csv(reports, path) -> None:
     """Summary table, one row per (scenario, n) cell, "mean (sd)" formatted."""
     aggs = [rep.aggregates() for rep in reports]
     columns = [[getattr(rep, key) for rep in reports] for key in ("scenario", "n", "replications")]
     columns += [[_mean_sd_text(agg[key]) for agg in aggs] for key in _REPORT_METRICS]
     _write_columns(path, ["scenario", "n", "replications", *_REPORT_METRICS], columns)
-
-
-def report_table_from_csv(path) -> list[dict]:
-    """Parse a summary table back into one dict per cell."""
-    converters = {"scenario": _text, "n": _counts, "replications": _counts}
-    columns = _read_columns(path, {**converters, **dict.fromkeys(_REPORT_METRICS, _mean_sd)})
-    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    for row in rows:
-        row.update({key: dict(zip(("mean", "sd"), row[key])) for key in _REPORT_METRICS})
-    return rows
 
 
 def _fit_config_for(scenario: Scenario, tune_seed: int) -> FitConfig:

@@ -4,7 +4,8 @@ A :class:`StepFunction` is a right-continuous piecewise constant function
 described by interior breakpoints and one level per piece.  It is the common
 representation for true and estimated hazard rates.  Outside its domain the
 function is extended by constant continuation of the nearest level, so that
-integrals from time 0 and sampling are always well defined.
+integrals from time 0 and sampling are well defined whenever the breaks are
+positive.
 """
 
 from __future__ import annotations
@@ -98,33 +99,19 @@ class StepFunction(_JsonRecord):
     def is_nonnegative(self) -> bool:
         return bool(np.all(self.levels >= 0))
 
-    def integral_knots(self):
-        """Knots and cumulative integral values of ``t -> int_0^t``.
-
-        Returns (knots, cumvals) where cumvals[i] is the integral from 0 to
-        knots[i].  The function is linearly extended on both sides (with
-        slope levels[0] before the first knot and levels[-1] after the last).
-        """
-        if self.breaks.size == 0:
-            return np.zeros(1), np.zeros(1)
-        knots = self.breaks
-        seg = self.levels[:-1] * np.diff(np.concatenate(([0.0], knots)))
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        # integral at knots[i] = levels[0]*knots[0] + ... ; cum has len K+1,
-        # cum[i] corresponds to knots[i-1]; re-index to knots directly
-        return knots, cum[1:]
+    def _cumulative_knots(self):
+        """Knots ``[0, *breaks]`` and the integral from 0 to each of them."""
+        if self.breaks.size and self.breaks[0] <= 0:
+            raise ValidationError("integrals from 0 need breaks > 0")
+        knots = np.concatenate(([0.0], self.breaks))
+        return knots, np.concatenate(([0.0], np.cumsum(self.levels[:-1] * np.diff(knots))))
 
     def cumulative(self, t):
         """Integral of the (extended) function from 0 to ``t`` (t >= 0)."""
         t = np.asarray(t, dtype=float)
-        if self.breaks.size == 0:
-            out = self.levels[0] * t
-            return out if out.ndim else float(out)
-        knots, cumvals = self.integral_knots()
-        idx = np.searchsorted(knots, t, side="right")
-        prev_knot = np.where(idx > 0, knots[np.minimum(idx, knots.size) - 1], 0.0)
-        prev_cum = np.where(idx > 0, cumvals[np.minimum(idx, knots.size) - 1], 0.0)
-        out = prev_cum + self.levels[idx] * (t - prev_knot)
+        knots, cumvals = self._cumulative_knots()
+        idx = np.maximum(np.searchsorted(knots, t, side="right") - 1, 0)
+        out = cumvals[idx] + self.levels[idx] * (t - knots[idx])
         return out if out.ndim else float(out)
 
     def inverse_cumulative(self, target):
@@ -132,18 +119,9 @@ class StepFunction(_JsonRecord):
         target = np.asarray(target, dtype=float)
         if np.any(target < 0):
             raise ValidationError("inverse_cumulative requires nonnegative targets")
-        if self.breaks.size == 0:
-            lvl = self.levels[0]
-            if lvl <= 0:
-                out = np.where(target == 0, 0.0, np.inf)
-                return out if out.ndim else float(out)
-            out = target / lvl
-            return out if out.ndim else float(out)
-        knots, cumvals = self.integral_knots()
-        idx = np.searchsorted(cumvals, target, side="left")
-        prev_knot = np.where(idx > 0, knots[np.minimum(idx, knots.size) - 1], 0.0)
-        prev_cum = np.where(idx > 0, cumvals[np.minimum(idx, knots.size) - 1], 0.0)
-        lvl = self.levels[np.minimum(idx, self.levels.size - 1)]
+        knots, cumvals = self._cumulative_knots()
+        idx = np.maximum(np.searchsorted(cumvals, target, side="left") - 1, 0)
+        prev_knot, prev_cum, lvl = knots[idx], cumvals[idx], self.levels[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = prev_knot + (target - prev_cum) / lvl
         # flat pieces: a target equal to the accumulated mass maps to the knot
@@ -185,13 +163,3 @@ class StepFunction(_JsonRecord):
         ts.append(self.domain.tau_max)
         vs.append(self.levels[-1])
         return np.column_stack((ts, vs))
-
-    @classmethod
-    def from_corner_points(cls, corners) -> "StepFunction":
-        """Rebuild a step function from its corner-point rows."""
-        corners = np.asarray(corners, dtype=float)
-        ts, vs = corners[:, 0], corners[:, 1]
-        domain = Window(float(ts[0]), float(ts[-1]))
-        breaks = [float(t) for a, t in zip(ts[:-1], ts[1:]) if t == a]
-        levels = [float(vs[0])] + [float(v) for t, a, v in zip(ts[1:], ts[:-1], vs[1:]) if t == a]
-        return cls(domain, np.array(breaks), np.array(levels))

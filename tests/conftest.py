@@ -17,8 +17,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hazstep import ValidationError
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("hazstep", derandomize=True, database=None, deadline=None, max_examples=500)
+settings.load_profile("hazstep")
 
 
 def fused_objective(y, a, lam):

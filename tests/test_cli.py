@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,16 +10,24 @@ from hazstep import (
     IllnessDeathModel,
     StepFunction,
     Window,
+    breslow_fit,
+    curves_from_csv,
     gen_scenario,
+    kaplan_meier,
     named_scenario,
     parse_multistate_csv,
     parse_survival_csv,
     simulate_illness_death,
+    sojourn_frame,
     write_multistate_csv,
     write_survival_csv,
 )
 from hazstep.cli import SEED_ENV_VAR, main
-from hazstep.multistate import km_from_csv
+
+
+def numeric_columns(path):
+    """The rows of a numeric CSV artifact below its header."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 @pytest.fixture
@@ -221,9 +230,9 @@ class TestMultistateCommand:
         grid, values = kaplan_meier_reference(
             frame.t_stop[state0], frame.to_state[state0] != CENSORED_STATE, frame.t_start[state0]
         )
-        km = km_from_csv(out / "km_pfs.csv")
-        assert np.array_equal(km.grid, grid)
-        assert np.allclose(km.values, values, rtol=1e-12, atol=0)
+        km = numeric_columns(out / "km_pfs.csv")
+        assert np.array_equal(km[:, 0], grid)
+        assert np.allclose(km[:, 1], values, rtol=1e-12, atol=0)
 
     def test_missing_transition_exits_2(self, tmp_path):
         # no subject ever enters state 1 -> no 1->2 data
@@ -310,37 +319,36 @@ class TestRoundTrip:
         assert frame.n == 300
 
     def test_every_fit_artifact_reparses(self, survival_csv, tmp_path):
-        from hazstep import BreslowCurve
-
         out = tmp_path / "rt"
         assert main(["fit", str(survival_csv), "--L", "60", "--seed", "8",
                      "--out", str(out)]) == 0
         doc = json.loads((out / "hazard.json").read_text())
         hazard = StepFunction.from_dict(doc["hazard"])
-        corners = np.loadtxt(out / "hazard_steps.csv", delimiter=",", skiprows=1, ndmin=2)
-        rebuilt = StepFunction.from_corner_points(corners)
-        assert np.array_equal(rebuilt.breaks, hazard.breaks)
-        assert np.array_equal(rebuilt.levels, hazard.levels)
-        curve = BreslowCurve.from_csv(out / "cumhaz.csv")
+        assert np.array_equal(numeric_columns(out / "hazard_steps.csv"), hazard.corner_points())
+        # cumhaz.csv: the corner points of the Breslow curve, two rows per jump
+        curve = breslow_fit(parse_survival_csv(survival_csv), doc["beta"])
         assert curve.jump_times.size > 0
+        times = np.r_[0.0, np.repeat(curve.jump_times, 2), curve.tau]
+        totals = np.repeat(np.r_[0.0, np.cumsum(curve.jump_sizes)], 2)
+        assert np.array_equal(numeric_columns(out / "cumhaz.csv"), np.column_stack((times, totals)))
         tuning = json.loads((out / "tuning.json").read_text())
         assert tuning["lambda"] == doc["lambda"]
 
     def test_multistate_and_simulate_artifacts_reparse(self, multistate_csv, tmp_path):
-        from hazstep.multistate import curves_from_csv, km_from_csv
-        from hazstep.simulate import report_table_from_csv
-
         out = tmp_path / "rt_ms"
         assert main(["multistate", str(multistate_csv), "--L", "50", "--seed", "2",
                      "--p", "0.8", "--q", "0.5", "--out", str(out)]) == 0
         pfs, os_ = curves_from_csv(out / "survival_curves.csv")
         assert pfs.values[0] == 1.0
-        km = km_from_csv(out / "km_pfs.csv")
-        assert km.values[0] == 1.0
+        km = kaplan_meier(sojourn_frame(parse_multistate_csv(multistate_csv), 0))
+        assert np.array_equal(numeric_columns(out / "km_pfs.csv"), np.column_stack((km.grid, km.values)))
 
         out2 = tmp_path / "rt_sim"
         assert main(["simulate", "--scenario", "A2", "--n", "120", "--reps", "2",
                      "--seed", "3", "--out", str(out2)]) == 0
-        rows = report_table_from_csv(out2 / "study_report.csv")
-        assert rows[0]["scenario"] == "A2"
-        assert rows[0]["n"] == 120
+        with open(out2 / "study_report.csv", newline="") as fh:
+            header, row = csv.reader(fh)
+        cells = dict(zip(header, row))
+        l2 = json.loads((out2 / "study_runs.json").read_text())["aggregates"]["l2_sq"]
+        assert (cells["scenario"], cells["n"], cells["replications"]) == ("A2", "120", "2")
+        assert cells["l2_sq"] == f"{l2['mean']:.3f} ({l2['sd']:.3f})"

@@ -33,14 +33,8 @@ from hazstep import (
 )
 from hazstep.cli import _write_stepfun_csv
 from hazstep.data import _ROWS, sojourn_frame
-from hazstep.multistate import (
-    IllnessDeathModel,
-    curves_from_csv,
-    curves_to_csv,
-    km_from_csv,
-    km_to_csv,
-)
-from hazstep.simulate import report_table_csv, report_table_from_csv, simulate_illness_death
+from hazstep.multistate import IllnessDeathModel, curves_from_csv, curves_to_csv, km_to_csv
+from hazstep.simulate import report_table_csv, simulate_illness_death
 from hazstep.stepfun import StepFunction, Window
 
 HEADER = "id,from,to,t_start,t_stop\n"
@@ -306,8 +300,9 @@ class TestWritersMatchRowOracles:
             lambda p: report_table_csv_rows(reports, p),
         )
         assert b"cens,1000,1,0.000,0.000,-0.000,0.300\r\n" in text
-        back = report_table_from_csv(tmp_path / "new.csv")
-        assert [row["scenario"] for row in back] == ['B2,"x"', "cens"]
+        with open(tmp_path / "new.csv", newline="") as fh:
+            scenarios = [row[0] for row in csv.reader(fh)]
+        assert scenarios == ["scenario", 'B2,"x"', "cens"]
 
     def test_stepfun(self, tmp_path):
         fun = StepFunction(Window(0.0, 1e16), [5e-324, 0.1 + 0.2, 3.0], [-0.0, 1e308, 1 / 3, 3.0])
@@ -320,15 +315,7 @@ class TestWritersMatchRowOracles:
 
 
 ARTIFACT_READERS = {
-    "cumhaz": (BreslowCurve.from_csv, "time,cumhaz", "0.0,0.0", "0.5,abc"),
     "curves": (curves_from_csv, "t,S_PFS,S_OS", "0.0,1.0,1.0", "0.5,0.9,x"),
-    "km": (km_from_csv, "t,survival", "0.0,1.0", "x,0.5"),
-    "report": (
-        report_table_from_csv,
-        "scenario,n,replications,l2_sq,d_asym,snr,censored_fraction",
-        "A1,1000,5,0.010 (0.002),0.1,2.0,0.3",
-        "A1,1000,many,0.010 (0.002),0.1,2.0,0.3",
-    ),
 }
 
 
@@ -353,12 +340,6 @@ class TestHostileArtifactFiles:
         }[case]
         with pytest.raises(ValidationError, match=message):
             read(write(tmp_path, text))
-
-    def test_report_cell_without_closing_paren_rejected(self, tmp_path):
-        _, header, good, _ = ARTIFACT_READERS["report"]
-        text = f"{header}\n{good}\nA1,1000,5,0.010(0.002),0.1,2.0,0.3\n"
-        with pytest.raises(ParseError, match="row 1: column 'l2_sq'"):
-            report_table_from_csv(write(tmp_path, text))
 
 
 class TestRecordInvariants:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     elementwise_bound_check,
@@ -7,7 +9,15 @@ from conftest import (
     reparametrized_check,
     tv_denoise_oracle,
 )
-from hazstep import ValidationError, Window, flsa_path, flsa_solve, interpolate, kkt_residual
+from hazstep import (
+    PathBreakpoint,
+    ValidationError,
+    Window,
+    flsa_path,
+    flsa_solve,
+    interpolate,
+    kkt_residual,
+)
 
 
 def random_instance(rng, max_m=60):
@@ -141,6 +151,38 @@ class TestPath:
         assert all(b < a for a, b in zip(counts[:-1], counts[1:]))
         assert counts[-1] == 0
         assert counts[0] == int(np.sum(np.diff(y) != 0))
+
+    def test_tiny_gap_is_a_run_at_lambda_zero(self):
+        # the 1.2e-50 gap is far below 1e-9 * max|y|, but y has three runs
+        path = flsa_path([0.0, 1.2e-50, 1e-12])
+        assert path[0] == PathBreakpoint(0.0, 2)
+        assert flsa_solve([0.0, 1.2e-50, 1e-12], 0.0).changepoints.tolist() == [1, 2]
+
+    @given(
+        st.lists(
+            st.just(0.0)
+            | st.builds(
+                lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+                st.sampled_from([-1.0, 1.0]),
+                st.floats(1.0, 10.0),
+                st.integers(-60, 2),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.data(),
+    )
+    def test_path_starts_at_the_runs_and_ends_fused(self, pool, data):
+        # values drawn from a small pool give ties; magnitudes span 1e-60..1e3
+        m = data.draw(st.integers(2, 12))
+        y = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
+        path = flsa_path(y)
+        assert path[0] == PathBreakpoint(0.0, int(np.count_nonzero(np.diff(y))))
+        lams = [p.lam for p in path]
+        counts = [p.changepoint_count for p in path]
+        assert all(b > a for a, b in zip(lams[:-1], lams[1:]))
+        assert all(b < a for a, b in zip(counts[:-1], counts[1:]))
+        assert counts[-1] == 0
 
     @pytest.mark.parametrize("tie_grid", [False, True])
     def test_agreement_with_solver_at_breakpoints(self, rng, tie_grid):

@@ -11,9 +11,11 @@ from hazstep import (
     TuningConfig,
     ValidationError,
     Window,
+    bootstrap_lambda,
+    build_increments,
     discretize_truth,
-    fit_from_curve,
     fit_hazard,
+    flsa_solve,
     gen_scenario,
     three_level_hazard,
     two_level_hazard,
@@ -27,7 +29,6 @@ def constant_scenario(n):
         hazard=StepFunction(Window(0, 1), [], [1.0]),
         n=n,
         censoring_rate=0.0,
-        window=Window(0, 1),
         name="const",
     )
 
@@ -77,7 +78,9 @@ class TestFitFromCurve:
         levels = np.where(np.arange(m) < 16, 4.0, 1.0)
         jump_times = (np.arange(m) + 0.5) / m
         curve = BreslowCurve(jump_times=jump_times, jump_sizes=levels / m, tau=1.0)
-        inc, tuning, fit = fit_from_curve(curve, Window(0, 1), m, TuningConfig(seed=0, l_boot=50))
+        inc = build_increments(curve, Window(0, 1), m)
+        tuning = bootstrap_lambda(inc.y, TuningConfig(seed=0, l_boot=50))
+        fit = flsa_solve(inc.y, tuning.lam)
         assert np.array_equal(inc.y, levels)
         assert tuning.lam == 0.0
         assert np.array_equal(fit.alpha, inc.y)
@@ -136,7 +139,8 @@ class TestFitHazard:
         jump_times = np.array([0.05, 0.1, 0.95])
         curve = BreslowCurve(jump_times=jump_times, jump_sizes=[0.5, 0.5, 0.01], tau=1.0)
         # feed through a frame-free subfit and clamp manually like fit_hazard
-        inc, tuning, fused = fit_from_curve(curve, Window(0, 1), 20, TuningConfig(seed=2, l_boot=50))
+        inc = build_increments(curve, Window(0, 1), 20)
+        fused = flsa_solve(inc.y, bootstrap_lambda(inc.y, TuningConfig(seed=2, l_boot=50)).lam)
         step = interpolate(fused, Window(0, 1))
         raw = step.levels / inc.scale
         clamped = np.maximum(raw, 0.0)

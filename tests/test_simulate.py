@@ -18,7 +18,6 @@ from hazstep import (
     metric_snr,
     named_scenario,
     run_study,
-    sample_piecewise_exponential,
     simulate_illness_death,
     survival_curves,
     three_level_hazard,
@@ -29,25 +28,23 @@ W01 = Window(0, 1)
 
 
 class TestSampler:
+    # event times by inversion, T = A^{-1}(E) with E unit exponential
+
     def test_constant_hazard_is_scaled_exponential(self):
         hazard = StepFunction(W01, [], [2.5])
-        draws = sample_piecewise_exponential(hazard, np.random.default_rng(4), size=1000)
+        draws = hazard.inverse_cumulative(np.random.default_rng(4).exponential(size=1000))
         ref = np.random.default_rng(4).exponential(size=1000) / 2.5
         assert np.allclose(draws, ref, atol=1e-14)
 
-    def test_identically_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_piecewise_exponential(StepFunction(W01, [], [0.0]), np.random.default_rng(0))
-
     def test_delayed_support(self):
         hazard = StepFunction(W01, [0.99], [0.0, 1.0])
-        draws = sample_piecewise_exponential(hazard, np.random.default_rng(1), size=500)
+        draws = hazard.inverse_cumulative(np.random.default_rng(1).exponential(size=500))
         assert np.all(draws >= 0.99)
 
     def test_closed_form_cdf_at_jump(self):
         # P(T <= 0.25) = 1 - exp(-A(0.25)) = 1 - exp(-1) for the two-level shape
         n = 1_000_000
-        draws = sample_piecewise_exponential(two_level_hazard(), np.random.default_rng(7), size=n)
+        draws = two_level_hazard().inverse_cumulative(np.random.default_rng(7).exponential(size=n))
         p_hat = np.mean(draws <= 0.25)
         p = 1 - np.exp(-1.0)
         se = np.sqrt(p * (1 - p) / n)
@@ -56,7 +53,7 @@ class TestSampler:
     def test_distribution_matches_inverse_cumulative(self):
         # Kolmogorov-Smirnov against the exact CDF at significance 1e-3
         hazard = three_level_hazard()
-        draws = sample_piecewise_exponential(hazard, np.random.default_rng(3), size=1_000_000)
+        draws = hazard.inverse_cumulative(np.random.default_rng(3).exponential(size=1_000_000))
 
         def cdf(t):
             return 1.0 - np.exp(-hazard.cumulative(t))

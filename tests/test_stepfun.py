@@ -59,6 +59,22 @@ class TestStepFunction:
         assert f.inverse_cumulative(0.4) == pytest.approx(0.4)
         assert f.inverse_cumulative(0.6) == np.inf
 
+    def test_constant_function_integrals(self):
+        f = StepFunction(Window(0, 1), [], [2.5])
+        assert f.cumulative(2.0) == 5.0
+        assert f.inverse_cumulative(5.0) == 2.0
+        zero = StepFunction(Window(0, 1), [], [0.0])
+        assert zero.cumulative(3.0) == 0.0
+        assert zero.inverse_cumulative([0.0, 1.0]).tolist() == [0.0, np.inf]
+
+    def test_integrals_from_zero_need_positive_breaks(self):
+        # the integral from 0 cannot run through a break at or below 0
+        f = StepFunction(Window(-1, 1), [-0.5], [1.0, 2.0])
+        assert f(0.5) == 2.0
+        for integral in (f.cumulative, f.inverse_cumulative):
+            with pytest.raises(ValidationError, match="breaks > 0"):
+                integral(0.5)
+
     def test_addition_refines_breaks(self):
         a = StepFunction(Window(0, 1), [0.25], [4.0, 1.0])
         b = StepFunction(Window(0, 1), [0.5], [1.0, 2.0])
