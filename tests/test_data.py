@@ -32,7 +32,7 @@ from hazstep import (
     write_survival_csv,
 )
 from hazstep.cli import _write_stepfun_csv
-from hazstep.data import _ROWS, sojourn_frame
+from hazstep.data import _ROWS, _counts, _floats, _read_columns, _text, sojourn_frame
 from hazstep.multistate import IllnessDeathModel, curves_from_csv, curves_to_csv, km_to_csv
 from hazstep.simulate import report_table_csv, simulate_illness_death
 from hazstep.stepfun import StepFunction, Window
@@ -314,8 +314,29 @@ class TestWritersMatchRowOracles:
         assert b"\r" not in text
 
 
+def _columns_reader(converters):
+    """The column reader every CSV file goes through, given one artifact's columns."""
+    return lambda path: _read_columns(path, converters)
+
+
 ARTIFACT_READERS = {
+    "cumhaz": (
+        _columns_reader({"time": _floats, "cumhaz": _floats}),
+        "time,cumhaz",
+        "0.0,0.0",
+        "0.5,abc",
+    ),
     "curves": (curves_from_csv, "t,S_PFS,S_OS", "0.0,1.0,1.0", "0.5,0.9,x"),
+    "km": (_columns_reader({"t": _floats, "survival": _floats}), "t,survival", "0.0,1.0", "x,0.5"),
+    "report": (
+        _columns_reader(
+            {"scenario": _text, "n": _counts, "replications": _counts}
+            | dict.fromkeys(("l2_sq", "d_asym", "snr", "censored_fraction"), _text)
+        ),
+        "scenario,n,replications,l2_sq,d_asym,snr,censored_fraction",
+        "A1,1000,5,0.010 (0.002),0.1,2.0,0.3",
+        "A1,1000,many,0.010 (0.002),0.1,2.0,0.3",
+    ),
 }
 
 

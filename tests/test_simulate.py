@@ -36,6 +36,13 @@ class TestSampler:
         ref = np.random.default_rng(4).exponential(size=1000) / 2.5
         assert np.allclose(draws, ref, atol=1e-14)
 
+    def test_identically_zero_rejected(self):
+        # the illness-death sampler draws the exit from state 0 by inversion
+        zero = StepFunction(W01, [], [0.0])
+        model = IllnessDeathModel(a01=zero, a02=zero, a12=StepFunction(W01, [], [1.0]))
+        with pytest.raises(ValidationError, match="zero total intensity"):
+            simulate_illness_death(model, 10, 0.2, 0)
+
     def test_delayed_support(self):
         hazard = StepFunction(W01, [0.99], [0.0, 1.0])
         draws = hazard.inverse_cumulative(np.random.default_rng(1).exponential(size=500))
