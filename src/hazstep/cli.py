@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import absorption_frame, parse_multistate_csv, parse_survival_csv, sojourn_frame
-from .data import _write_columns, split_transitions  # noqa: F401 - perfbench/tracer.py wraps it
+from .data import _write_columns, _write_json
+from .data import split_transitions  # noqa: F401 - perfbench/tracer.py wraps it
 from .errors import ValidationError
 from .multistate import (
     TRANSITIONS,
@@ -52,10 +53,6 @@ def _resolve_seed(args) -> int:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return seed
-
-
-def _write_json(path, record: dict) -> None:
-    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _write_stepfun_csv(fun: StepFunction, path) -> None:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -203,15 +204,66 @@ class MultiStateFrame:
 # -- JSON and CSV I/O ----------------------------------------------------------
 
 
+# Every indented JSON text is made by _json_parts.  With an indent, json.dumps
+# runs its pure-Python encoder on every value; _json_parts makes the same text
+# but encodes each flat list of numbers with the C encoder and re-indents its
+# ", " separators, which no number, true, false or null contains.
+
+_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
+
+
+def _json_text(obj, indent=None) -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=indent)``."""
+    if indent is None:
+        return json.dumps(obj, sort_keys=True)
+    return "".join(_json_parts(obj, "\n", " " * indent))
+
+
+def _write_json(path, obj) -> None:
+    """Write ``_json_text(obj, indent=2)`` and a newline, piece by piece."""
+    with open(path, "w") as fh:
+        fh.writelines(_json_parts(obj, "\n", "  "))
+        fh.write("\n")
+
+
+def _json_parts(obj, newline: str, step: str):
+    """Pieces of the indented text of ``obj``, nested at ``newline``."""
+    inner = newline + step
+    if isinstance(obj, dict) and obj:
+        opening = "{"
+        for key, value in sorted(obj.items()):
+            # json.dumps writes a non-string key as the text of its JSON value
+            name = key if isinstance(key, str) else json.dumps(key)
+            yield opening + inner + json.dumps(name) + ": "
+            yield from _json_parts(value, inner, step)
+            opening = ","
+        yield newline + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= _NUMBER_TYPES:
+            yield "[" + inner
+            yield json.dumps(obj)[1:-1].replace(", ", "," + inner)
+            yield newline + "]"
+            return
+        opening = "["
+        for item in obj:
+            yield opening + inner
+            yield from _json_parts(item, inner, step)
+            opening = ","
+        yield newline + "]"
+    else:
+        yield json.dumps(obj)
+
+
 class _JsonRecord:
     """Records serialise ``to_dict()`` as JSON with sorted keys."""
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
+    def to_json(self, indent=None) -> str:
+        return _json_text(self.to_dict(), indent)
 
 
-# Every CSV file is read by _read_columns, _ROWS rows at a time, and written by
-# _write_columns, which formats each float once with repr (shortest round trip).
+# Every CSV file is read by _read_columns and written by _write_columns, _ROWS
+# rows at a time.  The writer formats each float once with repr (shortest round
+# trip) and quotes only text cells, as csv.writer does.
 
 _ROWS = 8192
 
@@ -287,20 +339,54 @@ def _read_columns(path, converters: dict) -> dict:
     return {name: np.concatenate(blocks) for name, blocks in parts.items()}
 
 
-def _cells(column):
-    """One column's cells, made _ROWS at a time: floats as repr strings."""
-    if not isinstance(column, np.ndarray):
-        return column
-    cells = chain.from_iterable(column[i : i + _ROWS].tolist() for i in range(0, column.size, _ROWS))
-    return map(repr, cells) if column.dtype.kind == "f" else cells
+# csv.writer's minimal quoting, for rows of two or more cells (a row of one
+# empty cell would be quoted too).  Only tables ending rows in "\r\n" hold
+# text, so quoting a bare "\r" or "\n" is what csv.writer does for them.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _text_cells(cells) -> list[str]:
+    """Cells as str, quoted where csv.writer quotes them."""
+    texts = list(map(str, cells))
+    if _NEEDS_QUOTES("".join(texts)):
+        texts = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES(t) else t for t in texts]
+    return texts
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    # step curves repeat each value in adjacent corner rows: repr each run of
+    # equal bits once (-0.0 and 0.0 differ in bits and in repr)
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return texts[np.cumsum(first) - 1].tolist()
+
+
+def _cells(cells) -> list[str]:
+    """Cells of one column: floats as repr, integers as str, the rest as quoted text."""
+    if isinstance(cells, np.ndarray):
+        if cells.dtype.kind == "f":
+            return _float_cells(cells)
+        if cells.dtype.kind in "iub":
+            return list(map(str, cells.tolist()))
+        cells = cells.tolist()
+    return _text_cells(cells)
 
 
 def _write_columns(path, header, columns, lineterminator="\r\n") -> None:
-    """Write equal-length columns under ``header`` with one ``csv.writer``."""
+    """Write equal-length columns under ``header``, _ROWS rows at a time.
+
+    The bytes are those of ``csv.writer(fh, lineterminator=lineterminator)``
+    writing the header and then each row of cells.  Columns are arrays or
+    lists; numeric arrays never need quoting.
+    """
+    columns = list(columns)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        fh.write(",".join(_text_cells(header)) + lineterminator)
+        for lo in range(0, len(columns[0]), _ROWS):
+            rows = zip(*(_cells(column[lo : lo + _ROWS]) for column in columns))
+            fh.write(lineterminator.join(map(",".join, rows)) + lineterminator)
 
 
 def _status(cells, row0, col) -> np.ndarray:
@@ -424,9 +510,13 @@ def absorption_frame(frame: MultiStateFrame, state: int) -> SurvivalFrame:
 # -- risk sets -----------------------------------------------------------------
 
 
-def _suffix_sums(sorted_keys: np.ndarray, values: np.ndarray, t) -> np.ndarray:
-    """Sum of values over keys >= t at each t (keys ascending)."""
-    suffix = np.concatenate((np.cumsum(values[::-1], axis=0)[::-1], np.zeros((1,) + values.shape[1:])))
+def _suffix_sums(sorted_keys: np.ndarray, order: np.ndarray, weights: np.ndarray, t) -> np.ndarray:
+    """Sum of weights[order] over sorted_keys >= t at each t (keys ascending)."""
+    # one array, sorted and then summed in place, above a row of zeros for t
+    # past every key
+    suffix = np.zeros((order.size + 1,) + weights.shape[1:])
+    np.take(weights, order, axis=0, out=suffix[:-1], mode="clip")
+    np.cumsum(suffix[-2::-1], axis=0, out=suffix[-2::-1])
     return suffix[np.searchsorted(sorted_keys, t, side="left")]
 
 
@@ -442,7 +532,7 @@ def risk_set_sums(frame: SurvivalFrame, weights, times) -> np.ndarray:
     if weights.shape[:1] != (frame.n,):
         raise ValidationError(f"weights of shape {weights.shape} for {frame.n} records")
     (by_time, order_t), *truncated = frame._risk_orders
-    total = _suffix_sums(by_time, weights[order_t], times)
+    total = _suffix_sums(by_time, order_t, weights, times)
     for by_entry, order_e in truncated:
-        total = total - _suffix_sums(by_entry, weights[order_e], times)
+        total = total - _suffix_sums(by_entry, order_e, weights, times)
     return total

@@ -13,7 +13,6 @@ the fused lasso is applied to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -77,14 +76,9 @@ class BreslowCurve:
 
     def to_csv(self, path) -> None:
         """Corner points of the step curve: two rows (before, after) per jump."""
-        times = list(map(repr, self.jump_times.tolist()))
-        totals = ["0.0", *map(repr, np.cumsum(self.jump_sizes).tolist())]
-        columns = [["0.0", *_twice(times), repr(float(self.tau))], _twice(totals)]
-        _write_columns(path, ["time", "cumhaz"], columns)
-
-
-def _twice(items):
-    return chain.from_iterable(zip(items, items))
+        times = np.concatenate(([0.0], np.repeat(self.jump_times, 2), [self.tau]))
+        totals = np.repeat(np.concatenate(([0.0], np.cumsum(self.jump_sizes))), 2)
+        _write_columns(path, ["time", "cumhaz"], [times, totals])
 
 
 @dataclass(frozen=True)
@@ -115,11 +109,15 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     events = frame.status == 1
     ev_times, d_k = frame._event_ties
     W = frame.covariates
+    n, d = W.shape
     eta = W @ beta
     w = np.exp(eta)
-    s0 = risk_set_sums(frame, w, ev_times)
-    s1 = risk_set_sums(frame, W * w[:, None], ev_times)
-    s2 = risk_set_sums(frame, (W[:, :, None] * W[:, None, :]) * w[:, None, None], ev_times)
+    # the summands of s0, s1 and s2 side by side, so one risk-set pass sums all three
+    summands = np.column_stack(
+        (w, W * w[:, None], (W[:, :, None] * W[:, None, :]).reshape(n, -1) * w[:, None])
+    )
+    sums = risk_set_sums(frame, summands, ev_times)
+    s0, s1, s2 = sums[:, 0], sums[:, 1 : 1 + d], sums[:, 1 + d :].reshape(-1, d, d)
 
     if np.any(s0 <= 0):
         raise ValidationError("empty risk set at an event time")

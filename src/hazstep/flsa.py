@@ -268,20 +268,23 @@ def flsa_path(y) -> list[PathBreakpoint]:
 
     def push_merge(i, lam):
         # arm the merge event of block i with its right neighbour: the value
-        # gap is linear in lambda and closes after t = dv/ds
+        # gap is linear in lambda and closes after t = gap / closing
         j = nxt[i]
         if j == -1:
             return
-        dv = val(j, lam) - val(i, lam)
-        ds = slope[i] - slope[j]
-        if lam > 0 and abs(dv) <= vtol:
+        # the gap and its closing rate, signed by the bookkept sign (exact: +-1)
+        s = sig[i]
+        gap = (val(j, lam) - val(i, lam)) * s
+        if lam > 0 and gap <= vtol:
+            # touching, or crossed by rounding: blocks whose values meet fuse
             heapq.heappush(heap, (lam, i, j, version[i], version[j]))
             return
-        if ds == 0.0:
-            return
-        t = dv / ds
-        if t <= 0.0:
-            return  # diverging pair; it can only merge after another event
+        closing = (slope[i] - slope[j]) * s
+        if closing <= 0.0:
+            return  # parallel or diverging pair; it can only merge after another event
+        # the signs decide, not the quotient: a subnormal gap / closing can
+        # round to 0, yet the merge still lies ahead
+        t = gap / closing or 5e-324
         heapq.heappush(heap, (lam + t, i, j, version[i], version[j]))
 
     for i in range(nb):

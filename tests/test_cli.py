@@ -30,6 +30,15 @@ def numeric_columns(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+def assert_json_files_canonical(out, count):
+    """Each JSON artifact is json.dumps(..., sort_keys=True, indent=2) of its content."""
+    paths = sorted(out.glob("*.json"))
+    assert len(paths) == count
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path.name
+
+
 @pytest.fixture
 def survival_csv(tmp_path):
     frame = gen_scenario(named_scenario("A1", 300), 42)
@@ -333,6 +342,7 @@ class TestRoundTrip:
         assert np.array_equal(numeric_columns(out / "cumhaz.csv"), np.column_stack((times, totals)))
         tuning = json.loads((out / "tuning.json").read_text())
         assert tuning["lambda"] == doc["lambda"]
+        assert_json_files_canonical(out, 2)
 
     def test_multistate_and_simulate_artifacts_reparse(self, multistate_csv, tmp_path):
         out = tmp_path / "rt_ms"
@@ -342,6 +352,7 @@ class TestRoundTrip:
         assert pfs.values[0] == 1.0
         km = kaplan_meier(sojourn_frame(parse_multistate_csv(multistate_csv), 0))
         assert np.array_equal(numeric_columns(out / "km_pfs.csv"), np.column_stack((km.grid, km.values)))
+        assert_json_files_canonical(out, 5)
 
         out2 = tmp_path / "rt_sim"
         assert main(["simulate", "--scenario", "A2", "--n", "120", "--reps", "2",
@@ -352,3 +363,4 @@ class TestRoundTrip:
         l2 = json.loads((out2 / "study_runs.json").read_text())["aggregates"]["l2_sq"]
         assert (cells["scenario"], cells["n"], cells["replications"]) == ("A2", "120", "2")
         assert cells["l2_sq"] == f"{l2['mean']:.3f} ({l2['sd']:.3f})"
+        assert_json_files_canonical(out2, 1)

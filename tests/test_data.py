@@ -1,4 +1,5 @@
 import csv
+import json
 import tracemalloc
 
 import numpy as np
@@ -32,10 +33,35 @@ from hazstep import (
     write_survival_csv,
 )
 from hazstep.cli import _write_stepfun_csv
-from hazstep.data import _ROWS, _counts, _floats, _read_columns, _text, sojourn_frame
-from hazstep.multistate import IllnessDeathModel, curves_from_csv, curves_to_csv, km_to_csv
-from hazstep.simulate import report_table_csv, simulate_illness_death
+from hazstep.data import (
+    _ROWS,
+    _cells,
+    _counts,
+    _floats,
+    _json_text,
+    _read_columns,
+    _text,
+    _write_columns,
+    sojourn_frame,
+)
+from hazstep.multistate import (
+    IllnessDeathModel,
+    curves_from_csv,
+    curves_to_csv,
+    fit_illness_death_detailed,
+    km_to_csv,
+    survival_curves,
+)
+from hazstep.pipeline import FitConfig, fit_hazard
+from hazstep.simulate import (
+    gen_scenario,
+    named_scenario,
+    report_table_csv,
+    run_study,
+    simulate_illness_death,
+)
 from hazstep.stepfun import StepFunction, Window
+from hazstep.tuning import TuningConfig
 
 HEADER = "id,from,to,t_start,t_stop\n"
 
@@ -312,6 +338,91 @@ class TestWritersMatchRowOracles:
             lambda p: stepfun_csv_rows(fun, p),
         )
         assert b"\r" not in text
+
+
+class TestColumnWriter:
+    """Cells the column writer formats itself, against csv.writer on the same rows."""
+
+    def test_text_cells_quoted_as_csv_writer_does(self, tmp_path):
+        texts = ["", " x ", "a,b", 'say "hi"', '"', "a\rb", "a\nb", "\r\n", "é", "cens", "7"]
+        numbers = np.arange(len(texts))
+        path = tmp_path / "text.csv"
+        _write_columns(path, ["id", "k"], [texts, numbers])
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["id", "k"], *zip(texts, numbers.tolist())])
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        with open(path, newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == texts
+
+    def test_float_runs_keep_every_repr(self):
+        # runs of equal bits are formatted once; -0.0 and 0.0 are different runs
+        values = np.array([0.0, -0.0, -0.0, 0.0, 1.5, 1.5, np.nan, np.nan, np.inf, -np.inf, 5e-324])
+        for column in (values, np.repeat(values, 3), np.column_stack((values, values)).T[1]):
+            assert _cells(column) == list(map(repr, column.tolist()))
+
+
+class TestJsonText:
+    """``_json_text`` against ``json.dumps(obj, sort_keys=True, indent=...)``."""
+
+    CASES = {
+        "nested dicts": {"b": {"z": 1, "a": [1, 2]}, "a": {"c": {"d": [3.5]}}, "c": "x, y"},
+        "empty containers": {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
+        "mixed scalars": [1, 2.5, True, False, None, 0, -3],
+        "odd floats": [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, 0.1 + 0.2],
+        "odd floats as values": {"nan": float("nan"), "inf": float("inf"), "zero": -0.0},
+        "strings in lists": ["a, b", "é", "line\nbreak", 1.0, None],
+        "lists of lists": [[1.0, 2.0], [3.0], [], [[4.0, [5]]]],
+        "records in lists": [{"b": 1, "a": [0.5, -0.5]}, {"x": None}],
+        "tuples and non-string keys": {2: (1.0, 2.0), 10: "ten", 1.5: [True]},
+        "top-level list": [0.25] * 5,
+        "top-level scalar": 1e-300,
+        "empty list": [],
+        "empty dict": {},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("indent", [None, 0, 2, 4])
+    def test_equals_json_dumps(self, case, indent):
+        obj = self.CASES[case]
+        assert _json_text(obj, indent) == json.dumps(obj, sort_keys=True, indent=indent)
+
+    @pytest.fixture(scope="class")
+    def cli_records(self):
+        """Every record the CLI writes, from small seeded runs."""
+        config = FitConfig(tuning=TuningConfig(l_boot=30, seed=4))
+        fit = fit_hazard(gen_scenario(named_scenario("B1", 300), 4), config)
+        truth = IllnessDeathModel(
+            a01=StepFunction(Window(0, 1), [0.3], [2.0, 1.0]),
+            a02=StepFunction(Window(0, 1), [], [0.75]),
+            a12=StepFunction(Window(0, 1), [], [1.5]),
+        )
+        fits = fit_illness_death_detailed(simulate_illness_death(truth, 400, 0.25, 4), config)
+        model = IllnessDeathModel(
+            a01=fits[(0, 1)].hazard, a02=fits[(0, 2)].hazard, a12=fits[(1, 2)].hazard
+        )
+        pfs, os_ = survival_curves(model, np.linspace(0.0, 1.0, 11))
+        # one replication: the aggregates' standard deviations are NaN
+        study = run_study(named_scenario("A1", 150), 1, 4)
+        return {
+            "hazard": fit,
+            "tuning": fit.tuning,
+            "hazard_01": fits[(0, 1)],
+            "model": model,
+            "survival_curves": {"S_PFS": pfs.to_dict(), "S_OS": os_.to_dict()},
+            "study_runs": study,
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["hazard", "tuning", "hazard_01", "model", "survival_curves", "study_runs"]
+    )
+    def test_cli_records(self, cli_records, name):
+        record = cli_records[name]
+        obj = record if isinstance(record, dict) else record.to_dict()
+        text = _json_text(obj, indent=2)
+        assert text == json.dumps(obj, sort_keys=True, indent=2)
+        if not isinstance(record, dict):
+            assert record.to_json(indent=2) == text
+            assert record.to_json() == json.dumps(obj, sort_keys=True)
 
 
 def _columns_reader(converters):

@@ -246,6 +246,17 @@ class TestRiskSetCache:
                 assert got.shape == want.shape == times.shape + weights.shape[1:]
                 assert got.tobytes() == want.tobytes()
 
+    def test_stacked_weights_sum_as_separate_calls(self, truncated):
+        # cox_fit sums the s0, s1 and s2 summands in one call, column by column
+        frame = tied_frame(truncated)
+        W = frame.covariates
+        w = np.exp(W @ [0.3, -0.7])
+        parts = (w[:, None], W * w[:, None], ((W[:, :, None] * W[:, None, :]) * w[:, None, None]))
+        times = frame._event_ties[0]
+        stacked = risk_set_sums(frame, np.column_stack([p.reshape(frame.n, -1) for p in parts]), times)
+        separate = [risk_set_sums(frame, p, times).reshape(times.size, -1) for p in parts]
+        assert stacked.tobytes() == np.column_stack(separate).tobytes()
+
     def test_cox_and_breslow_bit_equal(self, truncated, monkeypatch):
         fit = cox_fit(tied_frame(truncated))
         curve = breslow_fit(tied_frame(truncated), fit.beta)

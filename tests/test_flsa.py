@@ -17,6 +17,7 @@ from hazstep import (
     flsa_solve,
     interpolate,
     kkt_residual,
+    pilot_lambda,
 )
 
 
@@ -158,6 +159,13 @@ class TestPath:
         assert path[0] == PathBreakpoint(0.0, 2)
         assert flsa_solve([0.0, 1.2e-50, 1e-12], 0.0).changepoints.tolist() == [1, 2]
 
+    def test_subnormal_gap_still_fuses(self):
+        # gap / closing rate underflows to 0 here; the pair still closes
+        assert flsa_path([0.0, 5e-324]) == [PathBreakpoint(0.0, 1), PathBreakpoint(5e-324, 0)]
+        assert pilot_lambda([0.0, 5e-324], 0) == 5e-324
+        # rounding makes the merged block and its neighbour cross, so they fuse
+        assert flsa_path([5e-324, 0.0, 5e-324])[-1].changepoint_count == 0
+
     @given(
         st.lists(
             st.just(0.0)
@@ -166,6 +174,11 @@ class TestPath:
                 st.sampled_from([-1.0, 1.0]),
                 st.floats(1.0, 10.0),
                 st.integers(-60, 2),
+            )
+            | st.builds(
+                lambda sign, units: sign * units * 5e-324,
+                st.sampled_from([-1.0, 1.0]),
+                st.integers(1, 2**20),
             ),
             min_size=1,
             max_size=12,
@@ -173,7 +186,8 @@ class TestPath:
         st.data(),
     )
     def test_path_starts_at_the_runs_and_ends_fused(self, pool, data):
-        # values drawn from a small pool give ties; magnitudes span 1e-60..1e3
+        # values drawn from a small pool give ties; magnitudes span the
+        # subnormals (multiples of 5e-324) and 1e-60..1e3
         m = data.draw(st.integers(2, 12))
         y = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m)))
         path = flsa_path(y)
