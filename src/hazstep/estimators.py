@@ -112,12 +112,20 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     n, d = W.shape
     eta = W @ beta
     w = np.exp(eta)
-    # the summands of s0, s1 and s2 side by side, so one risk-set pass sums all three
-    summands = np.column_stack(
-        (w, W * w[:, None], (W[:, :, None] * W[:, None, :]).reshape(n, -1) * w[:, None])
-    )
+    # the summands of s0, s1 and the d(d+1)/2 distinct ones of the symmetric
+    # s2 side by side, so one risk-set pass sums all three
+    rows, cols = np.triu_indices(d)
+    summands = np.empty((n, 1 + d + rows.size))
+    summands[:, 0] = w
+    np.multiply(W, w[:, None], out=summands[:, 1 : 1 + d])
+    for c, (i, j) in enumerate(zip(rows, cols), start=1 + d):
+        np.multiply(W[:, i], W[:, j], out=summands[:, c])
+        summands[:, c] *= w
     sums = risk_set_sums(frame, summands, ev_times)
-    s0, s1, s2 = sums[:, 0], sums[:, 1 : 1 + d], sums[:, 1 + d :].reshape(-1, d, d)
+    s0, s1 = sums[:, 0], sums[:, 1 : 1 + d]
+    # C order: einsum's summation order, and so info's bits, follow s2's layout
+    s2 = np.empty((sums.shape[0], d, d))
+    s2[:, rows, cols] = s2[:, cols, rows] = sums[:, 1 + d :]
 
     if np.any(s0 <= 0):
         raise ValidationError("empty risk set at an event time")

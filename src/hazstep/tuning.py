@@ -34,7 +34,9 @@ class TuningConfig:
     variates come from its ziggurat ``standard_normal``, so results are
     bit-reproducible across platforms for a given seed.  The bootstrap
     consumes the normal draws in row-major blocks, so ``u_boot`` does not
-    depend on the block size and its memory is O(m), not O(L*m).
+    depend on the block size.  Its memory is two reused blocks of about
+    ``_BLOCK`` values (one row each when m is larger) plus O(m + L), not
+    O(L*m).
     """
 
     q: float = 0.9
@@ -90,42 +92,61 @@ def effective_noise(u) -> float:
     which is identical to 2 * ||(X^c)' u^c||_inf / n for the centered
     cumulative-sum design.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    n = u.size
+    u = np.array(u, dtype=float).reshape(1, -1)
+    n = u.shape[1]
     if n < 2:
         raise ValidationError(f"need at least 2 observations, got {n}")
-    return float(_noise_max(np.cumsum(u)))
+    out = np.empty(1)
+    _noise_max(u, np.empty((1, n - 1)), np.arange(1.0, n), out)
+    return float(out[0])
 
 
-def _noise_max(s: np.ndarray) -> np.ndarray:
-    """2 * max_{2<=j<=n} |-s_{j-1}/n + (j-1) s_n/n^2| of each row of partial sums s."""
-    n = s.shape[-1]
-    stats = -s[..., :-1] / n + np.arange(1, n) * s[..., -1:] / n**2
-    return 2.0 * np.max(np.abs(stats), axis=-1)
+def _noise_max(u: np.ndarray, stats: np.ndarray, ramp: np.ndarray, out: np.ndarray) -> None:
+    """Write 2 * max_{2<=j<=n} |(-s_{j-1})/n + ((j-1) s_n)/n^2| of each row of u to out.
+
+    s are the row's partial sums.  u (k, n) and stats (k, n-1) are
+    overwritten; ramp is ``np.arange(1.0, n)``.  Each row takes the same
+    floating-point operations in the same order whatever k is.
+    """
+    n = u.shape[1]
+    np.cumsum(u, axis=1, out=u)
+    np.negative(u[:, :-1], out=stats)
+    np.divide(stats, n, out=stats)
+    # the partial sums s_1..s_{n-1} are spent, so their slots take the ramp term
+    np.multiply(ramp, u[:, -1:], out=u[:, :-1])
+    np.divide(u[:, :-1], n**2, out=u[:, :-1])
+    np.add(stats, u[:, :-1], out=stats)
+    np.abs(stats, out=stats)
+    np.multiply(stats.max(axis=1), 2.0, out=out)
 
 
-# normal draws held at once by the bootstrap (2 MB of float64)
-_BLOCK = 1 << 18
+# normal draws held at once by the bootstrap (512 KB of float64)
+_BLOCK = 1 << 16
 
 
 def _bootstrap_stats(residuals: np.ndarray, rng: np.random.Generator, l_boot: int) -> np.ndarray:
     """Effective-noise statistics of residuals * eps, one per bootstrap row.
 
     The ``l_boot`` normal rows eps are drawn in blocks of ``_BLOCK // m`` rows
-    (at least one).  PCG64 fills ``standard_normal`` in C order, so the blocks
-    consume exactly the stream of a single ``(l_boot, m)`` draw; every row goes
-    through the same operations in the same order, so the statistics do not
-    depend on the block height.
+    (at least one) into one reused draw buffer, and each block's statistics
+    are built in one reused statistic buffer, so memory is two blocks of about
+    ``_BLOCK`` values plus O(m + l_boot).  PCG64 fills ``standard_normal`` in
+    C order, so the blocks consume exactly the stream of a single
+    ``(l_boot, m)`` draw, and :func:`_noise_max` treats every row alike, so
+    the statistics do not depend on the block height.
     """
     n = residuals.size
-    rows = max(1, _BLOCK // n)
+    rows = min(l_boot, max(1, _BLOCK // n))
+    eps = np.empty((rows, n))
+    stats = np.empty((rows, n - 1))
+    ramp = np.arange(1.0, n)
     u_boot = np.empty(l_boot)
     for lo in range(0, l_boot, rows):
-        eps = rng.standard_normal((min(rows, l_boot - lo), n))
-        # s stays bound into the next block, so the allocator reuses its pages
-        # instead of unmapping them (~10x fewer page faults at m = 2e4, L = 1000)
-        s = np.cumsum(residuals[None, :] * eps, axis=1)
-        u_boot[lo : lo + eps.shape[0]] = _noise_max(s)
+        k = min(rows, l_boot - lo)
+        block = eps[:k]
+        rng.standard_normal(out=block)
+        np.multiply(block, residuals, out=block)
+        _noise_max(block, stats[:k], ramp, u_boot[lo : lo + k])
     return u_boot
 
 

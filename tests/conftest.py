@@ -9,7 +9,8 @@ product-limit references count risk sets by brute force, the
 forward-equation reference integrates with a fixed-step RK4 scheme, and the
 CSV writer references format and write one row at a time.  The
 sort-per-call risk-set sums are the package's rule without the frame's
-cached sort orders, for bit-for-bit comparisons.
+cached sort orders, and the bootstrap reference is the package's statistic
+on one draw of all its normal rows, both for bit-for-bit comparisons.
 """
 
 import csv
@@ -289,6 +290,23 @@ def risk_set_sums_sort_per_call(frame, weights, times):
     if np.any(frame.entry > 0):
         total = total - not_before(frame.entry)
     return total
+
+
+def bootstrap_stats_single_draw(residuals, seed, l_boot):
+    """Bootstrap statistics from one (l_boot, m) normal draw, row by row.
+
+    Each row's effective noise is written out in the order of operations the
+    package's seeded results rely on.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    n = residuals.size
+    eps = np.random.default_rng(seed).standard_normal((l_boot, n))
+    out = np.empty(l_boot)
+    for row in range(l_boot):
+        s = np.cumsum(residuals * eps[row])
+        stats = -s[:-1] / n + np.arange(1, n) * s[-1] / n**2
+        out[row] = 2.0 * np.max(np.abs(stats))
+    return out
 
 
 # -- row-by-row CSV writers ----------------------------------------------------

@@ -257,6 +257,21 @@ class TestRiskSetCache:
         separate = [risk_set_sums(frame, p, times).reshape(times.size, -1) for p in parts]
         assert stacked.tobytes() == np.column_stack(separate).tobytes()
 
+    def test_packed_s2_gives_the_bits_of_all_products(self, truncated):
+        # cox_fit sums only the d(d+1)/2 distinct summands of the symmetric s2
+        frame = tied_frame(truncated)
+        W = frame.covariates
+        beta = np.array([0.3, -0.7])
+        w = np.exp(W @ beta)
+        times, d_k = frame._event_ties
+        s0 = risk_set_sums(frame, w, times)
+        mean = risk_set_sums(frame, W * w[:, None], times) / s0[:, None]
+        s2 = risk_set_sums(frame, (W[:, :, None] * W[:, None, :]) * w[:, None, None], times)
+        info = np.einsum("k,kij->ij", d_k, s2 / s0[:, None, None]) - np.einsum(
+            "k,ki,kj->ij", d_k, mean, mean
+        )
+        assert estimators._partial_loglik_parts(frame, beta)[2].tobytes() == info.tobytes()
+
     def test_cox_and_breslow_bit_equal(self, truncated, monkeypatch):
         fit = cox_fit(tied_frame(truncated))
         curve = breslow_fit(tied_frame(truncated), fit.beta)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import bootstrap_stats_single_draw
 from hazstep import (
     TuningConfig,
     ValidationError,
@@ -118,6 +119,9 @@ class TestBootstrap:
         assert result.lam == 0.0
         assert np.all(result.residuals == 0)
         assert np.all(result.u_boot == 0)
+        # +0.0, not -0.0: the sign reaches tuning.json and hazard.json
+        assert repr(result.lam) == "0.0"
+        assert not np.signbit(result.u_boot).any()
         # the final fit reproduces the signal exactly
         assert np.array_equal(flsa_solve(y, result.lam).alpha, y)
 
@@ -192,6 +196,39 @@ class TestBootstrap:
         for row in range(l_boot):
             assert result.u_boot[row] == effective_noise(result.residuals * eps[row])
         assert result.lam == np.sort(result.u_boot)[90]  # ceil(0.9*101) = 91st
+
+    @pytest.mark.parametrize(
+        "m, l_boot, zero",
+        [
+            (_BLOCK + 4464, 3, False),  # one row per block
+            (2, 5, False),  # l_boot below the block height
+            (2, _BLOCK // 2 + 7, False),  # several blocks of m = 2
+            (3001, 67, False),  # 21-row blocks, a ragged last one
+            (3001, 67, True),
+        ],
+        ids=["one-row-blocks", "short", "m2", "ragged", "zero-residuals"],
+    )
+    def test_bytes_independent_of_block_shape(self, rng, m, l_boot, zero):
+        residuals = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        got = tuning._bootstrap_stats(residuals, np.random.default_rng(29), l_boot)
+        assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, l_boot).tobytes()
+
+    @pytest.mark.parametrize(
+        "m, l_boot, bound",
+        [(20_000, 1000, 3 * _BLOCK * 8), (100_000, 100, 3 * 100_000 * 8 + 64 * 1024)],
+        ids=["multi-row-blocks", "one-row-blocks"],
+    )
+    def test_memory_two_reused_blocks(self, rng, m, l_boot, bound):
+        # a draw buffer and a statistic buffer of about _BLOCK values each, or of
+        # one row each when m > _BLOCK, plus O(m + l_boot)
+        residuals = rng.normal(size=m)
+        tracemalloc.start()
+        try:
+            tuning._bootstrap_stats(residuals, np.random.default_rng(4), l_boot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_memory_linear_in_m(self, rng):
         # one (L, m) float64 matrix alone would take 80 MB here; a small m
