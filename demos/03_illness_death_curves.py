@@ -30,9 +30,7 @@ for (src, dst), fit in fits.items():
     print(f"transition {src}->{dst}: window ({fit.window.tau_min:.3f}, "
           f"{fit.window.tau_max:.3f}), levels {np.round(fit.hazard.levels, 2)}")
 
-fitted = hs.IllnessDeathModel(
-    a01=fits[(0, 1)].hazard, a02=fits[(0, 2)].hazard, a12=fits[(1, 2)].hazard
-)
+fitted = hs.IllnessDeathModel(*(fits[tr].hazard for tr in hs.TRANSITIONS))
 
 # ------------------------------------------------------- survival curves
 grid = np.linspace(0.0, 1.5, 7)

@@ -23,6 +23,7 @@ from .data import _write_columns, _write_json
 from .data import split_transitions  # noqa: F401 - perfbench/tracer.py wraps it
 from .errors import ValidationError
 from .multistate import (
+    _HAZARDS,
     TRANSITIONS,
     IllnessDeathModel,
     curves_to_csv,
@@ -63,6 +64,17 @@ def _curve_points(args) -> int:
     if args.curve_points < 2:
         raise ValidationError(f"--curve-points must be >= 2, got {args.curve_points}")
     return args.curve_points
+
+
+def _write_curves(model: IllnessDeathModel, horizon, points: int, out: Path):
+    """Write survival_curves.csv on linspace(0, horizon, points); None: the last window end."""
+    if horizon is None:
+        horizon = max(getattr(model, name).domain.tau_max for name in _HAZARDS)
+    elif not np.isfinite(horizon):
+        raise ValidationError(f"--horizon must be finite, got {horizon}")
+    pfs, os_curve = survival_curves(model, np.linspace(0.0, horizon, points))
+    curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
+    return pfs, os_curve
 
 
 def _tuning_from_args(args, seed) -> TuningConfig:
@@ -137,19 +149,14 @@ def cmd_multistate(args) -> int:
         for i, tr in enumerate(TRANSITIONS)
     }
     fits = fit_illness_death_detailed(frame, config)
-    model = IllnessDeathModel(
-        a01=fits[(0, 1)].hazard, a02=fits[(0, 2)].hazard, a12=fits[(1, 2)].hazard
-    )
+    model = IllnessDeathModel(*(fits[tr].hazard for tr in TRANSITIONS))
     for (src, dst), fit in fits.items():
         name = f"hazard_{src}{dst}"
         _write_json(out / f"{name}.json", fit.to_dict())
         _write_stepfun_csv(fit.hazard, out / f"{name}_steps.csv")
     _write_json(out / "model.json", model.to_dict())
 
-    horizon = max(f.window.tau_max for f in fits.values())
-    grid = np.linspace(0.0, horizon, points)
-    pfs, os_curve = survival_curves(model, grid)
-    curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
+    pfs, os_curve = _write_curves(model, None, points, out)
     _write_json(out / "survival_curves.json", {"S_PFS": pfs.to_dict(), "S_OS": os_curve.to_dict()})
 
     km_to_csv(kaplan_meier(sojourn_frame(frame, 0)), out / "km_pfs.csv")
@@ -163,16 +170,7 @@ def cmd_curves(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     points = _curve_points(args)
     model = IllnessDeathModel.from_dict(json.loads(Path(args.model).read_text()))
-    horizon = args.horizon
-    if horizon is None:
-        horizon = max(
-            model.a01.domain.tau_max, model.a02.domain.tau_max, model.a12.domain.tau_max
-        )
-    elif not np.isfinite(horizon):
-        raise ValidationError(f"--horizon must be finite, got {horizon}")
-    grid = np.linspace(0.0, horizon, points)
-    pfs, os_curve = survival_curves(model, grid)
-    curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
+    _write_curves(model, args.horizon, points, out)
     print(f"wrote survival_curves.csv to {out}")
     return 0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import SurvivalFrame, _write_columns, risk_set_sums
 from .errors import ValidationError
-from .stepfun import Window
+from .stepfun import Window, _corners
 
 __all__ = [
     "CoxFit",
@@ -76,9 +76,8 @@ class BreslowCurve:
 
     def to_csv(self, path) -> None:
         """Corner points of the step curve: two rows (before, after) per jump."""
-        times = np.concatenate(([0.0], np.repeat(self.jump_times, 2), [self.tau]))
-        totals = np.repeat(np.concatenate(([0.0], np.cumsum(self.jump_sizes))), 2)
-        _write_columns(path, ["time", "cumhaz"], [times, totals])
+        totals = np.concatenate(([0.0], np.cumsum(self.jump_sizes)))
+        _write_columns(path, ["time", "cumhaz"], _corners(0.0, self.jump_times, self.tau, totals))
 
 
 @dataclass(frozen=True)

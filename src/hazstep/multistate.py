@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 TRANSITIONS = ((0, 1), (0, 2), (1, 2))
+# the IllnessDeathModel fields, in TRANSITIONS order
+_HAZARDS = tuple(f"a{src}{dst}" for src, dst in TRANSITIONS)
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,16 @@ class IllnessDeathModel(_JsonRecord):
     a12: StepFunction
 
     def __post_init__(self):
-        for name in ("a01", "a02", "a12"):
+        for name in _HAZARDS:
             if not getattr(self, name).is_nonnegative():
                 raise ValidationError(f"hazard {name} has negative levels")
 
     def to_dict(self) -> dict:
-        return {"a01": self.a01.to_dict(), "a02": self.a02.to_dict(), "a12": self.a12.to_dict()}
+        return {name: getattr(self, name).to_dict() for name in _HAZARDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "IllnessDeathModel":
-        return cls(
-            a01=StepFunction.from_dict(d["a01"]),
-            a02=StepFunction.from_dict(d["a02"]),
-            a12=StepFunction.from_dict(d["a12"]),
-        )
+        return cls(*(StepFunction.from_dict(d[name]) for name in _HAZARDS))
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,6 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
     return out
 
 
-def _phi(delta: float, rate_diff: float) -> float:
-    """int_0^delta exp(-rate_diff * v) dv with the removable singularity."""
-    if abs(rate_diff) < 1e-10:
-        return delta
-    return -np.expm1(-rate_diff * delta) / rate_diff
-
-
 def state_probabilities(model: IllnessDeathModel, grid) -> tuple[np.ndarray, np.ndarray]:
     """Occupation probabilities P00(0, t) and P01(0, t) on a time grid.
 
@@ -129,47 +120,46 @@ def state_probabilities(model: IllnessDeathModel, grid) -> tuple[np.ndarray, np.
     exponentially and P01 picks up a piecewise-exponential convolution term.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("evaluation grid must be finite")
     if grid.size and np.any(np.diff(grid) <= 0):
         raise ValidationError("evaluation grid must be strictly increasing")
     if grid.size and grid[0] < 0:
         raise ValidationError("evaluation times must be >= 0")
-
     knots = np.unique(
         np.concatenate((model.a01.breaks, model.a02.breaks, model.a12.breaks, grid, [0.0]))
     )
     knots = knots[knots >= 0]
-    p00 = {0.0: 1.0}
-    p01 = {0.0: 0.0}
-    cur00, cur01 = 1.0, 0.0
-    prev = 0.0
-    for t in knots[knots > 0]:
-        h01 = float(model.a01(prev))
-        h02 = float(model.a02(prev))
-        h12 = float(model.a12(prev))
-        delta = t - prev
-        exit0 = h01 + h02
-        decay12 = np.exp(-h12 * delta)
-        new01 = cur01 * decay12 + h01 * cur00 * decay12 * _phi(delta, exit0 - h12)
-        new00 = cur00 * np.exp(-exit0 * delta)
-        cur00, cur01, prev = new00, new01, t
-        p00[t] = cur00
-        p01[t] = cur01
-    out00 = np.array([p00[t] for t in grid])
-    out01 = np.array([p01[t] for t in grid])
-    return out00, out01
+    # segment k is [knots[k], knots[k+1]), with the levels at its left end
+    h01, h02, h12 = model.a01(knots[:-1]), model.a02(knots[:-1]), model.a12(knots[:-1])
+    delta = np.diff(knots)
+    exit0 = h01 + h02
+    rate = exit0 - h12
+    decay12 = np.exp(-h12 * delta)
+    # phi = int_0^delta exp(-rate * v) dv, with its removable singularity at rate 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(np.abs(rate) < 1e-10, delta, -np.expm1(-rate * delta) / rate)
+    p00 = np.cumprod(np.concatenate(([1.0], np.exp(-exit0 * delta))))
+    gain01 = h01 * p00[:-1] * decay12 * phi
+    p01 = [0.0]
+    for decay, gain in zip(decay12.tolist(), gain01.tolist()):
+        p01.append(p01[-1] * decay + gain)
+    at = np.searchsorted(knots, grid)
+    return p00[at], np.array(p01)[at]
 
 
 def survival_curves(model: IllnessDeathModel, grid) -> tuple[SurvivalCurve, SurvivalCurve]:
     """Survival functions of the state-0 sojourn and of overall absorption.
 
     The first curve is P00(0, t); the second is P00(0, t) + P01(0, t), the
-    probability of not yet being absorbed in state 2.
+    probability of not yet being absorbed in state 2.  Both start at t = 0:
+    a grid that starts later gets 0 prepended.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("evaluation grid must be finite")
-    if grid.size == 0 or grid[0] != 0.0:
-        grid = np.concatenate(([0.0], grid[grid > 0]))
+    # a 0 before a positive start keeps an invalid grid invalid, and
+    # state_probabilities rejects it with every point in place
+    if grid.size == 0 or grid[0] > 0:
+        grid = np.concatenate(([0.0], grid))
     p00, p01 = state_probabilities(model, grid)
     return SurvivalCurve(grid, p00), SurvivalCurve(grid, p00 + p01)
 

@@ -10,7 +10,7 @@ back to a step function in original time units.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,6 +151,7 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
     inc = build_increments(curve, window, m)
     tuning_result = bootstrap_lambda(inc.y, config.tuning)
     fused = flsa_solve(inc.y, tuning_result.lam)
+    inc = replace(inc, y=fused.y)  # the fit keeps one increment vector
     _warn_on_empty_risk(frame, beta, inc)
 
     scaled = interpolate(fused, window)

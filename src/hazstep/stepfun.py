@@ -155,11 +155,12 @@ class StepFunction(_JsonRecord):
 
     def corner_points(self) -> np.ndarray:
         """(t, level) rows tracing the exact steps, two rows per break."""
-        ts = [self.domain.tau_min]
-        vs = [self.levels[0]]
-        for b, lv_next in zip(self.breaks, self.levels[1:]):
-            ts += [b, b]
-            vs += [vs[-1], lv_next]
-        ts.append(self.domain.tau_max)
-        vs.append(self.levels[-1])
-        return np.column_stack((ts, vs))
+        return np.column_stack(
+            _corners(self.domain.tau_min, self.breaks, self.domain.tau_max, self.levels)
+        )
+
+
+def _corners(start, breaks, end, levels) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of a step curve's corners, two per break; one level per piece."""
+    times = np.concatenate(([start], np.repeat(breaks, 2), [end]))
+    return times, np.repeat(levels, 2)

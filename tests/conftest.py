@@ -9,8 +9,10 @@ product-limit references count risk sets by brute force, the
 forward-equation reference integrates with a fixed-step RK4 scheme, and the
 CSV writer references format and write one row at a time.  The
 sort-per-call risk-set sums are the package's rule without the frame's
-cached sort orders, and the bootstrap reference is the package's statistic
-on one draw of all its normal rows, both for bit-for-bit comparisons.
+cached sort orders, the knot walk is the package's closed-form curve rule
+one knot at a time in plain floats, and the bootstrap reference is the
+package's statistic on one draw of all its normal rows, all for bit-for-bit
+comparisons.
 """
 
 import csv
@@ -268,6 +270,39 @@ def rk4_state_probabilities(a01, a02, a12, t_end, steps_per_unit=4000):
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         p00, p01 = state
     return p00, p01
+
+
+def state_probabilities_knot_walk(model, grid):
+    """The closed-form (P00, P01) one knot at a time, in plain floats.
+
+    The package's rule evaluated knot by knot: at each knot of the common
+    refinement of the hazard breaks and the grid, the three levels are read
+    one at a time and the segment's exact update is applied, so the
+    whole-array evaluation can be compared with it bit for bit.  The grid
+    must already be valid (finite, strictly increasing, >= 0).
+    """
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    knots = np.unique(
+        np.concatenate((model.a01.breaks, model.a02.breaks, model.a12.breaks, grid, [0.0]))
+    )
+    p00 = {0.0: 1.0}
+    p01 = {0.0: 0.0}
+    cur00, cur01, prev = 1.0, 0.0, 0.0
+    for t in knots[knots > 0]:
+        h01 = float(model.a01(prev))
+        h02 = float(model.a02(prev))
+        h12 = float(model.a12(prev))
+        delta = t - prev
+        exit0 = h01 + h02
+        rate = exit0 - h12
+        phi = delta if abs(rate) < 1e-10 else -np.expm1(-rate * delta) / rate
+        decay12 = np.exp(-h12 * delta)
+        cur01 = cur01 * decay12 + h01 * cur00 * decay12 * phi
+        cur00 = cur00 * np.exp(-exit0 * delta)
+        prev = t
+        p00[t] = cur00
+        p01[t] = cur01
+    return np.array([p00[t] for t in grid]), np.array([p01[t] for t in grid])
 
 
 def risk_set_sums_sort_per_call(frame, weights, times):

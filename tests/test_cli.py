@@ -319,7 +319,8 @@ class TestCurvesCommand:
         out2 = tmp_path / "curves_out"
         code = main(["curves", str(out / "model.json"), "--out", str(out2)])
         assert code == 0
-        assert (out2 / "survival_curves.csv").exists()
+        written = (out / "survival_curves.csv").read_bytes()
+        assert (out2 / "survival_curves.csv").read_bytes() == written
 
 
 class TestRoundTrip:

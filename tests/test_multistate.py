@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import kaplan_meier_reference, rk4_state_probabilities
+from conftest import (
+    kaplan_meier_reference,
+    rk4_state_probabilities,
+    state_probabilities_knot_walk,
+)
 from hazstep import (
     CENSORED_STATE,
     FitConfig,
@@ -40,12 +44,82 @@ def frame_of(time, status, entry=None):
     )
 
 
+def random_hazard(rng, domain):
+    """Up to four breaks; levels from a set whose sums often tie, or uniform."""
+    breaks = np.unique(rng.uniform(domain.tau_min, domain.tau_max, rng.integers(0, 5)))
+    if rng.random() < 0.5:
+        levels = rng.choice([0.0, 0.5, 1.0, 2.0, 3.7], breaks.size + 1)
+    else:
+        levels = rng.uniform(0.0, 4.0, breaks.size + 1)
+    return StepFunction(domain, breaks, levels)
+
+
 class TestSurvivalCurves:
+    @pytest.mark.parametrize("evaluate", [state_probabilities, survival_curves])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_grid_rejected(self, bad):
+    def test_non_finite_grid_rejected(self, evaluate, bad):
         # dropping the point would silently shorten the curve
         with pytest.raises(ValidationError, match="evaluation grid must be finite"):
-            survival_curves(constant_model(1.0, 1.0, 1.0), [0.0, 0.5, bad])
+            evaluate(constant_model(1.0, 1.0, 1.0), [0.0, 0.5, bad])
+
+    @pytest.mark.parametrize("evaluate", [state_probabilities, survival_curves])
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([0.5, -1.0, 0.7], "strictly increasing"),
+            ([0.5, 0.7, 0.6], "strictly increasing"),
+            ([0.5, 0.5], "strictly increasing"),
+            ([-1.0, 0.5], ">= 0"),
+        ],
+    )
+    def test_invalid_grid_rejected(self, evaluate, grid, message):
+        # no point of the grid is dropped or reordered
+        with pytest.raises(ValidationError, match=message):
+            evaluate(constant_model(1.0, 1.0, 1.0), grid)
+
+    @pytest.mark.parametrize(
+        "grid, curve_grid",
+        [([0.2, 0.5], [0.0, 0.2, 0.5]), ([0.0, 0.5], [0.0, 0.5]), ([], [0.0])],
+    )
+    def test_zero_prepended_only_to_a_later_start(self, grid, curve_grid):
+        pfs, os_ = survival_curves(constant_model(1.0, 0.5, 2.0), grid)
+        assert pfs.grid.tolist() == os_.grid.tolist() == curve_grid
+
+    def test_bits_of_the_knot_walk(self):
+        # the whole-array evaluation against the knot-by-knot one: random
+        # hazards (zero rates, exit0 == h12 ties, breaks <= 0 when the
+        # domain starts below 0) on grids from 0, from a later time, on the
+        # breaks, empty, and from -0.0
+        rng = np.random.default_rng(31)
+        models = [
+            constant_model(0.6, 0.4, 1.0),  # exit0 == h12
+            constant_model(0.6, 0.4, 1.0 + 5e-11),  # |exit0 - h12| < 1e-10
+            constant_model(0.0, 0.0, 0.0),
+        ]
+        for _ in range(300):
+            domain = Window(rng.choice([0.0, 0.1, -0.5]), rng.uniform(0.6, 3.0))
+            models.append(IllnessDeathModel(*(random_hazard(rng, domain) for _ in range(3))))
+        for model in models:
+            breaks = np.concatenate((model.a01.breaks, model.a02.breaks, model.a12.breaks))
+            grids = (
+                np.linspace(0.0, 3.0, 31),
+                np.sort(rng.uniform(0.05, 4.0, 12)),
+                np.union1d(breaks[breaks > 0], [0.5, 3.5]),
+                np.empty(0),
+                np.array([-0.0, 0.25, 1.0]),
+            )
+            for grid in grids:
+                got = state_probabilities(model, grid)
+                want = state_probabilities_knot_walk(model, grid)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_bits_of_the_knot_walk_on_a_long_grid(self):
+        rng = np.random.default_rng(32)
+        model = IllnessDeathModel(*(random_hazard(rng, Window(0.0, 2.0)) for _ in range(3)))
+        grid = np.linspace(0.0, 3.0, 100_001)
+        got = state_probabilities(model, grid)
+        want = state_probabilities_knot_walk(model, grid)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_unit_rates_closed_form(self):
         model = constant_model(1.0, 1.0, 1.0)

@@ -99,6 +99,13 @@ class TestFitHazard:
         b = fit_hazard(frame, cfg)
         assert a.to_json() == b.to_json()
 
+    def test_one_increment_vector(self):
+        frame = gen_scenario(constant_scenario(300), 2)
+        fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=2, l_boot=40)))
+        assert fit.increments.y is fit.flsa.y
+        expected = build_increments(fit.cumulative, fit.window, fit.increments.m)
+        assert np.array_equal(fit.increments.y, expected.y)
+
     def test_units_roundtrip_under_time_doubling(self):
         frame = gen_scenario(Scenario(hazard=two_level_hazard(), n=500, name="A1"), 3)
         cfg1 = FitConfig(window=Window(0, 1), tuning=TuningConfig(seed=5, l_boot=50))
