@@ -72,6 +72,8 @@ def _write_curves(model: IllnessDeathModel, horizon, points: int, out: Path):
         horizon = max(getattr(model, name).domain.tau_max for name in _HAZARDS)
     elif not np.isfinite(horizon):
         raise ValidationError(f"--horizon must be finite, got {horizon}")
+    elif horizon <= 0:
+        raise ValidationError(f"--horizon must be > 0, got {horizon}")
     pfs, os_curve = survival_curves(model, np.linspace(0.0, horizon, points))
     curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
     return pfs, os_curve

@@ -41,6 +41,29 @@ CENSORED = "cens"
 CENSORED_STATE = -1
 
 
+# A validated record owns private, read-only arrays, so no write through the
+# caller's arrays or its own reaches it: _column copies a float column and
+# rejects NaN and +-inf, _freeze stores the validated arrays read-only.
+
+
+def _column(values, name: str) -> np.ndarray:
+    """A private 1-D float copy of ``values``, which must all be finite."""
+    try:
+        col = np.array(values, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
+    if not np.all(np.isfinite(col)):
+        raise ValidationError(f"{name} must be finite")
+    return col
+
+
+def _freeze(record, **arrays) -> None:
+    """Make each validated array read-only and set it as a field of the frozen ``record``."""
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(record, name, a)
+
+
 @dataclass(frozen=True)
 class SurvivalFrame:
     """Column-wise survival sample (time, status, entry, covariates)."""
@@ -51,8 +74,6 @@ class SurvivalFrame:
     covariates: np.ndarray  # shape (n, d), d may be 0
 
     def __post_init__(self):
-        # private copies: a write through the caller's arrays must not reach
-        # a validated frame or its cached sort orders
         time = np.array(self.time, dtype=float).reshape(-1)
         # status is checked before its int8 copy, which would truncate 1.7 or wrap 257
         status = np.asarray(self.status).reshape(-1)
@@ -78,12 +99,7 @@ class SurvivalFrame:
         if np.any(late):
             i = int(np.argmax(late))
             raise ValidationError(f"row {i}: entry {entry[i]} must be < time {time[i]}")
-        for a in (time, status, entry, cov):
-            a.setflags(write=False)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "covariates", cov)
+        _freeze(self, time=time, status=status, entry=entry, covariates=cov)
 
     @property
     def n(self) -> int:
@@ -190,12 +206,8 @@ class MultiStateFrame:
                 )
             raise ValidationError(f"subject {sid}: time gap between t={t} and t={start[k + 1]}")
 
-        for name, a in zip(
-            ("id", "from_state", "to_state", "t_start", "t_stop", "subject"),
-            (ids, src, dst, start, stop, subject),
-        ):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, id=ids, from_state=src, to_state=dst, t_start=start, t_stop=stop,
+                subject=subject)
 
     def __len__(self) -> int:
         return self.id.size

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalFrame, _write_columns, risk_set_sums
+from .data import SurvivalFrame, _column, _freeze, _write_columns, risk_set_sums
 from .errors import ValidationError
 from .stepfun import Window, _corners
 
@@ -53,18 +53,17 @@ class BreslowCurve:
     tau: float  # largest observed time
 
     def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float).reshape(-1)
-        js = np.asarray(self.jump_sizes, dtype=float).reshape(-1)
+        jt = _column(self.jump_times, "jump_times")
+        js = _column(self.jump_sizes, "jump_sizes")
+        if not np.isfinite(self.tau):
+            raise ValidationError("tau must be finite")
         if jt.size != js.size:
             raise ValidationError("jump_times and jump_sizes differ in length")
         if jt.size and not np.all(np.diff(jt) > 0):
             raise ValidationError("jump_times must be strictly increasing")
         if np.any(js <= 0):
             raise ValidationError("jump sizes must be positive")
-        jt.setflags(write=False)
-        js.setflags(write=False)
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "jump_sizes", js)
+        _freeze(self, jump_times=jt, jump_sizes=js)
 
     def cumhaz(self, t):
         """Estimated cumulative hazard at ``t`` (scalar or array)."""

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultiStateFrame, SurvivalFrame, risk_set_sums, split_transitions
-from .data import _floats, _JsonRecord, _read_columns, _write_columns
+from .data import MultiStateFrame, SurvivalFrame, split_transitions
+from .data import _column, _floats, _freeze, _JsonRecord, _read_columns, _write_columns
 from .errors import ValidationError
+from .estimators import breslow_fit
 from .pipeline import FitConfig, HazardFit, fit_hazard
 from .stepfun import StepFunction
 
@@ -73,8 +74,8 @@ class SurvivalCurve(_JsonRecord):
         return {"grid": self.grid.tolist(), "values": self.values.tolist()}
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+        grid = _column(self.grid, "grid")
+        values = _column(self.values, "values")
         if grid.size != values.size:
             raise ValidationError("grid and values differ in length")
         if grid.size and not np.all(np.diff(grid) > 0):
@@ -83,10 +84,7 @@ class SurvivalCurve(_JsonRecord):
             raise ValidationError("survival values must lie in [0, 1]")
         if np.any(np.diff(values) > 1e-12):
             raise ValidationError("survival values must be nonincreasing")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        _freeze(self, grid=grid, values=values)
 
 
 def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tuple, HazardFit]:
@@ -119,9 +117,7 @@ def state_probabilities(model: IllnessDeathModel, grid) -> tuple[np.ndarray, np.
     within a segment all intensities are constant, so P00 decays
     exponentially and P01 picks up a piecewise-exponential convolution term.
     """
-    grid = np.asarray(grid, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(grid)):
-        raise ValidationError("evaluation grid must be finite")
+    grid = _column(grid, "evaluation grid")
     if grid.size and np.any(np.diff(grid) <= 0):
         raise ValidationError("evaluation grid must be strictly increasing")
     if grid.size and grid[0] < 0:
@@ -136,11 +132,14 @@ def state_probabilities(model: IllnessDeathModel, grid) -> tuple[np.ndarray, np.
     exit0 = h01 + h02
     rate = exit0 - h12
     decay12 = np.exp(-h12 * delta)
-    # phi = int_0^delta exp(-rate * v) dv, with its removable singularity at rate 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(np.abs(rate) < 1e-10, delta, -np.expm1(-rate * delta) / rate)
     p00 = np.cumprod(np.concatenate(([1.0], np.exp(-exit0 * delta))))
-    gain01 = h01 * p00[:-1] * decay12 * phi
+    # phi = int_0^delta exp(-rate * v) dv, with its removable singularity at rate 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi = np.where(np.abs(rate) < 1e-10, delta, -np.expm1(-rate * delta) / rate)
+        gain01 = h01 * p00[:-1] * decay12 * phi
+        # where phi overflows (-rate * delta > ~709), decay12 * phi by its closed form
+        closed = h01 * p00[:-1] * (np.exp(-exit0 * delta) - decay12) / (h12 - exit0)
+    gain01 = np.where(np.isfinite(gain01), gain01, closed)
     p01 = [0.0]
     for decay, gain in zip(decay12.tolist(), gain01.tolist()):
         p01.append(p01[-1] * decay + gain)
@@ -176,18 +175,12 @@ def curves_from_csv(path) -> tuple[SurvivalCurve, SurvivalCurve]:
 
 
 def kaplan_meier(frame: SurvivalFrame) -> SurvivalCurve:
-    """Product-limit survival estimator with truncation-adjusted risk sets."""
+    """Product-limit estimator: the product of 1 - dA over the Nelson-Aalen jumps dA."""
     if frame.n == 0:
         raise ValidationError("empty frame")
-    ev_times, d_k = frame._event_ties
-    if ev_times.size == 0:
-        return SurvivalCurve(np.array([0.0]), np.array([1.0]))
-    n_at_risk = risk_set_sums(frame, np.ones(frame.n), ev_times)
-    factors = 1.0 - d_k / n_at_risk
-    surv = np.cumprod(factors)
-    return SurvivalCurve(
-        np.concatenate(([0.0], ev_times)), np.concatenate(([1.0], surv))
-    )
+    curve = breslow_fit(frame, np.zeros(frame.d))
+    surv = np.cumprod(1.0 - curve.jump_sizes)
+    return SurvivalCurve(np.concatenate(([0.0], curve.jump_times)), np.concatenate(([1.0], surv)))
 
 
 def km_to_csv(curve: SurvivalCurve, path) -> None:

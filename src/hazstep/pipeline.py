@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SurvivalFrame, _JsonRecord, risk_set_sums
+from .data import SurvivalFrame, _column, _freeze, _JsonRecord, risk_set_sums
 from .errors import ValidationError
 from .estimators import (
     BreslowCurve,
@@ -41,8 +41,8 @@ class FitConfig:
     ``window`` overrides the quantile policy (``p_low`` defaults to 0, or
     0.025 when the data carry entry times; ``p_high`` to 0.975).  ``grid_size``
     (>= 2) defaults to the sample size.  ``beta`` is a sequence of supplied
-    coefficients, used as given; ``None`` fits them by :func:`cox_fit` when
-    the frame has covariates.
+    coefficients, used as given and kept as a private read-only array;
+    ``None`` fits them by :func:`cox_fit` when the frame has covariates.
     """
 
     window: Window | None = None
@@ -55,6 +55,8 @@ class FitConfig:
     def __post_init__(self):
         if self.grid_size is not None and self.grid_size < 2:
             raise ValidationError(f"grid size must be >= 2, got {self.grid_size}")
+        if self.beta is not None:
+            _freeze(self, beta=_column(self.beta, "beta"))
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,9 @@ def _resolve_beta(frame: SurvivalFrame, config: FitConfig) -> tuple[np.ndarray, 
                 fit.beta.tolist(),
             )
         return fit.beta, fit
-    try:
-        beta = np.asarray(config.beta, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ValidationError(f"beta must be a sequence of numbers, got {config.beta!r}")
-    if beta.size != frame.d:
-        raise ValidationError(f"supplied beta has length {beta.size}, expected {frame.d}")
-    return beta, None
+    if config.beta.size != frame.d:
+        raise ValidationError(f"supplied beta has length {config.beta.size}, expected {frame.d}")
+    return config.beta, None
 
 
 def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardFit:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
-from .data import _JsonRecord, _write_columns
+from .data import _column, _freeze, _JsonRecord, _write_columns
 from .errors import ValidationError
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
@@ -68,7 +68,7 @@ class Scenario:
             raise ValidationError(f"sample size must be >= 2, got {self.n}")
         if self.censoring_rate < 0:
             raise ValidationError(f"censoring rate must be >= 0, got {self.censoring_rate}")
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).reshape(-1))
+        _freeze(self, beta=_column(self.beta, "beta"))
 
     @property
     def window(self) -> Window:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _JsonRecord
+from .data import _column, _freeze, _JsonRecord
 from .errors import ValidationError
 
 __all__ = ["Window", "StepFunction"]
@@ -68,24 +68,17 @@ class StepFunction(_JsonRecord):
     levels: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
-        breaks = np.asarray(self.breaks, dtype=float).reshape(-1)
-        levels = np.asarray(self.levels, dtype=float).reshape(-1)
+        breaks = _column(self.breaks, "breaks")
+        levels = _column(self.levels, "levels")
         if levels.size != breaks.size + 1:
             raise ValidationError(
                 f"need len(levels) == len(breaks) + 1, got {levels.size} and {breaks.size}"
             )
         if breaks.size and not np.all(np.diff(breaks) > 0):
             raise ValidationError("breaks must be strictly increasing")
-        if breaks.size and (
-            breaks[0] <= self.domain.tau_min or breaks[-1] >= self.domain.tau_max
-        ):
+        if np.any(breaks <= self.domain.tau_min) or np.any(breaks >= self.domain.tau_max):
             raise ValidationError("breaks must lie strictly inside the domain")
-        if not np.all(np.isfinite(levels)):
-            raise ValidationError("levels must be finite")
-        breaks.setflags(write=False)
-        levels.setflags(write=False)
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "levels", levels)
+        _freeze(self, breaks=breaks, levels=levels)
 
     # -- evaluation ---------------------------------------------------------
 

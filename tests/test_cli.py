@@ -310,6 +310,31 @@ class TestCurvesCommand:
         assert f"--horizon must be finite, got {horizon}" in capsys.readouterr().err
         assert not (out / "survival_curves.csv").exists()
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_horizon_not_positive_exits_2(self, model_json, tmp_path, capsys, horizon):
+        out = tmp_path / "h"
+        code = main(["curves", str(model_json), "--horizon", horizon, "--out", str(out)])
+        assert code == 2
+        assert f"--horizon must be > 0, got {float(horizon)}" in capsys.readouterr().err
+        assert not (out / "survival_curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("breaks", [float("nan")], "breaks must be finite"),
+            ("levels", ["x", 1.0], "levels must be a sequence of numbers"),
+        ],
+    )
+    def test_bad_hazard_in_model_json_exits_2(self, model_json, tmp_path, capsys, field, value,
+                                              message):
+        model = json.loads(model_json.read_text())
+        model["a01"][field] = value
+        model_json.write_text(json.dumps(model))
+        out = tmp_path / "bad"
+        assert main(["curves", str(model_json), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "survival_curves.csv").exists()
+
     def test_roundtrip_from_model_json(self, multistate_csv, tmp_path):
         out = tmp_path / "ms_out2"
         assert main(

@@ -54,11 +54,13 @@ from hazstep.multistate import (
 )
 from hazstep.pipeline import FitConfig, fit_hazard
 from hazstep.simulate import (
+    Scenario,
     gen_scenario,
     named_scenario,
     report_table_csv,
     run_study,
     simulate_illness_death,
+    two_level_hazard,
 )
 from hazstep.stepfun import StepFunction, Window
 from hazstep.tuning import TuningConfig
@@ -474,6 +476,51 @@ class TestHostileArtifactFiles:
             read(write(tmp_path, text))
 
 
+def _fit_with_supplied_beta(beta):
+    config = FitConfig(beta=beta, window=Window(0, 1), tuning=TuningConfig(seed=0, l_boot=10))
+    frame = gen_scenario(Scenario(two_level_hazard(), n=100, with_covariates=True), 0)
+    return [(config, ("beta",)), (fit_hazard(frame, config), ("beta",))]
+
+
+# each builds records from views into a base array of six floats, and names
+# the array fields it expects to be private copies
+RECORDS_FROM_VIEWS = {
+    "StepFunction": lambda b: [(StepFunction(Window(0, 1), b[1:3], b[3:]), ("breaks", "levels"))],
+    "BreslowCurve": lambda b: [(BreslowCurve(b[1:3], b[4:], tau=1.0), ("jump_times", "jump_sizes"))],
+    "SurvivalCurve": lambda b: [(SurvivalCurve(b[:3], b[3:]), ("grid", "values"))],
+    "Scenario": lambda b: [(Scenario(two_level_hazard(), n=10, beta=b[1:3]), ("beta",))],
+    "FitConfig.beta": lambda b: _fit_with_supplied_beta(b[1:3]),
+    "survival_curves grid": lambda b: [
+        (curve, ("grid", "values"))
+        for curve in survival_curves(
+            IllnessDeathModel(*[StepFunction(Window(0.0, 1.0), [], [1.0])] * 3), b[:4]
+        )
+    ],
+}
+
+VALID_KWARGS = {
+    StepFunction: lambda: dict(domain=Window(0.0, 1.0), breaks=[0.5], levels=[1.0, 2.0]),
+    BreslowCurve: lambda: dict(jump_times=[0.5, 0.75], jump_sizes=[0.1, 0.2], tau=1.0),
+    SurvivalCurve: lambda: dict(grid=[0.0, 0.5], values=[1.0, 0.5]),
+    Scenario: lambda: dict(hazard=two_level_hazard(), n=10, beta=[0.25, 1.0]),
+    FitConfig: lambda: dict(beta=[0.25, 1.0]),
+}
+
+# every float field of a record; the scalar BreslowCurve.tau comes last
+FLOAT_FIELDS = [
+    (StepFunction, "breaks"),
+    (StepFunction, "levels"),
+    (BreslowCurve, "jump_times"),
+    (BreslowCurve, "jump_sizes"),
+    (SurvivalCurve, "grid"),
+    (SurvivalCurve, "values"),
+    (Scenario, "beta"),
+    (FitConfig, "beta"),
+    (BreslowCurve, "tau"),
+]
+FLOAT_FIELD_IDS = [f"{make.__name__}.{field}" for make, field in FLOAT_FIELDS]
+
+
 class TestRecordInvariants:
     def test_record_validation(self):
         one = dict(time=[1.0], status=[1], entry=[0.0], covariates=[[0.5]])
@@ -511,6 +558,36 @@ class TestRecordInvariants:
         assert frame.covariates.tolist() == [[0.0]] * 4
         assert frame.status.tolist() == [1] * 4
         assert risk_set_sums(frame, ones, [2.5]).tolist() == [2.0]
+
+    @pytest.mark.parametrize("build", RECORDS_FROM_VIEWS.values(), ids=RECORDS_FROM_VIEWS.keys())
+    def test_records_do_not_alias_caller_arrays(self, build):
+        base = np.array([0.0, 0.25, 0.5, 1.0, 0.5, 0.25])
+        records = build(base)
+        before = [[getattr(r, f).copy() for f in fields] for r, fields in records]
+        base *= 2.0
+        for (record, fields), arrays in zip(records, before):
+            for name, array in zip(fields, arrays):
+                held = getattr(record, name)
+                assert held.tobytes() == array.tobytes(), (type(record).__name__, name)
+                assert not held.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    held[0] = 7.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make, field", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
+    def test_non_finite_float_fields_rejected(self, make, field, bad):
+        kwargs = VALID_KWARGS[make]()
+        value = kwargs[field]
+        kwargs[field] = bad if np.isscalar(value) else [bad, *value[1:]]
+        with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+            make(**kwargs)
+
+    @pytest.mark.parametrize("make, field", FLOAT_FIELDS[:-1], ids=FLOAT_FIELD_IDS[:-1])
+    def test_non_numeric_float_fields_rejected(self, make, field):
+        kwargs = VALID_KWARGS[make]()
+        kwargs[field] = ["x", *kwargs[field][1:]]
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers"):
+            make(**kwargs)
 
 
 class TestParseMultistate:

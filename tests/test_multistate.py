@@ -128,6 +128,13 @@ class TestSurvivalCurves:
         assert np.allclose(pfs.values, np.exp(-2 * pfs.grid), atol=1e-12)
         assert np.allclose(os_.values, np.exp(-os_.grid), atol=1e-12)
 
+    def test_fast_second_transition_closed_form(self):
+        # one segment of length 1 where -rate * delta = 2999 overflows exp
+        pfs, os_ = survival_curves(constant_model(1.0, 0.0, 3000.0), [1.0])
+        assert pfs.values[-1] == np.exp(-1.0)
+        want = np.exp(-1.0) + (np.exp(-1.0) - np.exp(-3000.0)) / 2999.0
+        assert os_.values[-1] == pytest.approx(want, rel=1e-14)
+
     def test_no_illness_path(self):
         model = constant_model(0.0, 0.7, 1.0)
         grid = np.linspace(0, 3, 13)
