@@ -29,7 +29,7 @@ print(f"estimated levels:        {np.round(fit.hazard.levels, 3)}")
 print(f"true hazard:             4.0 on [0, 0.25), 1.0 on [0.25, 1]")
 
 # ---------------------------------------------------------------- diagnostics
-truth = hs.discretize_truth(scenario.hazard, scenario.window, fit.increments.m)
+truth = hs.discretize_truth(scenario.hazard, scenario.window, fit.flsa.m)
 print(f"squared l2 error of the discretized fit: "
       f"{hs.metric_l2(fit.flsa.alpha, truth):.4f}")
 print(f"integral gap vs Breslow increment: {fit.integral_gap():+.4f}")

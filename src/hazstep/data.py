@@ -43,7 +43,9 @@ CENSORED_STATE = -1
 
 # A validated record owns private, read-only arrays, so no write through the
 # caller's arrays or its own reaches it: _column copies a float column and
-# rejects NaN and +-inf, _freeze stores the validated arrays read-only.
+# rejects NaN and +-inf, _freeze stores the validated arrays read-only.  A
+# result record (CoxFit, FusedLassoFit, TuningResult, HazardFit) freezes the
+# arrays its function computed, with no second copy.
 
 
 def _column(values, name: str) -> np.ndarray:
@@ -147,9 +149,10 @@ class MultiStateFrame:
     censored there (``to_state[i] == CENSORED_STATE``).  Rows are stored
     grouped by subject, subjects in order of first appearance, and by
     t_start within a subject; ``subject`` holds the 0-based subject codes.
-    The constructor checks that each subject's rows chain into one
-    trajectory: each row starts in the state and at the time the previous
-    row ended, and nothing follows a censored row.
+    The constructor checks that times are finite with t_start >= 0 and that
+    each subject's rows chain into one trajectory: each row starts in the
+    state and at the time the previous row ended, and nothing follows a
+    censored row.
     """
 
     id: np.ndarray
@@ -170,9 +173,15 @@ class MultiStateFrame:
             raise ValidationError("column lengths differ")
         if np.any(src < 0) or np.any(dst < CENSORED_STATE):
             raise ValidationError("states must be >= 0")
-        bad = np.flatnonzero(~(start < stop) | (src == dst))
+        timed = np.isfinite(start) & np.isfinite(stop) & (start >= 0)
+        bad = np.flatnonzero(~timed | ~(start < stop) | (src == dst))
         if bad.size:
             i = bad[0]
+            if not timed[i]:
+                raise ValidationError(
+                    f"subject {ids[i]}: times must be finite and >= 0, "
+                    f"got t_start {start[i]}, t_stop {stop[i]}"
+                )
             if not start[i] < stop[i]:
                 raise ValidationError(
                     f"subject {ids[i]}: t_start {start[i]} must be < t_stop {stop[i]}"

@@ -23,7 +23,6 @@ from .stepfun import Window, _corners
 __all__ = [
     "CoxFit",
     "BreslowCurve",
-    "IncrementSample",
     "cox_fit",
     "breslow_fit",
     "choose_window",
@@ -42,6 +41,9 @@ class CoxFit:
     log_partial_likelihood: float
     iterations: int
     converged: bool
+
+    def __post_init__(self):
+        _freeze(self, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -77,29 +79,6 @@ class BreslowCurve:
         """Corner points of the step curve: two rows (before, after) per jump."""
         totals = np.concatenate(([0.0], np.cumsum(self.jump_sizes)))
         _write_columns(path, ["time", "cumhaz"], _corners(0.0, self.jump_times, self.tau, totals))
-
-
-@dataclass(frozen=True)
-class IncrementSample:
-    """Increment responses on the rescaled window (interval length one).
-
-    ``y[j-1] = m * (A(t_j) - A(t_{j-1}))`` with grid points
-    ``t_j = tau_min + j * scale / m``; y estimates the hazard in rescaled
-    time units, i.e. ``scale`` times the hazard in original units.
-    """
-
-    window: Window
-    m: int
-    y: np.ndarray
-
-    @property
-    def scale(self) -> float:
-        return self.window.length
-
-    @property
-    def grid(self) -> np.ndarray:
-        """Original-time grid t_0, ..., t_m."""
-        return self.window.tau_min + np.arange(self.m + 1) * (self.scale / self.m)
 
 
 def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
@@ -229,13 +208,15 @@ def choose_window(frame: SurvivalFrame, p_low: float = 0.0, p_high: float = 0.97
     return Window(lo, hi)
 
 
-def build_increments(curve: BreslowCurve, window: Window, m: int) -> IncrementSample:
+def build_increments(curve: BreslowCurve, window: Window, m: int) -> np.ndarray:
     """Scaled increments of the cumulative-hazard estimate over a grid.
 
     The window is affinely rescaled to length one; the response is
     y_j = m * (A(t_j) - A(t_{j-1})) over the original-time grid
-    t_j = tau_min + j * scale / m, using the half-open increment
-    convention (t_{j-1}, t_j] inherited from the right continuity of A.
+    ``window.grid(m)``, using the half-open increment convention
+    (t_{j-1}, t_j] inherited from the right continuity of A.  y estimates
+    the hazard in rescaled time units, i.e. ``window.length`` times the
+    hazard in original units.
     """
     if m < 2:
         raise ValidationError(f"grid size must be >= 2, got {m}")
@@ -243,7 +224,5 @@ def build_increments(curve: BreslowCurve, window: Window, m: int) -> IncrementSa
         raise ValidationError(
             f"window ({window.tau_min}, {window.tau_max}) outside data support [0, {curve.tau}]"
         )
-    grid = window.tau_min + np.arange(m + 1) * (window.length / m)
-    y = m * np.diff(curve.cumhaz(grid))
-    y = np.maximum(y, 0.0)  # guard against roundoff of equal cumhaz values
-    return IncrementSample(window=window, m=m, y=y)
+    y = m * np.diff(curve.cumhaz(window.grid(m)))
+    return np.maximum(y, 0.0)  # guard against roundoff of equal cumhaz values

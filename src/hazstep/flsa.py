@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _freeze
 from .errors import ValidationError
 from .stepfun import StepFunction, Window
 
@@ -42,6 +43,9 @@ class FusedLassoFit:
     lam: float
     alpha: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, alpha=self.alpha, y=self.y)
 
     @property
     def m(self) -> int:

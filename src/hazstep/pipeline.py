@@ -10,7 +10,7 @@ back to a step function in original time units.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .errors import ValidationError
 from .estimators import (
     BreslowCurve,
     CoxFit,
-    IncrementSample,
     breslow_fit,
     build_increments,
     choose_window,
@@ -69,12 +68,14 @@ class HazardFit(_JsonRecord):
     tuning: TuningResult
     beta: np.ndarray  # coefficients, supplied or fitted (length d, may be 0)
     cox: CoxFit | None  # the Cox fit that gave `beta`, if any
-    increments: IncrementSample
-    flsa: FusedLassoFit
+    flsa: FusedLassoFit  # flsa.y is the increment sample (see build_increments)
+
+    def __post_init__(self):
+        _freeze(self, raw_levels=self.raw_levels, beta=self.beta)
 
     @property
     def window(self) -> Window:
-        return self.increments.window
+        return self.hazard.domain
 
     @property
     def changepoints(self) -> np.ndarray:
@@ -103,7 +104,7 @@ class HazardFit(_JsonRecord):
             "lambda": self.tuning.lam,
             "lambda0": self.tuning.lambda0,
             "seed": self.tuning.seed,
-            "grid_size": self.increments.m,
+            "grid_size": self.flsa.m,
             "integral_gap": self.integral_gap(),
         }
 
@@ -146,14 +147,13 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
         window = choose_window(frame, p_low, config.p_high)
 
     m = frame.n if config.grid_size is None else config.grid_size
-    inc = build_increments(curve, window, m)
-    tuning_result = bootstrap_lambda(inc.y, config.tuning)
-    fused = flsa_solve(inc.y, tuning_result.lam)
-    inc = replace(inc, y=fused.y)  # the fit keeps one increment vector
-    _warn_on_empty_risk(frame, beta, inc)
+    y = build_increments(curve, window, m)
+    tuning_result = bootstrap_lambda(y, config.tuning)
+    fused = flsa_solve(y, tuning_result.lam)
+    _warn_on_empty_risk(frame, beta, window, m)
 
     scaled = interpolate(fused, window)
-    raw_levels = scaled.levels / inc.scale
+    raw_levels = scaled.levels / window.length
     hazard = StepFunction(window, scaled.breaks, np.maximum(raw_levels, 0.0))
     fit = HazardFit(
         hazard=hazard,
@@ -162,7 +162,6 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
         tuning=tuning_result,
         beta=beta,
         cox=cox,
-        increments=inc,
         flsa=fused,
     )
     gap = fit.integral_gap()
@@ -172,8 +171,8 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
     return fit
 
 
-def _warn_on_empty_risk(frame: SurvivalFrame, beta: np.ndarray, inc: IncrementSample) -> None:
-    grid, m = inc.grid, inc.m
+def _warn_on_empty_risk(frame: SurvivalFrame, beta: np.ndarray, window: Window, m: int) -> None:
+    grid = window.grid(m)
     weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
     empty = np.flatnonzero(risk_set_sums(frame, weights, grid[1:]) <= 0)
     if empty.size:

@@ -234,7 +234,7 @@ def _run_one(args):
     scenario, rep_index, data_seed, tune_seed = args
     frame = gen_scenario(scenario, data_seed)
     fit = fit_hazard(frame, _fit_config_for(scenario, tune_seed))
-    truth_vec = discretize_truth(scenario.hazard, scenario.window, fit.increments.m)
+    truth_vec = discretize_truth(scenario.hazard, scenario.window, fit.flsa.m)
     changes = fit.changepoints
     return {
         "replication": rep_index,
@@ -242,7 +242,7 @@ def _run_one(args):
         "tune_seed": int(tune_seed),
         "l2_sq": metric_l2(fit.flsa.alpha, truth_vec),
         "d_asym": metric_dasym(changes, scenario.hazard.breaks),
-        "snr": metric_snr(truth_vec, fit.increments.y - truth_vec),
+        "snr": metric_snr(truth_vec, fit.flsa.y - truth_vec),
         "censored_fraction": float(np.mean(frame.status == 0)),
         "n_changepoints": int(changes.size),
         "lambda": fit.tuning.lam,

@@ -39,6 +39,10 @@ class Window:
     def length(self) -> float:
         return self.tau_max - self.tau_min
 
+    def grid(self, m: int) -> np.ndarray:
+        """Equidistant grid t_j = tau_min + j * length / m, j = 0..m."""
+        return self.tau_min + np.arange(m + 1) * (self.length / m)
+
     def to_dict(self) -> dict:
         return {"tau_min": self.tau_min, "tau_max": self.tau_max}
 

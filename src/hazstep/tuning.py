@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _JsonRecord
+from .data import _freeze, _JsonRecord
 from .errors import ValidationError
 from .estimators import empirical_quantile
 from .flsa import flsa_path, flsa_solve
 
-__all__ = ["TuningConfig", "TuningResult", "pilot_lambda", "effective_noise", "bootstrap_lambda"]
+__all__ = ["TuningConfig", "TuningResult", "pilot_lambda", "bootstrap_lambda"]
 
 logger = logging.getLogger(__name__)
 
@@ -63,6 +63,9 @@ class TuningResult(_JsonRecord):
     residuals: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        _freeze(self, u_boot=self.u_boot, residuals=self.residuals)
+
     def to_dict(self) -> dict:
         return {
             "lambda0": self.lambda0,
@@ -85,28 +88,13 @@ def pilot_lambda(y, k_max: int) -> float:
     return next(float(bp.lam) for bp in flsa_path(y) if bp.changepoint_count <= k_max)
 
 
-def effective_noise(u) -> float:
-    """Maximum statistic of the centered-lasso effective noise, in O(n).
-
-    Equals 2 * max_{2<=j<=n} | -(1/n) sum_{i<j} u_i + ((j-1)/n^2) sum_i u_i |,
-    which is identical to 2 * ||(X^c)' u^c||_inf / n for the centered
-    cumulative-sum design.
-    """
-    u = np.array(u, dtype=float).reshape(1, -1)
-    n = u.shape[1]
-    if n < 2:
-        raise ValidationError(f"need at least 2 observations, got {n}")
-    out = np.empty(1)
-    _noise_max(u, np.empty((1, n - 1)), np.arange(1.0, n), out)
-    return float(out[0])
-
-
 def _noise_max(u: np.ndarray, stats: np.ndarray, ramp: np.ndarray, out: np.ndarray) -> None:
     """Write 2 * max_{2<=j<=n} |(-s_{j-1})/n + ((j-1) s_n)/n^2| of each row of u to out.
 
-    s are the row's partial sums.  u (k, n) and stats (k, n-1) are
-    overwritten; ramp is ``np.arange(1.0, n)``.  Each row takes the same
-    floating-point operations in the same order whatever k is.
+    s are the row's partial sums; this is the effective noise
+    2 * ||(X^c)' u^c||_inf / n of the centered cumulative-sum design.  u (k, n)
+    and stats (k, n-1) are overwritten; ramp is ``np.arange(1.0, n)``.  Each
+    row takes the same floating-point operations in the same order whatever k is.
     """
     n = u.shape[1]
     np.cumsum(u, axis=1, out=u)

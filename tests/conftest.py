@@ -12,7 +12,8 @@ sort-per-call risk-set sums are the package's rule without the frame's
 cached sort orders, the knot walk is the package's closed-form curve rule
 one knot at a time in plain floats, and the bootstrap reference is the
 package's statistic on one draw of all its normal rows, all for bit-for-bit
-comparisons.
+comparisons.  ``effective_noise`` runs the package's private row statistic
+on one vector, for the tests of that statistic.
 """
 
 import csv
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import settings
 
 from hazstep import ValidationError
+from hazstep.tuning import _noise_max
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile("hazstep", derandomize=True, database=None, deadline=None, max_examples=500)
@@ -342,6 +344,14 @@ def bootstrap_stats_single_draw(residuals, seed, l_boot):
         stats = -s[:-1] / n + np.arange(1, n) * s[-1] / n**2
         out[row] = 2.0 * np.max(np.abs(stats))
     return out
+
+
+def effective_noise(u):
+    """The bootstrap's effective-noise statistic of one vector u of length >= 2."""
+    u = np.array(u, dtype=float).reshape(1, -1)
+    out = np.empty(1)
+    _noise_max(u, np.empty((1, u.size - 1)), np.arange(1.0, u.size), out)
+    return float(out[0])
 
 
 # -- row-by-row CSV writers ----------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    effective_noise,
     elementwise_bound_check,
     fused_objective,
     nelson_aalen_reference,
@@ -35,7 +36,6 @@ from hazstep import (
     TuningConfig,
     Window,
     breslow_fit,
-    effective_noise,
     fit_hazard,
     fit_illness_death_detailed,
     flsa_solve,

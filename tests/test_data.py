@@ -1,6 +1,8 @@
 import csv
+import inspect
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,9 @@ from hazstep import (
     SurvivalFrame,
     ValidationError,
     absorption_frame,
+    bootstrap_lambda,
+    cox_fit,
+    flsa_solve,
     parse_multistate_csv,
     parse_survival_csv,
     risk_set_sums,
@@ -38,6 +43,7 @@ from hazstep.data import (
     _cells,
     _counts,
     _floats,
+    _freeze,
     _json_text,
     _read_columns,
     _text,
@@ -66,6 +72,7 @@ from hazstep.stepfun import StepFunction, Window
 from hazstep.tuning import TuningConfig
 
 HEADER = "id,from,to,t_start,t_stop\n"
+BAD_TIMES = "times must be finite and >= 0, got"
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -482,14 +489,36 @@ def _fit_with_supplied_beta(beta):
     return [(config, ("beta",)), (fit_hazard(frame, config), ("beta",))]
 
 
-# each builds records from views into a base array of six floats, and names
-# the array fields it expects to be private copies
+def _fitted_records(_):
+    """The records of a fit whose beta comes from cox_fit (a frame copies its columns)."""
+    frame = gen_scenario(Scenario(two_level_hazard(), n=100, with_covariates=True), 0)
+    fit = fit_hazard(frame, FitConfig(window=Window(0, 1), tuning=TuningConfig(l_boot=10)))
+    assert fit.cox is not None and fit.beta is fit.cox.beta
+    return [
+        (fit, ("raw_levels", "beta")),
+        (fit.cox, ("beta",)),
+        (fit.flsa, ("alpha", "y")),
+        (fit.tuning, ("u_boot", "residuals")),
+    ]
+
+
+# each builds records from views into a base array of six floats (a fit's
+# records from a frame, which copies its columns), and names the array fields
+# it expects to be private, read-only copies
 RECORDS_FROM_VIEWS = {
     "StepFunction": lambda b: [(StepFunction(Window(0, 1), b[1:3], b[3:]), ("breaks", "levels"))],
     "BreslowCurve": lambda b: [(BreslowCurve(b[1:3], b[4:], tau=1.0), ("jump_times", "jump_sizes"))],
     "SurvivalCurve": lambda b: [(SurvivalCurve(b[:3], b[3:]), ("grid", "values"))],
     "Scenario": lambda b: [(Scenario(two_level_hazard(), n=10, beta=b[1:3]), ("beta",))],
     "FitConfig.beta": lambda b: _fit_with_supplied_beta(b[1:3]),
+    "flsa_solve": lambda b: [(flsa_solve(b[1:], 0.01), ("alpha", "y"))],
+    "bootstrap_lambda": lambda b: [
+        (bootstrap_lambda(b[1:], TuningConfig(k_max=1, l_boot=10)), ("u_boot", "residuals"))
+    ],
+    "cox_fit": lambda b: [
+        (cox_fit(SurvivalFrame([2, 1, 4, 3], [1, 1, 1, 1], [0] * 4, b[:4])), ("beta",))
+    ],
+    "fit_hazard": _fitted_records,
     "survival_curves grid": lambda b: [
         (curve, ("grid", "values"))
         for curve in survival_curves(
@@ -573,6 +602,17 @@ class TestRecordInvariants:
                 with pytest.raises(ValueError, match="read-only"):
                     held[0] = 7.0
 
+    def test_only_freeze_sets_flags_or_frozen_fields(self):
+        # one helper makes arrays read-only and sets fields of frozen records
+        freeze = inspect.getsource(_freeze)
+        tokens = ("setflags(", "object.__setattr__")
+        assert all(token in freeze for token in tokens)
+        for path in sorted(Path(inspect.getfile(_freeze)).parent.glob("*.py")):
+            text = path.read_text()
+            if path.name == "data.py":
+                text = text.replace(freeze, "", 1)
+            assert [token for token in tokens if token in text] == [], path.name
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make, field", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
     def test_non_finite_float_fields_rejected(self, make, field, bad):
@@ -610,6 +650,11 @@ class TestParseMultistate:
             ("1,1,2,2.0,5.0\n1,0,cens,0,2.0\n", "subject 1: row after censoring at t=2.0"),
             ("1,0,1,0,2.0\n2,0,2,1.0,1.0\n", "subject 2: t_start 1.0 must be < t_stop 1.0"),
             ("1,0,0,0,2.0\n", "subject 1: from and to states equal"),
+            ("1,0,1,0,inf\n", f"subject 1: {BAD_TIMES} t_start 0.0, t_stop inf"),
+            ("1,0,cens,0,inf\n", f"subject 1: {BAD_TIMES} t_start 0.0, t_stop inf"),
+            ("1,0,1,0,2.0\n1,1,2,2.0,nan\n", f"subject 1: {BAD_TIMES} t_start 2.0, t_stop nan"),
+            ("1,0,1,0,2.0\n2,0,2,-1,1.0\n", f"subject 2: {BAD_TIMES} t_start -1.0, t_stop 1.0"),
+            ("1,0,1,-inf,2.0\n", f"subject 1: {BAD_TIMES} t_start -inf, t_stop 2.0"),
         ],
     )
     def test_broken_trajectory_named(self, tmp_path, rows, message):

@@ -182,17 +182,17 @@ class TestIncrements:
         from hazstep.estimators import BreslowCurve
 
         curve = BreslowCurve(jump_times=[0.55], jump_sizes=[0.5], tau=1.0)
-        inc = build_increments(curve, Window(0, 1), 10)
+        y = build_increments(curve, Window(0, 1), 10)
         expected = np.zeros(10)
         expected[5] = 5.0  # jump at 0.55 lies in (0.5, 0.6], cell j=6 (1-based)
-        assert np.allclose(inc.y, expected, atol=1e-15)
+        assert np.allclose(y, expected, atol=1e-15)
 
     def test_zero_curve(self):
         from hazstep.estimators import BreslowCurve
 
         curve = BreslowCurve(jump_times=[], jump_sizes=[], tau=1.0)
-        inc = build_increments(curve, Window(0, 1), 7)
-        assert np.all(inc.y == 0)
+        y = build_increments(curve, Window(0, 1), 7)
+        assert np.all(y == 0)
 
     def test_linear_curve_gives_constant_increments(self):
         from hazstep.estimators import BreslowCurve
@@ -200,17 +200,17 @@ class TestIncrements:
         # approximate A(t) = t by many small jumps on a fine lattice
         times = np.linspace(0.0005, 1.0, 2000)
         curve = BreslowCurve(jump_times=times, jump_sizes=np.full(2000, 0.0005), tau=1.0)
-        inc = build_increments(curve, Window(0, 1), 40)
-        assert np.allclose(inc.y, 1.0, atol=1e-12)
+        y = build_increments(curve, Window(0, 1), 40)
+        assert np.allclose(y, 1.0, atol=1e-12)
 
     def test_telescoping(self, rng):
         from hazstep.estimators import BreslowCurve
 
         times = np.sort(rng.uniform(0.01, 0.99, 100))
         curve = BreslowCurve(jump_times=times, jump_sizes=rng.exponential(0.01, 100), tau=1.0)
-        inc = build_increments(curve, Window(0, 1), 64)
+        y = build_increments(curve, Window(0, 1), 64)
         total = curve.cumhaz(1.0) - curve.cumhaz(0.0)
-        assert np.sum(inc.y) / 64 == pytest.approx(total, abs=1e-12)
+        assert np.sum(y) / 64 == pytest.approx(total, abs=1e-12)
 
     def test_window_outside_support(self):
         from hazstep.estimators import BreslowCurve

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -78,12 +79,12 @@ class TestFitFromCurve:
         levels = np.where(np.arange(m) < 16, 4.0, 1.0)
         jump_times = (np.arange(m) + 0.5) / m
         curve = BreslowCurve(jump_times=jump_times, jump_sizes=levels / m, tau=1.0)
-        inc = build_increments(curve, Window(0, 1), m)
-        tuning = bootstrap_lambda(inc.y, TuningConfig(seed=0, l_boot=50))
-        fit = flsa_solve(inc.y, tuning.lam)
-        assert np.array_equal(inc.y, levels)
+        y = build_increments(curve, Window(0, 1), m)
+        tuning = bootstrap_lambda(y, TuningConfig(seed=0, l_boot=50))
+        fit = flsa_solve(y, tuning.lam)
+        assert np.array_equal(y, levels)
         assert tuning.lam == 0.0
-        assert np.array_equal(fit.alpha, inc.y)
+        assert np.array_equal(fit.alpha, y)
         step = interpolate(fit, Window(0, 1))
         assert step.breaks.size == 1
         # the curve's slope drops from 4 to 1 at 16/64, the end of cell 16
@@ -102,9 +103,18 @@ class TestFitHazard:
     def test_one_increment_vector(self):
         frame = gen_scenario(constant_scenario(300), 2)
         fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=2, l_boot=40)))
-        assert fit.increments.y is fit.flsa.y
-        expected = build_increments(fit.cumulative, fit.window, fit.increments.m)
-        assert np.array_equal(fit.increments.y, expected.y)
+        # fit.flsa.y is the increment sample, and no other record of the fit holds it
+        expected = build_increments(fit.cumulative, fit.window, fit.flsa.m)
+        records = [fit, fit.cumulative, fit.tuning, fit.hazard, fit.flsa]
+        holders = [
+            (type(r).__name__, f.name)
+            for r in records
+            for f in dataclasses.fields(r)
+            if np.array_equal(getattr(r, f.name), expected)
+        ]
+        assert holders == [("FusedLassoFit", "y")]
+        assert fit.window is fit.hazard.domain
+        assert fit.to_dict()["grid_size"] == fit.flsa.m == 300
 
     def test_units_roundtrip_under_time_doubling(self):
         frame = gen_scenario(Scenario(hazard=two_level_hazard(), n=500, name="A1"), 3)
@@ -146,10 +156,10 @@ class TestFitHazard:
         jump_times = np.array([0.05, 0.1, 0.95])
         curve = BreslowCurve(jump_times=jump_times, jump_sizes=[0.5, 0.5, 0.01], tau=1.0)
         # feed through a frame-free subfit and clamp manually like fit_hazard
-        inc = build_increments(curve, Window(0, 1), 20)
-        fused = flsa_solve(inc.y, bootstrap_lambda(inc.y, TuningConfig(seed=2, l_boot=50)).lam)
+        y = build_increments(curve, Window(0, 1), 20)
+        fused = flsa_solve(y, bootstrap_lambda(y, TuningConfig(seed=2, l_boot=50)).lam)
         step = interpolate(fused, Window(0, 1))
-        raw = step.levels / inc.scale
+        raw = step.levels / Window(0, 1).length
         clamped = np.maximum(raw, 0.0)
         assert np.all(clamped >= 0)
 

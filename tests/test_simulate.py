@@ -43,6 +43,13 @@ class TestSampler:
         with pytest.raises(ValidationError, match="zero total intensity"):
             simulate_illness_death(model, 10, 0.2, 0)
 
+    def test_uncensored_endless_sojourn_rejected(self):
+        # with a12 = 0 and no censoring, an ill subject's sojourn never ends
+        one = StepFunction(W01, [], [1.0])
+        model = IllnessDeathModel(a01=one, a02=one, a12=StepFunction(W01, [], [0.0]))
+        with pytest.raises(ValidationError, match=r"subject \d+: .* t_stop inf"):
+            simulate_illness_death(model, 20, 0.0, 0)
+
     def test_delayed_support(self):
         hazard = StepFunction(W01, [0.99], [0.0, 1.0])
         draws = hazard.inverse_cumulative(np.random.default_rng(1).exponential(size=500))

