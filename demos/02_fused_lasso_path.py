@@ -1,8 +1,9 @@
 """The exact fused-lasso solver, its solution path, and the tuning rule.
 
 Works directly on a toy signal-plus-noise vector, away from any survival
-machinery: solve at fixed penalties, enumerate the merge path, pick the
-pilot penalty and calibrate the final one with the multiplier bootstrap.
+machinery: solve at fixed penalties, follow the solution path from large
+penalties down as blocks split, pick the pilot penalty and calibrate the
+final one with the multiplier bootstrap.
 """
 
 import numpy as np
@@ -23,9 +24,9 @@ for lam in (0.0, 0.05, 0.5):
     print(f"lambda={lam:<5} change points: {fit.changepoints.size:3d}   "
           f"KKT residual: {hs.kkt_residual(fit):.2e}")
 
-# ------------------------------------------------ the merge path
+# ------------------------------------------------ the split path
 path = hs.flsa_path(y)
-print(f"\npath has {len(path)} breakpoints; last merges:")
+print(f"\npath has {len(path)} breakpoints; first splits:")
 for bp in path[-4:]:
     print(f"  lambda >= {bp.lam:.4f}: {bp.changepoint_count} change points")
 

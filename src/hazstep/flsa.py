@@ -5,9 +5,11 @@ The solver minimizes
     (1/m) * sum_j (y_j - a_j)^2  +  lambda * sum_{j=2}^m |a_j - a_{j-1}|
 
 exactly, by dynamic programming over clipped piecewise-linear derivative
-messages (linear time in m).  The solution path in lambda is computed by
-agglomerative block merging: in one dimension, fused blocks only merge and
-never split as lambda grows, so all merge events can be enumerated exactly.
+messages (linear time in m).  In one dimension fused sets only grow as lambda
+grows (Friedman, Hastie, Hoefling & Tibshirani 2007), so read from large
+lambda downward the solution path is a sequence of block splits (the dual
+path of Tibshirani & Taylor 2011); :func:`flsa_path` follows it top down and
+can stop after the first few change points.
 """
 
 from __future__ import annotations
@@ -214,12 +216,52 @@ def kkt_residual(fit: FusedLassoFit) -> float:
     return float(max(worst, 0.0))
 
 
-def flsa_path(y) -> list[PathBreakpoint]:
-    """All lambdas at which fused blocks merge, with change-point counts.
+def _block_split(v, w, ends, sl: float, sr: float, m: int) -> tuple[float, int, float]:
+    """Where a fused block of runs first splits as lambda falls.
 
-    Returns breakpoints with strictly increasing lambda, starting at 0; the
-    count attached to a breakpoint is the change-point count of the exact
-    solution on [this breakpoint, next breakpoint).
+    The block holds runs of values ``v`` and lengths ``w``; ``ends`` are the
+    run end positions in y (exact integers), from the block's start on, and
+    ``sl``, ``sr`` its boundary subgradients (+-1 at a change point, 0 at the
+    ends of y).  Its level is mean + (m*lam / (2|B|)) * (sr - sl), and the
+    implied subgradient of its inner boundary j is a_j + 2 D_j / (m*lam),
+    with D_j = sum_{i<j} w_i (mean - v_i) and a_j = sl + (|B_<j| / |B|)(sr - sl).
+    Boundary j reaches sign(D_j) at lambda 2|D_j| / (m (1 - a_j sign D_j));
+    returns the largest such lambda (inf for a boundary already past it, 0
+    when every D_j is 0), its boundary j >= 1 and the new subgradient.
+    """
+    size = ends[-1] - ends[0]
+    mean = (w * v).sum() / size
+    d = (w[:-1] * (mean - v[:-1])).cumsum()
+    a = sl + (ends[1:-1] - ends[0]) / size * (sr - sl) if sl != sr else sl
+    with np.errstate(divide="ignore"):
+        t = np.divide(
+            2.0 * np.abs(d), m * (1.0 - np.sign(d) * a), out=np.zeros_like(d), where=d != 0
+        )
+    j = int(t.argmax())
+    return float(t[j]), j + 1, float(np.sign(d[j]) or np.sign(v[j + 1] - v[j]))
+
+
+def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
+    """The lambdas at which the change-point count of the exact fit changes.
+
+    Returns breakpoints with strictly increasing lambda; the count attached
+    to a breakpoint is the change-point count of the exact solution on
+    [this breakpoint, next breakpoint), and the last count is 0.  With
+    ``k_max`` given the list is cut below the first breakpoint whose count
+    exceeds ``k_max``; otherwise, or when no count exceeds it, it starts at
+    lambda = 0 with every run of y a block.
+
+    The path is read top down, from one block at large lambda: each block
+    splits at the lambda :func:`_block_split` gives, capped at its parent's
+    split lambda.  A change point is a nonzero jump, not a split: a split's
+    jump starts at 0 and grows at the difference of its two blocks' level
+    slopes, so it counts from the first lambda interval on which those
+    slopes differ, and a tied split whose blocks keep equal slopes does not
+    count.  Splits within 1e-12 (relative) of the previous breakpoint are one
+    tie.  Each split costs a few numpy passes over its block, so the cost
+    grows with the number of change points asked for: ``k_max`` = 20 takes
+    about 20 splits at any m, while the whole path is quadratic in the
+    number of runs at worst.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
@@ -233,103 +275,48 @@ def flsa_path(y) -> list[PathBreakpoint]:
     if nb == 1:
         return [PathBreakpoint(0.0, 0)]
 
-    # Block state.  Values evolve piecewise linearly in lambda and are tracked
-    # lazily as value(lam) = base[i] + slope[i] * (lam - base_lam[i]).  The
-    # sign of each inter-block gap is bookkept explicitly: a subgradient
-    # argument shows adjacent blocks whose values meet must fuse and can never
-    # cross or separate, so signs are fixed at initialization and only ever
-    # deleted when a boundary fuses; they are never re-derived from (noisy)
-    # float values.
-    size = np.diff(starts, prepend=0, append=m).tolist()
-    base = y[np.r_[0, starts]].tolist()
-    base_lam = [0.0] * nb
-    prev = list(range(-1, nb - 1))
-    nxt = list(range(1, nb + 1))
-    nxt[-1] = -1
-    # sig[i]: sign of val(nxt[i]) - val(i), keyed by the left block
-    sig = [0] * nb
-    for i in range(nb - 1):
-        sig[i] = 1 if base[i + 1] > base[i] else -1
-    alive = [True] * nb
-    version = [0] * nb
-
-    def slope_of(i):
-        sl = 0 if prev[i] == -1 else sig[prev[i]]
-        sr = 0 if nxt[i] == -1 else sig[i]
-        return (m / (2.0 * size[i])) * (sr - sl)
-
-    slope = [slope_of(i) for i in range(nb)]
-
-    def val(i, lam):
-        return base[i] + slope[i] * (lam - base_lam[i])
-
+    # blocks are runs [b, e) of y; run boundaries are 0..nb, at positions ends
+    v = y[np.r_[0, starts]]
+    ends = np.r_[0, starts, m].astype(float)
+    w = np.diff(ends)
+    sign = np.zeros(nb + 1)  # subgradient at each boundary
+    first = np.zeros(nb + 1, dtype=np.intp)  # b of the block ending at e
+    slope = np.zeros(nb)  # d level / d lambda of the block starting at b
     heap: list = []
-    # mathematically simultaneous merges come out of the float bookkeeping a
-    # few ulps apart; after a merge (lam > 0), gaps below this scale-relative
-    # tolerance count as touching.  The runs of y at lam = 0 are exactly
-    # distinct, however small their gaps.
-    vtol = 1e-9 * float(np.max(np.abs(y)))
 
-    def push_merge(i, lam):
-        # arm the merge event of block i with its right neighbour: the value
-        # gap is linear in lambda and closes after t = gap / closing
-        j = nxt[i]
-        if j == -1:
-            return
-        # the gap and its closing rate, signed by the bookkept sign (exact: +-1)
-        s = sig[i]
-        gap = (val(j, lam) - val(i, lam)) * s
-        if lam > 0 and gap <= vtol:
-            # touching, or crossed by rounding: blocks whose values meet fuse
-            heapq.heappush(heap, (lam, i, j, version[i], version[j]))
-            return
-        closing = (slope[i] - slope[j]) * s
-        if closing <= 0.0:
-            return  # parallel or diverging pair; it can only merge after another event
-        # the signs decide, not the quotient: a subnormal gap / closing can
-        # round to 0, yet the merge still lies ahead
-        t = gap / closing or 5e-324
-        heapq.heappush(heap, (lam + t, i, j, version[i], version[j]))
+    def add(b, e, cap):
+        first[e] = b
+        slope[b] = m * (sign[e] - sign[b]) / (2.0 * (ends[e] - ends[b]))
+        if e - b > 1:
+            lam, j, s = _block_split(v[b:e], w[b:e], ends[b : e + 1], sign[b], sign[e], m)
+            # a block of two or more runs splits even when every D_j underflows
+            heapq.heappush(heap, (-(min(lam, cap) or 5e-324), b, e, b + j, s))
 
-    for i in range(nb):
-        push_merge(i, 0.0)
-
-    out = [PathBreakpoint(0.0, nb - 1)]
-    count = nb - 1
-    cur = 0.0
+    add(0, nb, np.inf)
+    out: list[PathBreakpoint] = []  # descending lambda
+    count = 0
+    zero_jumps: list[int] = []  # split boundaries whose jump is still 0
     while heap:
-        lam_star, i, j, vi, vj = heapq.heappop(heap)
-        if not (alive[i] and alive[j]) or version[i] != vi or version[j] != vj:
-            continue
-        cur = max(lam_star, cur)
-
-        # merge j into i at lambda = cur
-        merged = (size[i] * val(i, cur) + size[j] * val(j, cur)) / (size[i] + size[j])
-        size[i] += size[j]
-        base[i] = merged
-        base_lam[i] = cur
-        sig[i] = sig[j]  # i's right boundary is now j's old right boundary
-        alive[j] = False
-        version[j] += 1
-        nxt[i] = nxt[j]
-        if nxt[j] != -1:
-            prev[nxt[j]] = i
-
-        # outer boundary signs are untouched by a merge, so only the merged
-        # block's slope changes; refresh it and re-arm its two candidate events
-        version[i] += 1
-        slope[i] = slope_of(i)
-        push_merge(i, cur)
-        if prev[i] != -1:
-            push_merge(prev[i], cur)
-
-        count -= 1
-        # merges at (numerically) the same lambda collapse to one breakpoint
-        if cur <= out[-1].lam * (1.0 + 1e-9):
-            out[-1] = PathBreakpoint(out[-1].lam, count)
-        else:
-            out.append(PathBreakpoint(cur, count))
-    return out
+        neg_lam, b, e, j, s = heapq.heappop(heap)
+        lam = -neg_lam
+        if not out or lam < out[-1].lam * (1.0 - 1e-12):
+            # the blocks fixed on (lam, previous breakpoint) give the count there
+            still = [q for q in zero_jumps if slope[q] == slope[first[q]]]
+            count += len(zero_jumps) - len(still)
+            zero_jumps = still
+            if out and count == out[-1].changepoint_count:
+                out[-1] = PathBreakpoint(lam, count)
+            elif k_max is not None and out and out[-1].changepoint_count > k_max:
+                return out[::-1]
+            else:
+                out.append(PathBreakpoint(lam, count))
+        sign[j] = s
+        add(b, j, lam)
+        add(j, e, lam)
+        zero_jumps.append(j)
+    if k_max is None or out[-1].changepoint_count <= k_max:
+        out.append(PathBreakpoint(0.0, nb - 1))
+    return out[::-1]
 
 
 def interpolate(fit: FusedLassoFit, window: Window) -> StepFunction:

@@ -79,13 +79,15 @@ class TuningResult(_JsonRecord):
 def pilot_lambda(y, k_max: int) -> float:
     """Smallest penalty whose fit has at most ``k_max`` change points.
 
-    Read off the solution path, which fixes the exact fit at every penalty
-    (Hoefling 2010): the lambda of the first breakpoint whose count is at
-    most ``k_max``.  The path starts at lambda = 0 and ends at count 0.
+    Read off the top-down split path, which fixes the exact fit at every
+    penalty: the lambda of the first breakpoint whose count is at most
+    ``k_max``.  The path is cut below the first breakpoint over ``k_max``, so
+    only the first k_max + 1 change points are ever split off; when no count
+    exceeds ``k_max`` it starts at lambda = 0 and the pilot is 0.
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    return next(float(bp.lam) for bp in flsa_path(y) if bp.changepoint_count <= k_max)
+    return next(float(bp.lam) for bp in flsa_path(y, k_max) if bp.changepoint_count <= k_max)
 
 
 def _noise_max(u: np.ndarray, stats: np.ndarray, ramp: np.ndarray, out: np.ndarray) -> None:

@@ -17,13 +17,14 @@ on one vector, for the tests of that statistic.
 """
 
 import csv
+import heapq
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from hazstep import ValidationError
+from hazstep import PathBreakpoint, ValidationError
 from hazstep.tuning import _noise_max
 
 # property tests draw the same examples on every run and keep no database
@@ -141,6 +142,105 @@ def reparametrized_check(y, lam):
 
     theta1 = ybar - xbar @ theta
     return theta1 + np.concatenate(([0.0], np.cumsum(theta)))
+
+
+def merge_path_oracle(y):
+    """The fused-lasso solution path by bottom-up block merging.
+
+    The counterpart of the package's top-down split path: in one dimension
+    fused blocks only merge as lambda grows, so every merge event is
+    enumerated exactly from lambda = 0 upward with a heap.  Returns the same
+    ascending ``PathBreakpoint`` list.  Merges within 1e-9 (relative) of the
+    previous breakpoint collapse into it, and after a merge, gaps below
+    1e-9 * max|y| count as touching.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    m = y.size
+    starts = np.flatnonzero(np.diff(y) != 0) + 1
+    nb = starts.size + 1
+    if nb == 1:
+        return [PathBreakpoint(0.0, 0)]
+
+    # Block values evolve piecewise linearly in lambda and are tracked lazily
+    # as value(lam) = base[i] + slope[i] * (lam - base_lam[i]).  Adjacent
+    # blocks whose values meet fuse and never cross, so the sign of each gap
+    # is fixed at initialization and only deleted when the boundary fuses.
+    size = np.diff(starts, prepend=0, append=m).tolist()
+    base = y[np.r_[0, starts]].tolist()
+    base_lam = [0.0] * nb
+    prev = list(range(-1, nb - 1))
+    nxt = list(range(1, nb + 1))
+    nxt[-1] = -1
+    # sig[i]: sign of val(nxt[i]) - val(i), keyed by the left block
+    sig = [0] * nb
+    for i in range(nb - 1):
+        sig[i] = 1 if base[i + 1] > base[i] else -1
+    alive = [True] * nb
+    version = [0] * nb
+
+    def slope_of(i):
+        sl = 0 if prev[i] == -1 else sig[prev[i]]
+        sr = 0 if nxt[i] == -1 else sig[i]
+        return (m / (2.0 * size[i])) * (sr - sl)
+
+    slope = [slope_of(i) for i in range(nb)]
+
+    def val(i, lam):
+        return base[i] + slope[i] * (lam - base_lam[i])
+
+    heap = []
+    vtol = 1e-9 * float(np.max(np.abs(y)))
+
+    def push_merge(i, lam):
+        # the gap to the right neighbour is linear in lambda and closes after
+        # t = gap / closing
+        j = nxt[i]
+        if j == -1:
+            return
+        s = sig[i]
+        gap = (val(j, lam) - val(i, lam)) * s
+        if lam > 0 and gap <= vtol:
+            heapq.heappush(heap, (lam, i, j, version[i], version[j]))
+            return
+        closing = (slope[i] - slope[j]) * s
+        if closing <= 0.0:
+            return
+        # a subnormal gap / closing can round to 0, yet the merge lies ahead
+        t = gap / closing or 5e-324
+        heapq.heappush(heap, (lam + t, i, j, version[i], version[j]))
+
+    for i in range(nb):
+        push_merge(i, 0.0)
+
+    out = [PathBreakpoint(0.0, nb - 1)]
+    count = nb - 1
+    cur = 0.0
+    while heap:
+        lam_star, i, j, vi, vj = heapq.heappop(heap)
+        if not (alive[i] and alive[j]) or version[i] != vi or version[j] != vj:
+            continue
+        cur = max(lam_star, cur)
+        merged = (size[i] * val(i, cur) + size[j] * val(j, cur)) / (size[i] + size[j])
+        size[i] += size[j]
+        base[i] = merged
+        base_lam[i] = cur
+        sig[i] = sig[j]
+        alive[j] = False
+        version[j] += 1
+        nxt[i] = nxt[j]
+        if nxt[j] != -1:
+            prev[nxt[j]] = i
+        version[i] += 1
+        slope[i] = slope_of(i)
+        push_merge(i, cur)
+        if prev[i] != -1:
+            push_merge(prev[i], cur)
+        count -= 1
+        if cur <= out[-1].lam * (1.0 + 1e-9):
+            out[-1] = PathBreakpoint(out[-1].lam, count)
+        else:
+            out.append(PathBreakpoint(cur, count))
+    return out
 
 
 def _jump_geometry(truth):

@@ -13,7 +13,7 @@ from hazstep import (
     flsa_solve,
     pilot_lambda,
 )
-from hazstep import tuning
+from hazstep import flsa, tuning
 from hazstep.tuning import _BLOCK
 
 
@@ -79,6 +79,52 @@ class TestPilot:
         assert below[-1] > 10
         assert at[-1] <= 10
 
+    def test_lambda_exactly_at_a_tied_split(self):
+        # both splits of [0, 1, 1, 0] sit at lambda = 1/4: the count goes 2 -> 0
+        y = [0.0, 1.0, 1.0, 0.0]
+        assert pilot_lambda(y, 1) == 0.25
+        assert flsa_solve(y, 0.25).changepoints.size == 0
+        assert flsa_solve(y, 0.25 * (1 - 1e-6)).changepoints.size == 2
+
+    def test_subnormal_pair_splits(self):
+        # D underflows to 0, yet a block of two runs splits at the least lambda
+        assert pilot_lambda([0.0, 5e-324], 0) == 5e-324
+
+    @pytest.mark.parametrize(
+        "y, k_max",
+        [
+            (np.tile([0.0, 1.0], 50), 0),
+            (np.tile([0.0, 1.0], 50), 5),
+            (np.tile([0.0, 3.0, 1.0], 40), 1),
+            (np.tile([0.0, 3.0, 1.0], 40), 20),
+            (np.round(np.random.default_rng(7).exponential(size=3000), 1), 20),
+            (np.round(np.random.default_rng(8).exponential(size=3000), 2), 20),
+        ],
+        ids=["alternating-0", "alternating-5", "periodic-1", "periodic-20", "exp-1dp", "exp-2dp"],
+    )
+    def test_counts_bracket_kmax_on_tied_splits(self, y, k_max):
+        # alternating and rounded signals split at exactly tied lambdas
+        lam0 = pilot_lambda(y, k_max)
+        assert lam0 > 0
+        assert flsa_solve(y, lam0).changepoints.size <= k_max
+        assert flsa_solve(y, lam0 * (1 + 1e-6)).changepoints.size <= k_max
+        assert flsa_solve(y, lam0 * (1 - 1e-6)).changepoints.size > k_max
+
+    def test_pilot_splits_off_only_kmax_plus_one_change_points(self, monkeypatch):
+        # a count, not a clock: the pilot at m = 1e5 must not walk the whole path
+        calls = []
+        block_split = flsa._block_split
+        monkeypatch.setattr(
+            flsa, "_block_split", lambda *args: calls.append(1) or block_split(*args)
+        )
+        y = np.round(np.random.default_rng(9).exponential(size=100_000), 2)
+        path = flsa_path(y, 20)
+        assert len(path) <= 20 + 2
+        assert path[0].changepoint_count > 20 >= path[1].changepoint_count
+        # one evaluation for the whole of y and two per split; the whole path takes
+        # about two per run of y, here about 2e5
+        assert len(calls) <= 2 * (20 + 2) + 5
+
 
 class TestEffectiveNoise:
     def test_zero(self):
@@ -137,6 +183,20 @@ class TestBootstrap:
         assert result.lambda0 == 0.5 * lam0
         [record] = caplog.records
         assert "more than k_max = 2" in record.message and "disagree" in record.message
+
+    def test_tiny_magnitudes_pilot_agrees_with_solver(self, caplog):
+        # two true splits 2.6e-10 apart (relative): the split path keeps both, so
+        # the pilot fit has no more than k_max change points
+        y = [1e-24, 7.8125e-15, 0.0]
+        with caplog.at_level(logging.WARNING, logger="hazstep.tuning"):
+            for k_max in (0, 1):
+                bootstrap_lambda(y, TuningConfig(k_max=k_max, l_boot=20, seed=1))
+        assert not caplog.records
+        for k_max in (0, 1):
+            lam0 = pilot_lambda(y, k_max)
+            assert flsa_solve(y, lam0).changepoints.size <= k_max
+            assert flsa_solve(y, lam0 * (1 + 1e-6)).changepoints.size <= k_max
+            assert flsa_solve(y, lam0 * (1 - 1e-6)).changepoints.size > k_max
 
     def test_deterministic_given_seed(self, rng):
         y = rng.normal(size=80)
