@@ -2,8 +2,9 @@
 
 These implementations deliberately avoid the package's own algorithms: the
 fused-lasso solution is computed exactly by Condat's direct algorithm for
-1-D total-variation denoising and, on small problems, by coordinate descent
-on the standard-lasso reparametrization; the elementwise error bound is
+1-D total-variation denoising, by a linear-time dynamic program and, on
+small problems, by coordinate descent on the standard-lasso
+reparametrization; the elementwise error bound is
 checked with dense O(m^2) partial sums; the cumulative-hazard and
 product-limit references count risk sets by brute force, the
 forward-equation reference integrates with a fixed-step RK4 scheme, and the
@@ -13,12 +14,16 @@ cached sort orders, the knot walk is the package's closed-form curve rule
 one knot at a time in plain floats, and the bootstrap reference is the
 package's statistic on one draw of all its normal rows, all for bit-for-bit
 comparisons.  ``effective_noise`` runs the package's private row statistic
-on one vector, for the tests of that statistic.
+on one vector, for the tests of that statistic.  The session hooks at the
+end print a speed reference for the suite's wall time.
 """
 
 import csv
 import heapq
+import importlib.util
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +103,103 @@ def tv_denoise_oracle(y, lam):
                 kplus = k
                 vmax += (umax + gamma) / (k - k0 + 1)
                 umax = -gamma
+
+
+def dp_solve_oracle(y, lam):
+    """The exact fused-lasso fit at ``lam`` by dynamic programming.
+
+    Minimizes (1/2) sum (y_j - b_j)^2 + gamma sum |b_j - b_{j+1}| with
+    gamma = m*lam/2, which is the (1/m)-normalized objective, with clipped
+    derivative messages in linear time (Johnson 2013): the derivative of each
+    message is piecewise linear and stored as a deque of knots carrying
+    (slope, intercept) increments.  ``snap`` treats a backward pass that lands
+    within 1e-10 * max|y| of a clip bound as unclipped, so that mathematically
+    fused blocks come out exactly equal instead of a few ulps apart; jumps
+    smaller than that are lost.
+    """
+    ys = np.asarray(y, dtype=float).reshape(-1)
+    gamma = 0.5 * ys.size * lam
+    snap = 1e-10 * float(np.max(np.abs(ys)))
+    y = ys.tolist()
+    n = len(y)
+    if n == 1 or gamma == 0.0:
+        return np.asarray(ys, dtype=float).copy()
+
+    x = [0.0] * (2 * n)
+    a = [0.0] * (2 * n)
+    b = [0.0] * (2 * n)
+    tm = [0.0] * (n - 1)
+    tp = [0.0] * (n - 1)
+
+    tm[0] = y[0] - gamma
+    tp[0] = y[0] + gamma
+    l = n - 1
+    r = n
+    x[l] = tm[0]
+    x[r] = tp[0]
+    a[l] = 1.0
+    b[l] = -y[0] + gamma
+    a[r] = -1.0
+    b[r] = y[0] + gamma
+    afirst = 1.0
+    bfirst = -gamma - y[1]
+    alast = -1.0
+    blast = -gamma + y[1]
+
+    for k in range(1, n - 1):
+        # walk up from the left until the derivative exceeds -gamma
+        alo = afirst
+        blo = bfirst
+        lo = l
+        while lo <= r and alo * x[lo] + blo <= -gamma:
+            alo += a[lo]
+            blo += b[lo]
+            lo += 1
+        tm[k] = (-gamma - blo) / alo
+        l = lo - 1
+        x[l] = tm[k]
+
+        # walk down from the right until the derivative drops below gamma
+        ahi = alast
+        bhi = blast
+        hi = r
+        while hi >= l and -(ahi * x[hi] + bhi) >= gamma:
+            ahi += a[hi]
+            bhi += b[hi]
+            hi -= 1
+        tp[k] = (gamma + bhi) / (-ahi)
+        r = hi + 1
+        x[r] = tp[k]
+
+        a[l] = alo
+        b[l] = blo + gamma
+        a[r] = ahi
+        b[r] = bhi + gamma
+        afirst = 1.0
+        bfirst = -gamma - y[k + 1]
+        alast = -1.0
+        blast = -gamma + y[k + 1]
+
+    # unconstrained minimum of the final message
+    alo = afirst
+    blo = bfirst
+    lo = l
+    while lo <= r and alo * x[lo] + blo <= 0:
+        alo += a[lo]
+        blo += b[lo]
+        lo += 1
+    beta = [0.0] * n
+    beta[n - 1] = -blo / alo
+
+    for k in range(n - 2, -1, -1):
+        nxt = beta[k + 1]
+        if nxt > tp[k] + snap:
+            beta[k] = tp[k]
+        elif nxt < tm[k] - snap:
+            beta[k] = tm[k]
+        else:
+            beta[k] = nxt
+    return np.array(beta)
 
 
 def reparametrized_check(y, lam):
@@ -554,3 +656,43 @@ def stepfun_csv_rows(fun, path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+# -- speed reference -----------------------------------------------------------
+#
+# The machine's speed drifts between runs, so the suite times perfbench's
+# calibration kernel before and after itself and prints both next to its own
+# wall time; a run's wall time divided by the kernel's compares across runs.
+
+_SPEED = pytest.StashKey[dict]()
+
+
+def _calibration_seconds() -> float:
+    """One run of ``perfbench/worker.py::calibration_kernel``, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    return worker.calibration_kernel()
+
+
+def pytest_sessionstart(session):
+    start = time.perf_counter()
+    before = _calibration_seconds()
+    now = time.perf_counter()
+    session.config.stash[_SPEED] = {"before": before, "start": now, "hooks": now - start}
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    speed = config.stash.get(_SPEED, None)
+    if speed is None:
+        return
+    wall = time.perf_counter() - speed["start"]
+    start = time.perf_counter()
+    after = _calibration_seconds()
+    hooks = speed["hooks"] + time.perf_counter() - start
+    terminalreporter.write_sep("=", "speed reference")
+    terminalreporter.write_line(
+        f"calibration kernel {speed['before']:.3f} s before and {after:.3f} s after a "
+        f"session of {wall:.1f} s wall; the two kernel runs took {hooks:.1f} s"
+    )

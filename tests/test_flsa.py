@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dp_solve_oracle,
     elementwise_bound_check,
     fused_objective,
     merge_path_oracle,
@@ -169,6 +170,77 @@ class TestOptimality:
             a2 = flsa_solve(y, lam).alpha + c
             assert np.allclose(a1, a2, atol=1e-10)
 
+    def test_tiny_block_between_huge_ones(self):
+        # a round takes blocks near 1e12 and near 1e-3 together: the tiny
+        # block's partial sums must not start from the huge one's rounding,
+        # and a jump against its boundary's sign is rounding, not a change point
+        rng = np.random.default_rng(18)
+        y = np.concatenate(
+            (1e12 * (1 + rng.normal(size=60)), 1e-3 * rng.normal(size=120), 1e12 * (3 + rng.normal(size=60)))
+        )
+        fit = flsa_solve(y, 1e-4)
+        assert np.max(np.abs(fit.alpha[60:180] - tv_denoise_oracle(y, 1e-4)[60:180])) <= 1e-12
+
+    def test_deep_split_tree_matches_condat(self):
+        # a noise-free convex ramp peels about one run off each side of a
+        # block per round: some 1000 rounds for the ~1900 change points here
+        y = np.arange(2000.0) ** 2
+        lam = flsa_path(y, 0)[-1].lam * 1e-3
+        fit = flsa_solve(y, lam)
+        oracle = tv_denoise_oracle(y, lam)
+        scale = float(np.max(np.abs(y)))
+        assert fit.changepoints.size >= 500
+        assert np.array_equal(fit.changepoints, np.flatnonzero(np.diff(oracle) > 1e-9 * scale) + 1)
+        assert np.max(np.abs(fit.alpha - oracle)) <= 1e-12 * scale
+
+
+@st.composite
+def adversarial_instance(draw):
+    """y from a family with ties or near-ties, and lambda log-uniform or at a split lambda."""
+    m = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(
+            ["constant", "normal", "integer", "exponential", "rounded", "near-step", "walk"]
+        )
+    )
+    if kind == "constant":
+        y = np.full(m, rng.normal())
+    elif kind == "normal":
+        y = rng.normal(size=m)
+    elif kind == "integer":
+        y = rng.integers(-3, 4, size=m).astype(float)
+    elif kind == "exponential":
+        y = np.round(rng.exponential(size=m), 1)
+    elif kind == "rounded":
+        y = np.round(rng.normal(size=m), 1)
+    elif kind == "near-step":
+        y = (np.arange(m) >= int(rng.integers(1, m))) + 1e-3 * rng.normal(size=m)
+    else:
+        y = np.cumsum(rng.normal(size=m))
+    y = y * draw(st.sampled_from([1.0, 1e-12, 1e12]))
+    splits = [bp.lam for bp in flsa_path(y) if bp.lam > 0]
+    if splits and draw(st.booleans()):
+        lam = draw(st.sampled_from(splits))
+    else:
+        lam = float(np.max(np.abs(y))) * 10.0 ** draw(st.floats(-4.0, 1.0))
+    return y, lam
+
+
+@settings(max_examples=300)
+@given(adversarial_instance())
+def test_solver_agrees_with_oracles_on_adversarial_inputs(instance):
+    # ties from integer and rounded y make splits whose blocks keep equal
+    # slopes, and a lambda at a split lambda puts a block on its split
+    y, lam = instance
+    fit = flsa_solve(y, lam)
+    scale = float(np.max(np.abs(y)))
+    condat = tv_denoise_oracle(y, lam)
+    assert fit.changepoints.size == np.count_nonzero(np.abs(np.diff(condat)) > 1e-9 * scale)
+    assert fit.changepoints.size == np.count_nonzero(np.diff(dp_solve_oracle(y, lam)))
+    assert kkt_residual(fit) <= 1e-9 * scale
+    assert np.max(np.abs(fit.alpha - condat)) <= 1e-12 * scale
+
 
 class TestPath:
     def test_constant_input(self):
@@ -288,8 +360,11 @@ class TestPath:
         ]
         assert close
         for low, high in close:
-            fit = tv_denoise_oracle(np.array(y), (low.lam * high.lam) ** 0.5)
+            lam = (low.lam * high.lam) ** 0.5
+            fit = tv_denoise_oracle(np.array(y), lam)
             assert np.count_nonzero(np.diff(fit)) == low.changepoint_count
+            # and so does the solver, whose jumps are not snapped to a tolerance
+            assert flsa_solve(y, lam).changepoints.size == low.changepoint_count
 
     @pytest.mark.parametrize("tie_grid", [False, True])
     def test_agreement_with_solver_at_breakpoints(self, rng, tie_grid):

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import dp_solve_oracle
 from hazstep import (
     FitConfig,
     Scenario,
@@ -18,6 +19,8 @@ from hazstep import (
     fit_hazard,
     flsa_solve,
     gen_scenario,
+    kkt_residual,
+    named_scenario,
     three_level_hazard,
     two_level_hazard,
 )
@@ -215,6 +218,23 @@ class TestFitHazard:
             fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=0, l_boot=20)))
         assert not fit.cox.converged
         assert any("did not converge" in rec.message for rec in caplog.records)
+
+    def test_real_increments_certified(self, caplog):
+        # Breslow increments of a Cox fit, not synthetic y: the tuned fit is
+        # optimal, and both solves of the fit agree with the DP oracle
+        sc = named_scenario("B1", 20_000)
+        with caplog.at_level(logging.WARNING, logger="hazstep.tuning"):
+            fit = fit_hazard(
+                gen_scenario(sc, 4),
+                FitConfig(window=sc.window, tuning=TuningConfig(seed=4, l_boot=20)),
+            )
+        y = fit.flsa.y
+        assert fit.flsa.m == 20_000
+        assert kkt_residual(fit.flsa) <= 1e-9
+        for lam in (fit.tuning.lam, fit.tuning.lambda0):
+            expected = np.flatnonzero(np.diff(dp_solve_oracle(y, lam))) + 1
+            assert np.array_equal(flsa_solve(y, lam).changepoints, expected)
+        assert not [rec for rec in caplog.records if "disagree" in rec.message]
 
     def test_integral_gap_finite_and_small(self):
         frame = gen_scenario(Scenario(hazard=two_level_hazard(), n=800, name="A1"), 9)
