@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -282,9 +283,10 @@ class _JsonRecord:
         return _json_text(self.to_dict(), indent)
 
 
-# Every CSV file is read by _read_columns and written by _write_columns, _ROWS
-# rows at a time.  The writer formats each float once with repr (shortest round
-# trip) and quotes only text cells, as csv.writer does.
+# Every CSV file is read by _read_columns and written by _write_columns.  The
+# writer and the reader's csv path work _ROWS rows at a time.  The writer
+# formats each float once with repr (shortest round trip) and quotes only text
+# cells, as csv.writer does.
 
 _ROWS = 8192
 
@@ -332,6 +334,51 @@ def _read_header(reader, path) -> list[str]:
 
 def _read_columns(path, converters: dict) -> dict:
     """Read named columns; ``converters[name](cells, row0, name)`` converts a block.
+
+    A table whose columns are all float-valued (``_floats``, ``_status``) is
+    read by numpy's C reader, which parses each cell with the same correctly
+    rounded routine as Python's ``float``, so the values are bit-identical.
+    Where that reader fails, or a column check does not pass, the table is
+    read again by :func:`_read_csv_columns`, which names the bad row or
+    accepts what only ``float`` accepts (``1_0``, full-width digits).
+    """
+    if set(converters.values()) <= _FLOAT_CHECKS.keys():
+        columns = _load_float_columns(path, converters)
+        if columns is not None:
+            return columns
+    return _read_csv_columns(path, converters)
+
+
+def _load_float_columns(path, converters: dict) -> dict | None:
+    """The columns as numpy's C reader reads them, or None if the csv path must decide.
+
+    The reader takes the rows after csv's header record from the same handle.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        index = {name: j for j, name in enumerate(header)}
+        if not converters.keys() <= index.keys():
+            return None
+        try:
+            # a header-only file warns and returns an empty table
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh, dtype=float, delimiter=",", quotechar='"', comments=None, ndmin=2
+                )
+        except (ValueError, UserWarning):
+            return None
+    # the reader accepts rows of one width other than the header's
+    if table.shape[1] != len(header):
+        return None
+    columns = {name: table[:, index[name]] for name in converters}
+    if all(_FLOAT_CHECKS[convert](columns[name]) for name, convert in converters.items()):
+        return columns
+    return None
+
+
+def _read_csv_columns(path, converters: dict) -> dict:
+    """Read named columns with the csv module, _ROWS rows at a time.
 
     ``cells`` holds the column's cells of data rows row0, row0 + 1, ...; blank
     lines are skipped and not counted.  Ragged rows raise ``ParseError``.
@@ -410,19 +457,30 @@ def _write_columns(path, header, columns, lineterminator="\r\n") -> None:
             fh.write(lineterminator.join(map(",".join, rows)) + lineterminator)
 
 
+def _not_binary(values: np.ndarray) -> np.ndarray:
+    """Indices of the values other than 0 and 1."""
+    return np.flatnonzero((values != 0.0) & (values != 1.0))
+
+
 def _status(cells, row0, col) -> np.ndarray:
     status = _floats(cells, row0, col)
-    bad = np.flatnonzero((status != 0.0) & (status != 1.0))
+    bad = _not_binary(status)
     if bad.size:
         raise ParseError(f"status must be 0 or 1, got {cells[bad[0]]!r}", row=row0 + bad[0])
     return status
+
+
+# the float converters, each with the check its parsed column must pass
+_FLOAT_CHECKS = {_floats: lambda values: True, _status: lambda values: not _not_binary(values).size}
 
 
 def parse_survival_csv(path) -> SurvivalFrame:
     """Read a survival frame from CSV.
 
     The columns are ``time``, ``status`` and an optional ``entry``; every
-    other column is a covariate.
+    other column is a covariate.  Every column is float-valued, so a valid
+    file is read in one pass of numpy's C reader; a file that fails it is
+    read again by the csv path, which names the first bad row.
     """
     with open(path, newline="") as fh:
         cols = _read_header(csv.reader(fh), path)

@@ -81,9 +81,17 @@ class BreslowCurve:
         _write_columns(path, ["time", "cumhaz"], _corners(0.0, self.jump_times, self.tau, totals))
 
 
-def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
-    """Log partial likelihood, gradient and information (Breslow ties)."""
+def _likelihood_constants(frame: SurvivalFrame):
+    """What every likelihood evaluation on ``frame`` shares: the event mask, the
+    summed covariates of the events, and the (row, col) pairs of s2's distinct
+    entries."""
     events = frame.status == 1
+    return events, np.sum(frame.covariates[events], axis=0), np.triu_indices(frame.d)
+
+
+def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray, constants):
+    """Log partial likelihood, gradient and information (Breslow ties)."""
+    events, event_sum, (rows, cols) = constants
     ev_times, d_k = frame._event_ties
     W = frame.covariates
     n, d = W.shape
@@ -91,7 +99,6 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
     w = np.exp(eta)
     # the summands of s0, s1 and the d(d+1)/2 distinct ones of the symmetric
     # s2 side by side, so one risk-set pass sums all three
-    rows, cols = np.triu_indices(d)
     summands = np.empty((n, 1 + d + rows.size))
     summands[:, 0] = w
     np.multiply(W, w[:, None], out=summands[:, 1 : 1 + d])
@@ -108,7 +115,7 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray):
         raise ValidationError("empty risk set at an event time")
     loglik = float(np.sum(eta[events]) - np.sum(d_k * np.log(s0)))
     mean = s1 / s0[:, None]
-    grad = np.sum(W[events], axis=0) - d_k @ mean
+    grad = event_sum - d_k @ mean
     info = np.einsum("k,kij->ij", d_k, s2 / s0[:, None, None]) - np.einsum(
         "k,ki,kj->ij", d_k, mean, mean
     )
@@ -128,8 +135,9 @@ def cox_fit(frame: SurvivalFrame) -> CoxFit:
     if not np.any(frame.status == 1):
         raise ValidationError("cox_fit requires at least one event")
 
+    constants = _likelihood_constants(frame)
     beta = np.zeros(frame.d)
-    loglik, grad, info = _partial_loglik_parts(frame, beta)
+    loglik, grad, info = _partial_loglik_parts(frame, beta, constants)
     if np.max(np.abs(grad)) <= SCORE_TOL:
         # score flat at the start: non-identifiable direction, return 0 by
         # convention (e.g. a covariate constant across subjects)
@@ -153,7 +161,7 @@ def cox_fit(frame: SurvivalFrame) -> CoxFit:
             cand = beta + step
             if np.max(np.abs(cand)) > SEPARATION_GUARD:
                 return CoxFit(cand, loglik, it + 1, False)
-            new_loglik, new_grad, new_info = _partial_loglik_parts(frame, cand)
+            new_loglik, new_grad, new_info = _partial_loglik_parts(frame, cand, constants)
             if new_loglik >= loglik - 1e-12 * max(1.0, abs(loglik)):
                 break
             step = step / 2.0
@@ -167,13 +175,20 @@ def breslow_fit(frame: SurvivalFrame, beta=None) -> BreslowCurve:
 
     One jump per distinct event time, of size (number of tied events) over
     the weighted risk-set size; jumps with an empty risk set are dropped
-    (0/0 := 0).  With no covariates this is the Nelson-Aalen estimator.
+    (0/0 := 0).  With no covariates this is the Nelson-Aalen estimator.  A
+    beta whose weights exp(W @ beta) overflow raises ``ValidationError``.
     """
     beta = np.asarray([] if beta is None else beta, dtype=float).reshape(-1)
     if beta.size != frame.d:
         raise ValidationError(f"beta has length {beta.size}, expected {frame.d}")
     ev_times, d_k = frame._event_ties
-    weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
+    with np.errstate(over="ignore"):
+        weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(
+            f"exp(W @ beta) overflows at beta = {beta.tolist()}; a Cox fit that "
+            "stopped there may not have converged (e.g. separated covariates)"
+        )
     z = risk_set_sums(frame, weights, ev_times)
     keep = z > 0
     return BreslowCurve(

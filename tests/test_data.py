@@ -2,10 +2,14 @@ import csv
 import inspect
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     breslow_to_csv_rows,
     curves_to_csv_rows,
@@ -37,6 +41,8 @@ from hazstep import (
     write_multistate_csv,
     write_survival_csv,
 )
+import hazstep.data
+import hazstep.multistate
 from hazstep.cli import _write_stepfun_csv
 from hazstep.data import (
     _ROWS,
@@ -244,6 +250,138 @@ class TestBlockReader:
 
 
 ODD_FLOATS = [5e-324, -0.0, 1e308, 0.1 + 0.2, 3.0, 1e16, -7.0, 1 / 3]
+
+# odd cells mixed into valid tables: cells that numpy's C reader or a column
+# check rejects, non-finite values, and (the last two) floats that only
+# Python's float() reads
+ODD_CELLS = ["", "#", "1#2", "x1", "2", '"1,5"', "nan", "Infinity", "1e400", "1_0", "\uff11"]
+
+
+def _spellings(value):
+    """Ways to write ``value`` that Python's float reads back to its bits."""
+    text = repr(value)
+    return [text, f" {text} ", f'"{text}"'] + ([] if text.startswith("-") else ["+" + text])
+
+
+@st.composite
+def odd_csv_texts(draw, header, values):
+    """A CSV text under ``header``: rows of ``values(column, i)`` spelled in
+    several ways, with odd cells, ragged rows, blank and whitespace-only
+    lines, mixed line ends and a possibly missing final newline."""
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 5))):
+        # about one cell in twenty is odd
+        cells = [[t for v in values(col, i) for t in _spellings(v)] for col in header]
+        row = [draw(st.sampled_from(c * (200 // len(c)) + ODD_CELLS)) for c in cells]
+        width = draw(st.sampled_from([0] * 18 + [-1, 1]))
+        row = row[:width] if width < 0 else row + ["1"] * width
+        lines += draw(st.sampled_from([[]] * 18 + [[""], [" \t"]])) + [",".join(row)]
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _survival_values(col, i):
+    return {
+        "time": [i + 0.5, 0.1 + 0.2, 1e308],
+        "status": [0.0, 1.0],
+        "entry": [0.0, -0.0, 5e-324],
+    }.get(col, ODD_FLOATS)
+
+
+def _curve_values(col, i):
+    return [i + 0.5, i + 0.1 + 0.2] if col == "t" else [2.0**-i, 0.5**i]
+
+
+def _survival_arrays(path):
+    frame = parse_survival_csv(path)
+    return frame.time, frame.status, frame.entry, frame.covariates
+
+
+def _curve_arrays(path):
+    pfs, os_ = curves_from_csv(path)
+    return pfs.grid, pfs.values, os_.grid, os_.values
+
+
+def _outcome(read, path):
+    """The bytes of what ``read`` returns, or the type and text of what it
+    raises, and the text of every warning it lets out."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [(a.dtype, a.shape, a.tobytes()) for a in read(path)]
+        except Exception as exc:
+            result = type(exc), str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def _csv_path_outcome(read, path):
+    """``_outcome`` with every column read by the csv path alone."""
+    csv_path = hazstep.data._read_csv_columns
+    with mock.patch.object(hazstep.data, "_read_columns", csv_path), mock.patch.object(
+        hazstep.multistate, "_read_columns", csv_path
+    ):
+        return _outcome(read, path)
+
+
+class TestFloatTableReader:
+    """All-float tables go through numpy's C reader; the csv path is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("odd") / "odd.csv"
+
+    @pytest.mark.parametrize(
+        "read, header, values",
+        [
+            (_survival_arrays, ["entry", "time", "status", "w1"], _survival_values),
+            # a quoted header cell holding a line end
+            (_survival_arrays, ["status", '"w\r\n1"', "time", "w2"], _survival_values),
+            (_curve_arrays, ["t", "S_PFS", "S_OS"], _curve_values),
+        ],
+        ids=["entry-w1", "reordered", "curves"],
+    )
+    @settings(derandomize=True, max_examples=100)
+    @given(data=st.data())
+    def test_same_outcome_as_csv_path(self, path, read, header, values, data):
+        path.write_bytes(data.draw(odd_csv_texts(header, values)).encode())
+        assert _outcome(read, path) == _csv_path_outcome(read, path)
+
+    @staticmethod
+    def count_csv_path_calls(monkeypatch):
+        calls = []
+        csv_path = hazstep.data._read_csv_columns
+
+        def counting(path, converters):
+            calls.append(path)
+            return csv_path(path, converters)
+
+        monkeypatch.setattr(hazstep.data, "_read_csv_columns", counting)
+        return calls
+
+    def test_valid_table_skips_csv_path(self, tmp_path, monkeypatch):
+        calls = self.count_csv_path_calls(monkeypatch)
+        lines = [f"{i + 1}.5,{i % 2}" for i in range(2 * _ROWS + 17)]
+        frame = parse_survival_csv(write(tmp_path, "time,status\n" + "\n".join(lines) + "\n"))
+        assert frame.n == 2 * _ROWS + 17
+        assert calls == []
+
+    def test_bad_cell_reaches_csv_path_and_names_row(self, tmp_path, monkeypatch):
+        calls = self.count_csv_path_calls(monkeypatch)
+        lines = [f"{i + 1}.5,{i % 2}" for i in range(2 * _ROWS + 17)]
+        lines[_ROWS + 3] = "x1,0"
+        path = write(tmp_path, "time,status\n" + "\n".join(lines) + "\n")
+        with pytest.raises(
+            ParseError, match=f"row {_ROWS + 3}: column 'time': cannot parse number from 'x1'"
+        ):
+            parse_survival_csv(path)
+        assert calls == [path]
+
+    def test_multistate_reaches_csv_path(self, tmp_path, monkeypatch):
+        calls = self.count_csv_path_calls(monkeypatch)
+        path = write(tmp_path, HEADER + "1,0,1,0,2.0\n1,1,cens,2.0,5.0\n")
+        assert len(parse_multistate_csv(path)) == 2
+        assert calls == [path]
+
 
 
 class TestWritersMatchRowOracles:

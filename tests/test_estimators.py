@@ -158,6 +158,15 @@ class TestBreslow:
         assert curve.jump_times.tolist() == [1.0, 3.0]
         assert curve.cumhaz(3.0) == pytest.approx(2.0)
 
+    def test_overflowing_weights_name_the_cause(self):
+        # the beta a separated Cox fit stopped at in a 20-row fuzz frame;
+        # exp(W @ beta) overflows, and no numpy warning may escape
+        rng = np.random.default_rng(7)
+        time = rng.exponential(1.0, 20) + 0.5
+        frame = frame_of(time, rng.integers(0, 2, 20), cov=3.0 * rng.normal(size=(20, 2)))
+        with pytest.raises(ValidationError, match=r"overflows at beta = \[304.0, 434.0\].*converged"):
+            breslow_fit(frame, [304.0, 434.0])
+
 
 class TestWindowChoice:
     def test_min_max(self):
@@ -270,7 +279,8 @@ class TestRiskSetCache:
         info = np.einsum("k,kij->ij", d_k, s2 / s0[:, None, None]) - np.einsum(
             "k,ki,kj->ij", d_k, mean, mean
         )
-        assert estimators._partial_loglik_parts(frame, beta)[2].tobytes() == info.tobytes()
+        constants = estimators._likelihood_constants(frame)
+        assert estimators._partial_loglik_parts(frame, beta, constants)[2].tobytes() == info.tobytes()
 
     def test_cox_and_breslow_bit_equal(self, truncated, monkeypatch):
         fit = cox_fit(tied_frame(truncated))
