@@ -7,14 +7,12 @@ The solver minimizes
 exactly.  In one dimension fused sets only grow as lambda grows (Friedman,
 Hastie, Hoefling & Tibshirani 2007), so read from large lambda downward the
 solution path is a sequence of block splits (the dual path of Tibshirani &
-Taylor 2011).  :func:`flsa_path` follows it top down and can stop after the
-first few change points; :func:`flsa_solve` takes every split above a fixed
-lambda in rounds, each splitting all blocks still above it at once.
+Taylor 2011).  :func:`flsa_solve` and :func:`flsa_path` both take them in the
+level-synchronous rounds of :class:`_SplitRounds`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +95,90 @@ def _split_lambdas(w, v, rel, off, lens, sl, sr, m: int) -> tuple[np.ndarray, np
     return t, d
 
 
+class _SplitRounds:
+    """The fused blocks of y's runs, split top down in level-synchronous rounds.
+
+    A block, the runs [b, e) of y, is evaluated once, in the batch of the round
+    that made it: it splits at the first largest lambda of
+    :func:`_split_lambdas`, capped at its parent's and at least 5e-324 (D can
+    underflow), with the sign of D there (0 only at that floor, below which
+    no count is read).  ``pending`` holds a column (lam, b, e, j, sign) for
+    each block of two or more runs not split yet, ``taken`` a column (lam, b,
+    e, j) for each split, in the order taken, and ``sign`` the subgradient at
+    each boundary.  A round costs O(size of its new blocks).  Its large
+    arrays are ``held`` until the next round's are made, which reuse their
+    pages instead of faulting in pages the allocator handed back (twice the
+    time at m = 1e5).
+    """
+
+    def __init__(self, y: np.ndarray, starts: np.ndarray):
+        self.m = y.size
+        self.v = y[np.concatenate(([0], starts))]
+        self.ends = np.concatenate(([0], starts, [self.m])).astype(float)  # exact integers
+        self.w = np.diff(self.ends)
+        self.sign = np.zeros(self.v.size + 1)
+        self.taken, self.pending = np.zeros((4, 0)), np.zeros((5, 0))  # b, e, j exact integers
+        self._evaluate(np.array([0]), np.array([self.v.size]), np.array([np.inf]))
+
+    def run(self, pick) -> None:
+        """Split the pending blocks ``pick(lam)`` selects, round by round, until it selects none."""
+        while (go := pick(self.pending[0])).any():
+            split = self.pending[:, go]
+            self.pending = self.pending[:, ~go]
+            self.taken = np.concatenate((self.taken, split[:4]), axis=1)
+            lam, (b, e, j) = split[0], split[1:4].astype(np.intp)
+            self.sign[j] = split[4]
+            # the left children of the round's splits first, then the right ones
+            b, e = np.concatenate((b, j)), np.concatenate((j, e))
+            self._evaluate(b, e, np.concatenate((lam, lam)))
+
+    def _evaluate(self, b, e, cap) -> None:
+        lens = e - b
+        off = lens.cumsum() - lens
+        r = np.arange(off[-1] + lens[-1]) + (b - off).repeat(lens)  # the runs of the blocks
+        rel = self.ends[r + 1] - self.ends[b].repeat(lens)
+        sl, sr = self.sign[b], self.sign[e]
+        t, d = _split_lambdas(self.w[r], self.v[r], rel, off, lens, sl, sr, self.m)
+        top = np.maximum.reduceat(t, off)
+        hits = np.flatnonzero(t == top.repeat(lens))
+        at = hits[np.searchsorted(hits, off)]  # the first largest lambda of each block
+        lam = np.maximum(np.minimum(top, cap), 5e-324)
+        new = np.array([lam, b, e, r[at] + 1, np.sign(d[at])])[:, lens > 1]
+        self.pending = np.concatenate((self.pending, new), axis=1)
+        self.held = (r, rel, t, d)
+
+    def breakpoints(self, k_max: int | None) -> tuple[list[PathBreakpoint], float]:
+        """The path of the splits taken, in descending lambda, and the lambda of
+        the split at which a count over ``k_max`` ends it (0 if none does)."""
+        lam, (b, e, j) = self.taken[0], self.taken[1:].astype(np.intp)
+        # d level / d lambda of the two blocks each split leaves
+        left = self.m * (self.sign[j] - self.sign[b]) / (2.0 * (self.ends[j] - self.ends[b]))
+        right = self.m * (self.sign[e] - self.sign[j]) / (2.0 * (self.ends[e] - self.ends[j]))
+        order = np.lexsort((b, -lam))  # stable: a parent comes before its tied left child
+        lo, hi = {}, {}  # level slopes of the blocks ending and starting at each boundary
+        out: list[PathBreakpoint] = []
+        count = 0
+        zero_jumps: list[int] = []  # split boundaries whose jump is still 0
+        splits = (x[order].tolist() for x in (lam, b, e, j, left, right))
+        for lam_i, b_i, e_i, j_i, left_i, right_i in zip(*splits):
+            if not out or lam_i < out[-1].lam * (1.0 - 1e-12):
+                # the blocks fixed on (lam_i, previous breakpoint) give the count there
+                still = [q for q in zero_jumps if lo[q] == hi[q]]
+                count += len(zero_jumps) - len(still)
+                zero_jumps = still
+                if out and count == out[-1].changepoint_count:
+                    out.pop()  # the interval of the previous breakpoint reaches down to lam_i
+                elif k_max is not None and out and out[-1].changepoint_count > k_max:
+                    return out, lam_i
+                out.append(PathBreakpoint(lam_i, count))
+            hi[b_i] = lo[j_i] = left_i
+            hi[j_i] = lo[e_i] = right_i
+            zero_jumps.append(j_i)
+        if k_max is None or out[-1].changepoint_count <= k_max:
+            out.append(PathBreakpoint(0.0, self.v.size - 1))  # every run a block
+        return out, 0.0
+
+
 def flsa_solve(y, lam: float) -> FusedLassoFit:
     """Exact global minimizer of the fused-lasso objective.
 
@@ -108,27 +190,17 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
         Nonnegative total-variation penalty level, on the scale of the
         (1/m)-normalized quadratic loss.
 
-    The fit is the top-down split path of :func:`flsa_path` stopped at
-    ``lam``.  A block's splits depend only on its two boundary subgradients,
-    so their order does not matter: each round splits, at its first largest
-    split lambda of :func:`_split_lambdas`, every block whose largest one
-    exceeds ``lam`` by more than 1e-12 (relative); the path's cap at the
-    parent's split lambda never binds, as that exceeds ``lam`` too.  A block
-    that does not split is final, at level mean + (m*lam / (2|B|)) *
-    (s_r - s_l).  The path evaluates the same kernel, so a solve at a path
-    breakpoint, such as the pilot penalty, sees the path's split lambdas up
-    to the rounding of D's partial sums.
+    Each round of :class:`_SplitRounds` splits every block whose split lambda
+    exceeds ``lam`` by more than 1e-12 (relative); the rest are final, at
+    level mean + (m*lam / (2|B|)) * (s_r - s_l).  The rounds are as many as
+    the split tree at ``lam`` is deep: 4-31 on noisy increments at the tuned
+    penalties, about 1000 for a noise-free ramp j**2 at m = 2000.
 
     A jump of 0 can come out of rounding as a few ulps: a tie of splits can
     leave two neighbours flat (level slope 0, the only way their slopes
     match) at equal means, and a split lambda can lie within rounding of
     ``lam``.  So a boundary whose jump is within 8 ulps of its blocks' mean
     absolute values plus tilts, or against its own sign, is fused.
-
-    A round costs O(m) and some 60 numpy calls.  There are as many rounds as
-    the split tree at ``lam`` is deep: 4-31 on noisy increments at the tuned
-    penalties, but about 1000 for the ~1900 change points of a noise-free
-    ramp j**2 at m = 2000, where the O(m * rounds) cost shows.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
@@ -141,42 +213,17 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
     if lam == 0 or starts.size == 0:
         return FusedLassoFit(lam=float(lam), alpha=y.copy(), y=y.copy())
 
-    m = y.size
-    v = y[np.r_[0, starts]]
-    ends = np.r_[0, starts, m].astype(float)  # run boundary positions, exact integers
-    w = np.diff(ends)
-    b, e = np.array([0]), np.array([v.size])
-    sl, sr = np.zeros(1), np.zeros(1)
-    cut, cut_sign = [np.array([0, v.size])], [np.zeros(2)]  # boundaries taken, and their subgradients
-    bar = lam * (1.0 + 1e-12)
-    while True:
-        lens = e - b
-        off = lens.cumsum() - lens
-        r = np.arange(off[-1] + lens[-1]) + (b - off).repeat(lens)  # the runs of the active blocks
-        rel = ends[r + 1] - ends[b].repeat(lens)
-        t, d = _split_lambdas(w[r], v[r], rel, off, lens, sl, sr, m)
-        top = np.maximum.reduceat(t, off)
-        go = top > bar
-        if not go.any():
-            break
-        hits = np.flatnonzero(t == top.repeat(lens))
-        j = hits[np.searchsorted(hits, off[go])]  # the first largest lambda of each block
-        new, s = r[j] + 1, np.sign(d[j])
-        cut.append(new)
-        cut_sign.append(s)
-        # a child of one run evaluates to no split in the next round
-        b, e = np.concatenate((b[go], new)), np.concatenate((new, e[go]))
-        sl, sr = np.concatenate((sl[go], s)), np.concatenate((s, sr[go]))
+    tree = _SplitRounds(y, starts)
+    tree.run(lambda pending: pending > lam * (1.0 + 1e-12))
+    w, v = tree.w, tree.v
 
-    def levels(cut, sign):
-        size = np.diff(ends[cut])
-        tilt = (sign[1:] - sign[:-1]) * lam * (0.5 * m / size)
-        return size, tilt, np.add.reduceat(w * v, cut[:-1]) / size + tilt
+    def levels(cut):
+        sign, size = tree.sign[cut], np.diff(tree.ends[cut])
+        tilt = (sign[1:] - sign[:-1]) * lam * (0.5 * tree.m / size)
+        return sign, size, tilt, np.add.reduceat(w * v, cut[:-1]) / size + tilt
 
-    cut = np.concatenate(cut)
-    order = np.argsort(cut)
-    cut, sign = cut[order], np.concatenate(cut_sign)[order]
-    size, tilt, level = levels(cut, sign)
+    cut = np.sort(np.concatenate(([0], tree.taken[3], [v.size]))).astype(np.intp)
+    sign, size, tilt, level = levels(cut)
     # a level is good to a few ulps of its block's mean absolute value plus tilt
     scale = np.add.reduceat(w * np.abs(v), cut[:-1]) / size + np.abs(tilt)
     jump = np.diff(level)
@@ -185,8 +232,7 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
         | (np.sign(jump) != sign[1:-1])
     )
     if zero.size:
-        cut, sign = np.delete(cut, zero + 1), np.delete(sign, zero + 1)
-        size, tilt, level = levels(cut, sign)
+        sign, size, tilt, level = levels(np.delete(cut, zero + 1))
     return FusedLassoFit(lam=float(lam), alpha=level.repeat(size.astype(np.intp)), y=y.copy())
 
 
@@ -217,20 +263,6 @@ def kkt_residual(fit: FusedLassoFit) -> float:
     return float(max(worst, 0.0))
 
 
-def _block_split(v, w, ends, sl: float, sr: float, m: int) -> tuple[float, int, float]:
-    """Where a fused block of runs first splits as lambda falls.
-
-    The block holds runs of values ``v`` and lengths ``w``, ending at
-    positions ``ends`` of y from the block's start on; ``sl`` and ``sr`` are
-    its boundary subgradients.  Returns the largest lambda of
-    :func:`_split_lambdas` (0 when every D_j is 0), its boundary j >= 1 and
-    the new subgradient there.
-    """
-    t, d = _split_lambdas(w, v, ends[1:] - ends[0], np.zeros(1, np.intp), w.size, sl, sr, m)
-    j = int(t.argmax())
-    return float(t[j]), j + 1, float(np.sign(d[j]) or np.sign(v[j + 1] - v[j]))
-
-
 def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
     """The lambdas at which the change-point count of the exact fit changes.
 
@@ -241,72 +273,39 @@ def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
     exceeds ``k_max``; otherwise, or when no count exceeds it, it starts at
     lambda = 0 with every run of y a block.
 
-    The path is read top down, from one block at large lambda: each block
-    splits at the lambda :func:`_block_split` gives, capped at its parent's
-    split lambda.  A change point is a nonzero jump, not a split: a split's
-    jump starts at 0 and grows at the difference of its two blocks' level
-    slopes, so it counts from the first lambda interval on which those
-    slopes differ, and a tied split whose blocks keep equal slopes does not
-    count.  Splits within 1e-12 (relative) of the previous breakpoint are one
-    tie.  Each split costs a few numpy passes over its block, so the cost
-    grows with the number of change points asked for: ``k_max`` = 20 takes
-    about 20 splits at any m, while the whole path is quadratic in the
-    number of runs at worst.
+    The splits of :class:`_SplitRounds` are read in descending lambda, then b.
+    A change point is a nonzero jump, not a split: a split's jump grows from
+    0 at the difference of its two blocks' level slopes, so it counts from
+    the first lambda interval on which they differ.  Splits within 1e-12
+    (relative) of the previous breakpoint are one tie.  Rounds split the
+    pending blocks at or above the rank-th largest split lambda known, rank =
+    k_max + 2, as no block below, nor its children, is among the first rank
+    splits; the count stands if no pending split lies above the one that
+    ends it, else the rank goes up to that of the largest pending split.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
         raise ValidationError("y must be nonempty")
     if np.any(~np.isfinite(y)):
         raise ValidationError("y contains non-finite values")
-    m = y.size
-
     starts = _run_starts(y)
-    nb = starts.size + 1
-    if nb == 1:
+    if starts.size == 0:
         return [PathBreakpoint(0.0, 0)]
 
-    # blocks are runs [b, e) of y; run boundaries are 0..nb, at positions ends
-    v = y[np.r_[0, starts]]
-    ends = np.r_[0, starts, m].astype(float)
-    w = np.diff(ends)
-    sign = np.zeros(nb + 1)  # subgradient at each boundary
-    first = np.zeros(nb + 1, dtype=np.intp)  # b of the block ending at e
-    slope = np.zeros(nb)  # d level / d lambda of the block starting at b
-    heap: list = []
+    tree = _SplitRounds(y, starts)
+    rank = np.inf if k_max is None else k_max + 2
 
-    def add(b, e, cap):
-        first[e] = b
-        slope[b] = m * (sign[e] - sign[b]) / (2.0 * (ends[e] - ends[b]))
-        if e - b > 1:
-            lam, j, s = _block_split(v[b:e], w[b:e], ends[b : e + 1], sign[b], sign[e], m)
-            # a block of two or more runs splits even when every D_j underflows
-            heapq.heappush(heap, (-(min(lam, cap) or 5e-324), b, e, b + j, s))
+    def pick(pending):
+        known = np.concatenate((tree.taken[0], pending))
+        return pending >= (np.partition(known, -rank)[-rank] if known.size >= rank else 0.0)
 
-    add(0, nb, np.inf)
-    out: list[PathBreakpoint] = []  # descending lambda
-    count = 0
-    zero_jumps: list[int] = []  # split boundaries whose jump is still 0
-    while heap:
-        neg_lam, b, e, j, s = heapq.heappop(heap)
-        lam = -neg_lam
-        if not out or lam < out[-1].lam * (1.0 - 1e-12):
-            # the blocks fixed on (lam, previous breakpoint) give the count there
-            still = [q for q in zero_jumps if slope[q] == slope[first[q]]]
-            count += len(zero_jumps) - len(still)
-            zero_jumps = still
-            if out and count == out[-1].changepoint_count:
-                out[-1] = PathBreakpoint(lam, count)
-            elif k_max is not None and out and out[-1].changepoint_count > k_max:
-                return out[::-1]
-            else:
-                out.append(PathBreakpoint(lam, count))
-        sign[j] = s
-        add(b, j, lam)
-        add(j, e, lam)
-        zero_jumps.append(j)
-    if k_max is None or out[-1].changepoint_count <= k_max:
-        out.append(PathBreakpoint(0.0, nb - 1))
-    return out[::-1]
+    while True:
+        tree.run(pick)
+        out, stop = tree.breakpoints(k_max)
+        pending = tree.pending[0]
+        if not (pending > stop).any():
+            return out[::-1]
+        rank = np.count_nonzero(np.concatenate((tree.taken[0], pending)) >= pending.max())
 
 
 def interpolate(fit: FusedLassoFit, window: Window) -> StepFunction:

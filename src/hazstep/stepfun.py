@@ -40,8 +40,8 @@ class Window:
         return self.tau_max - self.tau_min
 
     def grid(self, m: int) -> np.ndarray:
-        """Equidistant grid t_j = tau_min + j * length / m, j = 0..m."""
-        return self.tau_min + np.arange(m + 1) * (self.length / m)
+        """Equidistant grid t_j = tau_min + j * (length / m), j < m, ending at tau_max itself."""
+        return np.linspace(self.tau_min, self.tau_max, m + 1)
 
     def to_dict(self) -> dict:
         return {"tau_min": self.tau_min, "tau_max": self.tau_max}

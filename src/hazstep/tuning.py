@@ -82,8 +82,8 @@ def pilot_lambda(y, k_max: int) -> float:
     Read off the top-down split path, which fixes the exact fit at every
     penalty: the lambda of the first breakpoint whose count is at most
     ``k_max``.  The path is cut below the first breakpoint over ``k_max``, so
-    only the first k_max + 1 change points are ever split off; when no count
-    exceeds ``k_max`` it starts at lambda = 0 and the pilot is 0.
+    only the blocks that can hold its first k_max + 2 splits are split; when
+    no count exceeds ``k_max`` it starts at lambda = 0 and the pilot is 0.
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
@@ -147,6 +147,11 @@ def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
     solution path (:func:`pilot_lambda`), are multiplied by i.i.d. standard
     normal vectors; the selected penalty is the ceil(q*L)-th order statistic
     of the resulting effective-noise sample.
+
+    The warning that the path and the solver "disagree" fires when the pilot
+    fit has more than ``k_max`` change points: the path's slope-history count
+    lags the jumps the solver evaluates, as on some inputs whose magnitudes
+    span hundreds of decades.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size < 2:

@@ -221,6 +221,16 @@ class TestIncrements:
         total = curve.cumhaz(1.0) - curve.cumhaz(0.0)
         assert np.sum(y) / 64 == pytest.approx(total, abs=1e-12)
 
+    def test_jump_at_tau_max_lands_in_last_cell(self):
+        from hazstep.estimators import BreslowCurve
+
+        # 0 + 10 * (0.9 / 10) rounds below 0.9: a grid built from that formula
+        # ends short of tau_max and drops the jump there
+        curve = BreslowCurve(jump_times=[0.45, 0.9], jump_sizes=[0.2, 0.3], tau=0.9)
+        y = build_increments(curve, Window(0.0, 0.9), 10)
+        assert np.sum(y) / 10 == pytest.approx(curve.cumhaz(0.9) - curve.cumhaz(0.0), abs=1e-15)
+        assert y[-1] == pytest.approx(3.0, abs=1e-14)
+
     def test_window_outside_support(self):
         from hazstep.estimators import BreslowCurve
 

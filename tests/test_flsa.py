@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -240,6 +240,31 @@ def test_solver_agrees_with_oracles_on_adversarial_inputs(instance):
     assert fit.changepoints.size == np.count_nonzero(np.diff(dp_solve_oracle(y, lam)))
     assert kkt_residual(fit) <= 1e-9 * scale
     assert np.max(np.abs(fit.alpha - condat)) <= 1e-12 * scale
+
+
+@settings(max_examples=15)
+@given(adversarial_instance())
+@example((np.full(7, -0.3), 0.0))  # constant
+@example((np.array([0.25, -1.5]), 0.0))  # m = 2
+@example((1e12 * np.random.default_rng(3).integers(-3, 4, size=60).astype(float), 0.0))
+@example((1e-12 * np.round(np.random.default_rng(4).normal(size=60), 1), 0.0))
+def test_path_and_pilot_agree_with_solver_on_adversarial_inputs(instance):
+    # the solver property's family against the path, which the same split rounds
+    # compute: every breakpoint above the oracles' floor separates the solver's
+    # counts, and the pilot brackets k_max
+    y, _ = instance
+    path = flsa_path(y)
+    floor = 1e-8 * float(np.max(np.abs(y)))
+    for prev, bp in zip(path, path[1:]):
+        if bp.lam > floor:
+            assert flsa_solve(y, bp.lam * (1 + 1e-6)).changepoints.size == bp.changepoint_count
+            assert flsa_solve(y, bp.lam * (1 - 1e-6)).changepoints.size == prev.changepoint_count
+    for k_max in (0, 1, 5):
+        lam0 = pilot_lambda(y, k_max)
+        assert flsa_solve(y, lam0).changepoints.size <= k_max
+        assert flsa_solve(y, lam0 * (1 + 1e-6)).changepoints.size <= k_max
+        if lam0 > 0:
+            assert flsa_solve(y, lam0 * (1 - 1e-6)).changepoints.size > k_max
 
 
 class TestPath:

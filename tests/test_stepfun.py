@@ -14,6 +14,17 @@ class TestWindow:
     def test_length(self):
         assert Window(0.5, 2.0).length == 1.5
 
+    def test_grid_ends_at_tau_max_and_keeps_interior_points(self, rng):
+        # interior points are tau_min + j * (length / m), the times interpolate
+        # maps change points to; the last is tau_max itself, which that formula
+        # can round below
+        for _ in range(2000):
+            window = Window(*np.sort(rng.uniform(-5.0, 50.0, 2)))
+            m = int(rng.integers(2, 3000))
+            grid = window.grid(m)
+            assert grid[0] == window.tau_min and grid[-1] == window.tau_max
+            assert np.array_equal(grid[:-1], window.tau_min + np.arange(m) * (window.length / m))
+
 
 class TestStepFunction:
     def test_dimension_check(self):

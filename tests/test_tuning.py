@@ -112,18 +112,22 @@ class TestPilot:
 
     def test_pilot_splits_off_only_kmax_plus_one_change_points(self, monkeypatch):
         # a count, not a clock: the pilot at m = 1e5 must not walk the whole path
-        calls = []
-        block_split = flsa._block_split
-        monkeypatch.setattr(
-            flsa, "_block_split", lambda *args: calls.append(1) or block_split(*args)
-        )
+        blocks = []
+        split_lambdas = flsa._split_lambdas
+
+        def counted(w, v, rel, off, lens, *args):
+            blocks.append(lens.size)
+            return split_lambdas(w, v, rel, off, lens, *args)
+
+        monkeypatch.setattr(flsa, "_split_lambdas", counted)
         y = np.round(np.random.default_rng(9).exponential(size=100_000), 2)
         path = flsa_path(y, 20)
         assert len(path) <= 20 + 2
         assert path[0].changepoint_count > 20 >= path[1].changepoint_count
-        # one evaluation for the whole of y and two per split; the whole path takes
-        # about two per run of y, here about 2e5
-        assert len(calls) <= 2 * (20 + 2) + 5
+        # one block for the whole of y and two per split taken, 69 here: the
+        # rounds take a few more than k_max + 2 splits; the whole path
+        # evaluates about two per run of y, here about 2e5
+        assert sum(blocks) <= 4 * (20 + 2)
 
 
 class TestEffectiveNoise:
@@ -183,6 +187,21 @@ class TestBootstrap:
         assert result.lambda0 == 0.5 * lam0
         [record] = caplog.records
         assert "more than k_max = 2" in record.message and "disagree" in record.message
+
+    def test_disagreement_is_logged_on_mixed_magnitudes(self, caplog):
+        # unpatched: the path and the solver share the split rounds, yet here the
+        # path's slope history counts 3 change points on [lambda0, next breakpoint)
+        # where the solver's evaluated jumps give 4, so the warning keeps its power
+        y = [-9.01205e-319, 0.0, 0.0, -9.01205e-319, -3.75e-322, 4e-32, 4e-32, 0.0, -9.01205e-319,
+             -9.01205e-319, -1.6059940851480354e-43, 0.0]
+        lam0 = pilot_lambda(y, 3)
+        assert lam0 == pytest.approx(8.92e-45, rel=1e-3)
+        assert flsa_solve(y, lam0).changepoints.size == 4
+        with caplog.at_level(logging.WARNING, logger="hazstep.tuning"):
+            bootstrap_lambda(y, TuningConfig(k_max=3, l_boot=20, seed=1))
+        [record] = caplog.records
+        assert "has 4 change points, more than k_max = 3" in record.message
+        assert "disagree" in record.message
 
     def test_tiny_magnitudes_pilot_agrees_with_solver(self, caplog):
         # two true splits 2.6e-10 apart (relative): the split path keeps both, so
