@@ -124,8 +124,6 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.reps < 1:
-        raise ValidationError(f"--reps must be >= 1, got {args.reps}")
     seed = _resolve_seed(args)
     scenario = named_scenario(args.scenario, args.n)
     report = run_study(scenario, args.reps, seed, threads=args.threads)

@@ -88,21 +88,19 @@ class SurvivalFrame:
         if status.size != n or entry.size != n or cov.shape[0] != n:
             raise ValidationError("column lengths differ")
         finite = np.isfinite(time) & np.isfinite(entry) & np.all(np.isfinite(cov), axis=1)
-        if not np.all(finite):
-            bad = int(np.argmin(finite))
-            raise ValidationError(f"non-finite time, entry or covariate in record {bad}")
-        if np.any(time < 0):
-            raise ValidationError("times must be >= 0")
-        if np.any(entry < 0):
-            raise ValidationError("entry times must be >= 0")
-        if np.any((status != 0) & (status != 1)):
-            raise ValidationError("status must be 0 or 1")
-        status = status.astype(np.int8)
-        late = entry >= time
-        if np.any(late):
-            i = int(np.argmax(late))
-            raise ValidationError(f"row {i}: entry {entry[i]} must be < time {time[i]}")
-        _freeze(self, time=time, status=status, entry=entry, covariates=cov)
+        # each rule in turn names the first row that breaks it
+        for broken, rule in (
+            (~finite, "non-finite time, entry or covariate"),
+            (time < 0, "times must be >= 0"),
+            (entry < 0, "entry times must be >= 0"),
+            ((status != 0) & (status != 1), "status must be 0 or 1, got {status}"),
+            (entry >= time, "entry {entry} must be < time {time}"),
+        ):
+            if np.any(broken):
+                i = int(np.argmax(broken))
+                values = dict(status=status[i], entry=entry[i], time=time[i])
+                raise ValidationError(f"row {i}: " + rule.format(**values))
+        _freeze(self, time=time, status=status.astype(np.int8), entry=entry, covariates=cov)
 
     @property
     def n(self) -> int:
@@ -172,8 +170,9 @@ class MultiStateFrame:
         n = ids.size
         if not src.size == dst.size == start.size == stop.size == n:
             raise ValidationError("column lengths differ")
-        if np.any(src < 0) or np.any(dst < CENSORED_STATE):
-            raise ValidationError("states must be >= 0")
+        negative = (src < 0) | (dst < CENSORED_STATE)
+        if np.any(negative):
+            raise ValidationError(f"subject {ids[np.argmax(negative)]}: states must be >= 0")
         timed = np.isfinite(start) & np.isfinite(stop) & (start >= 0)
         bad = np.flatnonzero(~timed | ~(start < stop) | (src == dst))
         if bad.size:
@@ -335,14 +334,15 @@ def _read_header(reader, path) -> list[str]:
 def _read_columns(path, converters: dict) -> dict:
     """Read named columns; ``converters[name](cells, row0, name)`` converts a block.
 
-    A table whose columns are all float-valued (``_floats``, ``_status``) is
-    read by numpy's C reader, which parses each cell with the same correctly
-    rounded routine as Python's ``float``, so the values are bit-identical.
-    Where that reader fails, or a column check does not pass, the table is
-    read again by :func:`_read_csv_columns`, which names the bad row or
-    accepts what only ``float`` accepts (``1_0``, full-width digits).
+    Readers only turn text into values; the records they feed check them.  A
+    table whose columns are all ``_floats`` is read by numpy's C reader,
+    which parses each cell with the same correctly rounded routine as
+    Python's ``float``, so the values are bit-identical.  Where that reader
+    fails, the table is read again by :func:`_read_csv_columns`, which names
+    the row of a cell that does not parse or accepts what only ``float``
+    accepts (``1_0``, full-width digits).
     """
-    if set(converters.values()) <= _FLOAT_CHECKS.keys():
+    if set(converters.values()) == {_floats}:
         columns = _load_float_columns(path, converters)
         if columns is not None:
             return columns
@@ -371,10 +371,7 @@ def _load_float_columns(path, converters: dict) -> dict | None:
     # the reader accepts rows of one width other than the header's
     if table.shape[1] != len(header):
         return None
-    columns = {name: table[:, index[name]] for name in converters}
-    if all(_FLOAT_CHECKS[convert](columns[name]) for name, convert in converters.items()):
-        return columns
-    return None
+    return {name: table[:, index[name]] for name in converters}
 
 
 def _read_csv_columns(path, converters: dict) -> dict:
@@ -457,36 +454,20 @@ def _write_columns(path, header, columns, lineterminator="\r\n") -> None:
             fh.write(lineterminator.join(map(",".join, rows)) + lineterminator)
 
 
-def _not_binary(values: np.ndarray) -> np.ndarray:
-    """Indices of the values other than 0 and 1."""
-    return np.flatnonzero((values != 0.0) & (values != 1.0))
-
-
-def _status(cells, row0, col) -> np.ndarray:
-    status = _floats(cells, row0, col)
-    bad = _not_binary(status)
-    if bad.size:
-        raise ParseError(f"status must be 0 or 1, got {cells[bad[0]]!r}", row=row0 + bad[0])
-    return status
-
-
-# the float converters, each with the check its parsed column must pass
-_FLOAT_CHECKS = {_floats: lambda values: True, _status: lambda values: not _not_binary(values).size}
-
-
 def parse_survival_csv(path) -> SurvivalFrame:
     """Read a survival frame from CSV.
 
     The columns are ``time``, ``status`` and an optional ``entry``; every
-    other column is a covariate.  Every column is float-valued, so a valid
-    file is read in one pass of numpy's C reader; a file that fails it is
-    read again by the csv path, which names the first bad row.
+    other column is a covariate.  Every column is float-valued, so a file of
+    numbers is read in one pass of numpy's C reader; a file that fails it is
+    read again by the csv path, which names the first cell that does not
+    parse.  :class:`SurvivalFrame` names the first row that breaks a rule.
     """
     with open(path, newline="") as fh:
         cols = _read_header(csv.reader(fh), path)
     cov_cols = [c for c in cols if c not in ("time", "status", "entry")]
-    floats = dict.fromkeys(["time", *(["entry"] if "entry" in cols else []), *cov_cols], _floats)
-    columns = _read_columns(path, {**floats, "status": _status})
+    names = ["time", *(["entry"] if "entry" in cols else []), *cov_cols, "status"]
+    columns = _read_columns(path, dict.fromkeys(names, _floats))
     time = columns["time"]
     return SurvivalFrame(
         time=time,

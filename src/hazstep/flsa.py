@@ -69,6 +69,16 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(values[1:] != values[:-1]) + 1
 
 
+def _responses(y) -> np.ndarray:
+    """``y`` as a nonempty, finite 1-D float array."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size == 0:
+        raise ValidationError("y must be nonempty")
+    if np.any(~np.isfinite(y)):
+        raise ValidationError("y contains non-finite values")
+    return y
+
+
 def _split_lambdas(w, v, rel, off, lens, sl, sr, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each inner boundary of a batch of fused blocks reaches its bound as lambda falls.
 
@@ -202,11 +212,7 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
     ``lam``.  So a boundary whose jump is within 8 ulps of its blocks' mean
     absolute values plus tilts, or against its own sign, is fused.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size == 0:
-        raise ValidationError("y must be nonempty")
-    if np.any(~np.isfinite(y)):
-        raise ValidationError("y contains non-finite values")
+    y = _responses(y)
     if not np.isfinite(lam) or lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     starts = _run_starts(y)
@@ -283,11 +289,7 @@ def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
     splits; the count stands if no pending split lies above the one that
     ends it, else the rank goes up to that of the largest pending split.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size == 0:
-        raise ValidationError("y must be nonempty")
-    if np.any(~np.isfinite(y)):
-        raise ValidationError("y contains non-finite values")
+    y = _responses(y)
     starts = _run_starts(y)
     if starts.size == 0:
         return [PathBreakpoint(0.0, 0)]
@@ -311,14 +313,12 @@ def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
 def interpolate(fit: FusedLassoFit, window: Window) -> StepFunction:
     """Constant interpolation of the solution vector onto the window.
 
-    The j-th coefficient (1-based) is the level on the grid cell
-    (t_{j-1}, t_j] with t_j = tau_min + j*(tau_max - tau_min)/m, the cell
-    whose cumulative-hazard increment it estimates (see
-    :func:`~hazstep.estimators.build_increments`).  Adjacent equal levels are
-    merged, so a block starting at the 1-based coefficient j starts at
-    t_{j-1}: the breaks are exactly the change points mapped to times
-    tau_min + i*length/m for the 0-based change-point index i.
+    The j-th coefficient (1-based) is the level on the cell (t_{j-1}, t_j] of
+    ``window.grid(m)``, the cell whose cumulative-hazard increment it
+    estimates (see :func:`~hazstep.estimators.build_increments`).  Adjacent
+    equal levels are merged, so a block starting at the 1-based coefficient j
+    starts at t_{j-1}: the breaks are the grid points at the 0-based change
+    points.
     """
     starts = fit.changepoints
-    breaks = window.tau_min + starts * (window.length / fit.m)
-    return StepFunction(window, breaks, fit.alpha[np.r_[0, starts]])
+    return StepFunction(window, window.grid(fit.m)[starts], fit.alpha[np.r_[0, starts]])

@@ -122,9 +122,7 @@ def _resolve_beta(frame: SurvivalFrame, config: FitConfig) -> tuple[np.ndarray, 
                 fit.beta.tolist(),
             )
         return fit.beta, fit
-    if config.beta.size != frame.d:
-        raise ValidationError(f"supplied beta has length {config.beta.size}, expected {frame.d}")
-    return config.beta, None
+    return config.beta, None  # breslow_fit checks its length
 
 
 def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardFit:

@@ -1,6 +1,7 @@
 import csv
 import inspect
 import json
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -198,7 +199,9 @@ class TestBlockReader:
         assert frame.time.tolist() == [float(line.split(",")[0]) for line in lines]
         lines[_ROWS + 3] = "4.0,2"
         bad = "\n".join(line + ("\n" if i % 1000 == 0 else "") for i, line in enumerate(lines))
-        with pytest.raises(ParseError, match=f"row {_ROWS + 3}: status must be 0 or 1, got '2'"):
+        with pytest.raises(
+            ValidationError, match=f"row {_ROWS + 3}: status must be 0 or 1, got 2.0"
+        ):
             parse_survival_csv(write(tmp_path, "time,status\n" + bad + "\n"))
 
     def test_whitespace_accepted_as_float_does(self, tmp_path):
@@ -375,6 +378,17 @@ class TestFloatTableReader:
         ):
             parse_survival_csv(path)
         assert calls == [path]
+
+    def test_bad_status_named_by_frame_after_one_pass(self, tmp_path, monkeypatch):
+        calls = self.count_csv_path_calls(monkeypatch)
+        lines = [f"{i + 1}.5,{i % 2}" for i in range(2 * _ROWS + 17)]
+        lines[_ROWS + 3] = "4.0,2"
+        path = write(tmp_path, "time,status\n" + "\n".join(lines) + "\n")
+        with pytest.raises(
+            ValidationError, match=f"row {_ROWS + 3}: status must be 0 or 1, got 2.0"
+        ):
+            parse_survival_csv(path)
+        assert calls == []
 
     def test_multistate_reaches_csv_path(self, tmp_path, monkeypatch):
         calls = self.count_csv_path_calls(monkeypatch)
@@ -705,6 +719,31 @@ class TestRecordInvariants:
             with pytest.raises(ValidationError):
                 SurvivalFrame(**{**one, **bad})
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(time=[1.0, 2.0, np.nan, np.inf]), "non-finite time, entry or covariate"),
+            (dict(covariates=[[0.5], [0.5], [np.inf], [np.nan]]), "non-finite time, entry or"),
+            (dict(time=[1.0, 2.0, -3.0, -4.0]), "times must be >= 0"),
+            (dict(entry=[0.0, 0.0, -0.5, -1.0]), "entry times must be >= 0"),
+            (dict(status=[1, 0, 2, 3]), "status must be 0 or 1, got 2"),
+            (dict(status=[1.0, 0.0, 0.5, 2.0]), "status must be 0 or 1, got 0.5"),
+            (dict(entry=[0.0, 0.0, 3.0, 5.0]), "entry 3.0 must be < time 3.0"),
+        ],
+        ids=["time", "covariate", "time<0", "entry<0", "status-int", "status-float", "late"],
+    )
+    def test_each_rule_names_first_row(self, bad, message):
+        four = dict(time=[1.0, 2.0, 3.0, 4.0], status=[1, 0, 1, 0], entry=[0.0] * 4,
+                    covariates=[[0.5]] * 4)
+        with pytest.raises(ValidationError, match=re.escape(f"row 2: {message}")):
+            SurvivalFrame(**{**four, **bad})
+
+    @pytest.mark.parametrize("src, dst", [([0, -1], [1, 2]), ([0, 0], [1, -2])], ids=["from", "to"])
+    def test_negative_state_names_subject(self, src, dst):
+        with pytest.raises(ValidationError, match="^subject b: states must be >= 0$"):
+            MultiStateFrame(id=["a", "b"], from_state=src, to_state=dst, t_start=[0.0, 0.0],
+                            t_stop=[1.0, 1.0])
+
     @pytest.mark.parametrize("status", [[0.5, 1.7], np.array([257, 256])], ids=["float", "wraps"])
     def test_non_binary_status_rejected(self, status):
         # checked before the int8 cast, which would truncate or wrap the values
@@ -805,6 +844,8 @@ class TestParseMultistate:
             "1,0,1,0,2.0\n1,1.5,2,2.0,5.0\n",
             "1,0,1,0,2.0\n1,1,nan,2.0,5.0\n",
             "1,0,1,0,2.0\n1,1,-2,2.0,5.0\n",
+            # the frame allows -1, CENSORED_STATE, so only the reader rejects it
+            "1,0,1,0,2.0\n1,1,-1,2.0,5.0\n",
         ],
     )
     def test_non_integer_state_reports_row(self, tmp_path, rows):

@@ -1,5 +1,7 @@
-"""The demos run, and the package exports exactly its modules' public names."""
+"""The demos run, and the package exports exactly its modules' public names,
+each of which has a caller."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,3 +34,17 @@ def test_public_api_is_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(hazstep, name) is getattr(module, name)
+
+
+def test_every_public_name_is_read_somewhere():
+    # a public symbol needs a caller in src/, demos/ or perfbench/: a read of
+    # it as a name or an attribute, not only its definition or an import
+    read = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    assert [name for name in hazstep.__all__ if name not in read] == []
