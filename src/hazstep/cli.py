@@ -1,17 +1,16 @@
 """Command-line interface: fit, simulate, multistate, curves.
 
-Each subcommand reads CSV input, writes JSON/CSV artifacts into an output
-directory and exits with 0 on success, 2 on input validation problems and 1
-on internal errors.  When ``--seed`` is absent the value of the environment
-variable HAZSTEP_SEED is used, or a fresh random seed (printed and recorded
-in the outputs).
+Each subcommand checks its inputs and computes its results, then creates the
+output directory and writes each JSON/CSV artifact once.  It exits with 0 on
+success, 2 on an invalid, unreadable or undecodable input or an unusable
+output directory, and 1 on internal errors.  Without ``--seed`` a fresh
+random seed is drawn, printed and recorded in the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 from pathlib import Path
@@ -37,27 +36,25 @@ from .simulate import named_scenario, report_table_csv, run_study
 from .stepfun import StepFunction, Window
 from .tuning import TuningConfig
 
-SEED_ENV_VAR = "HAZSTEP_SEED"
-
 
 def _resolve_seed(args) -> int:
+    """``--seed``, or a fresh random seed, printed; the seed's owner checks it."""
     if args.seed is not None:
-        seed = args.seed
-    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    else:
-        seed = secrets.randbits(32)
-        print(f"seed not supplied; using random seed {seed}", file=sys.stderr)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+        return args.seed
+    seed = secrets.randbits(32)
+    print(f"seed not supplied; using random seed {seed}", file=sys.stderr)
     return seed
 
 
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, created once every input has passed its checks."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_stepfun_csv(fun: StepFunction, path) -> None:
-    _write_columns(path, ["t", "level"], fun.corner_points().T, lineterminator="\n")
+    _write_columns(path, ["t", "level"], fun.corner_points().T)
 
 
 def _curve_points(args) -> int:
@@ -66,17 +63,15 @@ def _curve_points(args) -> int:
     return args.curve_points
 
 
-def _write_curves(model: IllnessDeathModel, horizon, points: int, out: Path):
-    """Write survival_curves.csv on linspace(0, horizon, points); None: the last window end."""
+def _curves(model: IllnessDeathModel, horizon, points: int):
+    """(S_PFS, S_OS) on linspace(0, horizon, points); None: the last window end."""
     if horizon is None:
         horizon = max(getattr(model, name).domain.tau_max for name in _HAZARDS)
     elif not np.isfinite(horizon):
         raise ValidationError(f"--horizon must be finite, got {horizon}")
     elif horizon <= 0:
         raise ValidationError(f"--horizon must be > 0, got {horizon}")
-    pfs, os_curve = survival_curves(model, np.linspace(0.0, horizon, points))
-    curves_to_csv(pfs, os_curve, out / "survival_curves.csv")
-    return pfs, os_curve
+    return survival_curves(model, np.linspace(0.0, horizon, points))
 
 
 def _tuning_from_args(args, seed) -> TuningConfig:
@@ -108,11 +103,9 @@ def _fit_config_from_args(args, seed) -> FitConfig:
 
 
 def cmd_fit(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args)
-    frame = parse_survival_csv(args.input)
-    fit = fit_hazard(frame, _fit_config_from_args(args, seed))
+    config = _fit_config_from_args(args, _resolve_seed(args))
+    fit = fit_hazard(parse_survival_csv(args.input), config)
+    out = _out_dir(args)
     _write_json(out / "hazard.json", fit.to_dict())
     _write_stepfun_csv(fit.hazard, out / "hazard_steps.csv")
     fit.cumulative.to_csv(out / "cumhaz.csv")
@@ -122,11 +115,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     scenario = named_scenario(args.scenario, args.n)
     report = run_study(scenario, args.reps, seed, threads=args.threads)
+    out = _out_dir(args)
     report_table_csv([report], out / "study_report.csv")
     _write_json(out / "study_runs.json", report.to_dict())
     agg = report.aggregates()
@@ -139,38 +131,37 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_multistate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args)
     points = _curve_points(args)
-    frame = parse_multistate_csv(args.input)
     config = {
         tr: FitConfig(p_high=args.p, tuning=_tuning_from_args(args, seed + i))
         for i, tr in enumerate(TRANSITIONS)
     }
+    frame = parse_multistate_csv(args.input)
     fits = fit_illness_death_detailed(frame, config)
     model = IllnessDeathModel(*(fits[tr].hazard for tr in TRANSITIONS))
+    curves = _curves(model, None, points)
+    km_pfs = kaplan_meier(sojourn_frame(frame, 0))
+    km_os = kaplan_meier(absorption_frame(frame, 2))
+    out = _out_dir(args)
     for (src, dst), fit in fits.items():
         name = f"hazard_{src}{dst}"
         _write_json(out / f"{name}.json", fit.to_dict())
         _write_stepfun_csv(fit.hazard, out / f"{name}_steps.csv")
     _write_json(out / "model.json", model.to_dict())
-
-    pfs, os_curve = _write_curves(model, None, points, out)
-    _write_json(out / "survival_curves.json", {"S_PFS": pfs.to_dict(), "S_OS": os_curve.to_dict()})
-
-    km_to_csv(kaplan_meier(sojourn_frame(frame, 0)), out / "km_pfs.csv")
-    km_to_csv(kaplan_meier(absorption_frame(frame, 2)), out / "km_os.csv")
+    curves_to_csv(*curves, out / "survival_curves.csv")
+    km_to_csv(km_pfs, out / "km_pfs.csv")
+    km_to_csv(km_os, out / "km_os.csv")
     print(f"wrote per-transition hazards, model.json, survival_curves.csv, km_*.csv to {out}")
     return 0
 
 
 def cmd_curves(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     points = _curve_points(args)
     model = IllnessDeathModel.from_dict(json.loads(Path(args.model).read_text()))
-    _write_curves(model, args.horizon, points, out)
+    curves = _curves(model, args.horizon, points)
+    out = _out_dir(args)
+    curves_to_csv(*curves, out / "survival_curves.csv")
     print(f"wrote survival_curves.csv to {out}")
     return 0
 
@@ -229,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

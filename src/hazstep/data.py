@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "CENSORED",
@@ -282,6 +282,18 @@ class _JsonRecord:
         return _json_text(self.to_dict(), indent)
 
 
+def _json_field(obj, name: str, read=lambda value: value):
+    """``read(obj[name])`` of a decoded JSON object; a ValidationError names the field."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValidationError(f"missing field '{name}'")
+    try:
+        return read(obj[name])
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
 # Every CSV file is read by _read_columns and written by _write_columns.  The
 # writer and the reader's csv path work _ROWS rows at a time.  The writer
 # formats each float once with repr (shortest round trip) and quotes only text
@@ -294,7 +306,7 @@ def _parse_float(text, row, col):
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f"column '{col}': cannot parse number from {text!r}", row=row)
+        raise ValidationError(f"row {row}: column '{col}': cannot parse number from {text!r}")
 
 
 def _parse_count(text, row, col):
@@ -303,7 +315,7 @@ def _parse_count(text, row, col):
     except ValueError:
         value = -1
     if value < 0:
-        raise ParseError(f"column '{col}': expected an integer >= 0, got {text!r}", row=row)
+        raise ValidationError(f"row {row}: column '{col}': expected an integer >= 0, got {text!r}")
     return value
 
 
@@ -327,7 +339,7 @@ def _text(cells, row0, col) -> np.ndarray:
 def _read_header(reader, path) -> list[str]:
     header = next(reader, None)
     if header is None:
-        raise SchemaError(f"{path}: empty file, header row required")
+        raise ValidationError(f"{path}: empty file, header row required")
     return header
 
 
@@ -378,7 +390,7 @@ def _read_csv_columns(path, converters: dict) -> dict:
     """Read named columns with the csv module, _ROWS rows at a time.
 
     ``cells`` holds the column's cells of data rows row0, row0 + 1, ...; blank
-    lines are skipped and not counted.  Ragged rows raise ``ParseError``.
+    lines are skipped and not counted.  A ragged row raises ``ValidationError``.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -386,7 +398,7 @@ def _read_csv_columns(path, converters: dict) -> dict:
         index = {name: j for j, name in enumerate(header)}
         for name in converters:
             if name not in index:
-                raise SchemaError(f"{path}: missing mandatory column '{name}'")
+                raise ValidationError(f"{path}: missing mandatory column '{name}'")
         width = len(header)
         parts = {name: [] for name in converters}
         rows = filter(None, reader)
@@ -394,7 +406,9 @@ def _read_csv_columns(path, converters: dict) -> dict:
         while block := list(islice(rows, _ROWS)):
             if set(map(len, block)) != {width}:
                 i = next(i for i, row in enumerate(block) if len(row) != width)
-                raise ParseError(f"{len(block[i])} fields, but the header has {width}", row=row0 + i)
+                raise ValidationError(
+                    f"row {row0 + i}: {len(block[i])} fields, but the header has {width}"
+                )
             cells = list(zip(*block))
             for name, convert in converters.items():
                 parts[name].append(convert(cells[index[name]], row0, name))
@@ -405,8 +419,7 @@ def _read_csv_columns(path, converters: dict) -> dict:
 
 
 # csv.writer's minimal quoting, for rows of two or more cells (a row of one
-# empty cell would be quoted too).  Only tables ending rows in "\r\n" hold
-# text, so quoting a bare "\r" or "\n" is what csv.writer does for them.
+# empty cell would be quoted too).
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
@@ -439,19 +452,19 @@ def _cells(cells) -> list[str]:
     return _text_cells(cells)
 
 
-def _write_columns(path, header, columns, lineterminator="\r\n") -> None:
+def _write_columns(path, header, columns) -> None:
     """Write equal-length columns under ``header``, _ROWS rows at a time.
 
-    The bytes are those of ``csv.writer(fh, lineterminator=lineterminator)``
-    writing the header and then each row of cells.  Columns are arrays or
+    The bytes are those of ``csv.writer(fh)`` writing the header and then
+    each row of cells, so every row ends in "\r\n".  Columns are arrays or
     lists; numeric arrays never need quoting.
     """
     columns = list(columns)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_text_cells(header)) + lineterminator)
+        fh.write(",".join(_text_cells(header)) + "\r\n")
         for lo in range(0, len(columns[0]), _ROWS):
             rows = zip(*(_cells(column[lo : lo + _ROWS]) for column in columns))
-            fh.write(lineterminator.join(map(",".join, rows)) + lineterminator)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def parse_survival_csv(path) -> SurvivalFrame:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MultiStateFrame, SurvivalFrame, split_transitions
-from .data import _column, _floats, _freeze, _JsonRecord, _read_columns, _write_columns
+from .data import _column, _floats, _freeze, _json_field, _JsonRecord, _read_columns, _write_columns
 from .errors import ValidationError
 from .estimators import breslow_fit
 from .pipeline import FitConfig, HazardFit, fit_hazard
@@ -62,16 +62,13 @@ class IllnessDeathModel(_JsonRecord):
 
     @classmethod
     def from_dict(cls, d: dict) -> "IllnessDeathModel":
-        return cls(*(StepFunction.from_dict(d[name]) for name in _HAZARDS))
+        return cls(*(_json_field(d, name, StepFunction.from_dict) for name in _HAZARDS))
 
 
 @dataclass(frozen=True)
-class SurvivalCurve(_JsonRecord):
+class SurvivalCurve:
     grid: np.ndarray
     values: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"grid": self.grid.tolist(), "values": self.values.tolist()}
 
     def __post_init__(self):
         grid = _column(self.grid, "grid")

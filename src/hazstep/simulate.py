@@ -251,17 +251,20 @@ def _run_one(args):
     }
 
 
-def run_study(scenario: Scenario, replications: int, seed, threads: int = 1) -> StudyReport:
+def run_study(scenario: Scenario, replications: int, seed: int, threads: int = 1) -> StudyReport:
     """Run seeded replications of generate -> fit -> score and aggregate.
 
-    Replications use independent child seeds spawned from ``seed``; results
-    are reduced by replication index, so thread count does not affect the
-    report.  Failed replications are recorded, not dropped silently.
+    Replications use independent child seeds spawned from ``seed``, an
+    integer >= 0 that the report records; results are reduced by replication
+    index, so thread count does not affect the report.  Failed replications
+    are recorded, not dropped silently.
     """
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(replications)
     tasks = []
     for r, child in enumerate(children):
@@ -281,7 +284,7 @@ def run_study(scenario: Scenario, replications: int, seed, threads: int = 1) -> 
         scenario=scenario.name,
         n=scenario.n,
         replications=replications,
-        seed=int(seed) if np.isscalar(seed) else 0,
+        seed=int(seed),
         rows=rows,
         failures=failures,
     )

@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _column, _freeze, _JsonRecord
+from .data import _column, _freeze, _json_field, _JsonRecord
 from .errors import ValidationError
 
 __all__ = ["Window", "StepFunction"]
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class Window:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Window":
-        return cls(float(d["tau_min"]), float(d["tau_max"]))
+        return cls(*(_json_field(d, name, _number) for name in ("tau_min", "tau_max")))
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,8 @@ class StepFunction(_JsonRecord):
 
     @classmethod
     def from_dict(cls, d: dict) -> "StepFunction":
-        return cls(Window.from_dict(d["domain"]), d["breaks"], d["levels"])
+        domain = _json_field(d, "domain", Window.from_dict)
+        return cls(domain, _json_field(d, "breaks"), _json_field(d, "levels"))
 
     def corner_points(self) -> np.ndarray:
         """(t, level) rows tracing the exact steps, two rows per break."""

@@ -648,9 +648,10 @@ def report_table_csv_rows(reports, path):
 
 def stepfun_csv_rows(fun, path):
     with open(path, "w", newline="") as fh:
-        fh.write("t,level\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t", "level"])
         for t, v in fun.corner_points():
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+            writer.writerow([repr(float(t)), repr(float(v))])
 
 
 @pytest.fixture

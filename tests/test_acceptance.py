@@ -15,6 +15,7 @@ Monte-Carlo means, the rerun over R replications and the published one over
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -105,9 +106,11 @@ CELL_SEEDS = {
 
 @pytest.fixture(scope="session")
 def studies():
+    # reports do not depend on the process count, so the cells use the cores there are
+    threads = min(4, len(os.sched_getaffinity(0)))
     out = {}
     for (name, n), seed in CELL_SEEDS.items():
-        out[(name, n)] = run_study(named_scenario(name, n), REPS[n], seed)
+        out[(name, n)] = run_study(named_scenario(name, n), REPS[n], seed, threads=threads)
     return out
 
 

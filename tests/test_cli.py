@@ -22,7 +22,7 @@ from hazstep import (
     write_multistate_csv,
     write_survival_csv,
 )
-from hazstep.cli import SEED_ENV_VAR, main
+from hazstep.cli import main
 
 
 def numeric_columns(path):
@@ -88,22 +88,48 @@ class TestFitCommand:
     def test_missing_status_column_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,event\n1.0,1\n")
-        code = main(["fit", str(bad), "--seed", "1", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["fit", str(bad), "--seed", "1", "--out", str(out)])
         assert code == 2
         assert "status" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
-        assert main(["fit", str(tmp_path / "nope.csv"), "--seed", "1"]) == 2
+        out = tmp_path / "o"
+        assert main(["fit", str(tmp_path / "nope.csv"), "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unreadable_input_exits_2(self, tmp_path, capsys):
+        # a directory, and a file that is not UTF-8: OSError and UnicodeDecodeError
+        undecodable = tmp_path / "latin1.csv"
+        undecodable.write_bytes(b"time,status\n1.0,1\n\xff\xfe,0\n")
+        out = tmp_path / "o"
+        for path in (tmp_path, undecodable):
+            assert main(["fit", str(path), "--seed", "1", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+
+    def test_out_naming_a_file_exits_2(self, survival_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["fit", str(survival_csv), "--L", "20", "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept\n"
 
     def test_malformed_window_exits_2(self, survival_csv, tmp_path):
+        out = tmp_path / "w"
         code = main(["fit", str(survival_csv), "--window", "0.1", "--seed", "1",
-                     "--out", str(tmp_path / "w")])
+                     "--out", str(out)])
         assert code == 2
+        assert not out.exists()
 
     def test_malformed_beta_exits_2(self, covariate_csv, tmp_path):
+        out = tmp_path / "b"
         code = main(["fit", str(covariate_csv), "--beta", "a,b", "--seed", "1",
-                     "--out", str(tmp_path / "b")])
+                     "--out", str(out)])
         assert code == 2
+        assert not out.exists()
 
     def test_supplied_beta_skips_cox(self, covariate_csv, tmp_path):
         out = tmp_path / "out_beta"
@@ -119,44 +145,37 @@ class TestFitCommand:
     def test_non_finite_time_exits_2(self, survival_csv, tmp_path, capsys):
         bad = tmp_path / "nonfinite.csv"
         bad.write_text(survival_csv.read_text() + "nan,0\ninf,0\n")
-        code = main(["fit", str(bad), "--L", "20", "--seed", "1", "--out", str(tmp_path / "nf")])
+        out = tmp_path / "nf"
+        code = main(["fit", str(bad), "--L", "20", "--seed", "1", "--out", str(out)])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", ["2.0", "2.0,1,7,7"], ids=["short", "long"])
     def test_field_count_mismatch_exits_2(self, survival_csv, tmp_path, capsys, row):
         bad = tmp_path / "ragged.csv"
         bad.write_text(survival_csv.read_text() + row + "\n")
-        code = main(["fit", str(bad), "--L", "20", "--seed", "1", "--out", str(tmp_path / "r")])
+        out = tmp_path / "r"
+        code = main(["fit", str(bad), "--L", "20", "--seed", "1", "--out", str(out)])
         assert code == 2
         assert "fields, but the header has" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0", "1", "-3"])
     def test_grid_below_two_exits_2(self, survival_csv, tmp_path, capsys, grid):
+        out = tmp_path / "g"
         code = main(["fit", str(survival_csv), "--grid", grid, "--L", "20", "--seed", "1",
-                     "--out", str(tmp_path / "g")])
+                     "--out", str(out)])
         assert code == 2
         assert f"grid size must be >= 2, got {grid}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exits_2(self, survival_csv, tmp_path, capsys):
-        code = main(["fit", str(survival_csv), "--L", "20", "--seed", "-1",
-                     "--out", str(tmp_path / "s")])
+        out = tmp_path / "s"
+        code = main(["fit", str(survival_csv), "--L", "20", "--seed", "-1", "--out", str(out)])
         assert code == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_bad_env_var_seed_exits_2(self, survival_csv, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv(SEED_ENV_VAR, value)
-        code = main(["fit", str(survival_csv), "--L", "20", "--out", str(tmp_path / "e")])
-        assert code == 2
-        assert "seed" in capsys.readouterr().err.lower()
-
-    def test_env_var_seed(self, survival_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        out = tmp_path / "envout"
-        assert main(["fit", str(survival_csv), "--L", "50", "--out", str(out)]) == 0
-        doc = json.loads((out / "hazard.json").read_text())
-        assert doc["seed"] == 99
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -169,37 +188,48 @@ class TestSimulateCommand:
         assert (out1 / "study_runs.json").read_text() == (out2 / "study_runs.json").read_text()
 
     def test_zero_reps_exits_2(self, tmp_path):
+        out = tmp_path / "o"
         code = main(
             ["simulate", "--scenario", "A1", "--n", "100", "--reps", "0",
-             "--seed", "1", "--out", str(tmp_path)]
+             "--seed", "1", "--out", str(out)]
         )
         assert code == 2
+        assert not out.exists()
 
-    def test_negative_seed_exits_2(self, tmp_path):
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
         code = main(["simulate", "--scenario", "A1", "--n", "150", "--reps", "2",
-                     "--seed", "-1", "--out", str(tmp_path)])
+                     "--seed", "-1", "--out", str(out)])
         assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_sample_size_below_two_exits_2(self, tmp_path, capsys, n):
+        out = tmp_path / "o"
         code = main(["simulate", "--scenario", "A1", "--n", n, "--reps", "2",
-                     "--seed", "1", "--out", str(tmp_path)])
+                     "--seed", "1", "--out", str(out)])
         assert code == 2
         assert f"sample size must be >= 2, got {n}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "o"
         code = main(["simulate", "--scenario", "A1", "--n", "100", "--reps", "2",
-                     "--threads", threads, "--seed", "1", "--out", str(tmp_path)])
+                     "--threads", threads, "--seed", "1", "--out", str(out)])
         assert code == 2
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_scenario_exits_2(self, tmp_path):
+        out = tmp_path / "o"
         code = main(
             ["simulate", "--scenario", "Z9", "--n", "100", "--reps", "1",
-             "--seed", "1", "--out", str(tmp_path)]
+             "--seed", "1", "--out", str(out)]
         )
         assert code == 2
+        assert not out.exists()
 
 
 class TestMultistateCommand:
@@ -250,26 +280,30 @@ class TestMultistateCommand:
             "id,from,to,t_start,t_stop\n"
             "1,0,2,0,1.0\n2,0,2,0,1.5\n3,0,cens,0,2.0\n4,0,2,0,0.7\n"
         )
-        code = main(["multistate", str(path), "--L", "20", "--seed", "1",
-                     "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["multistate", str(path), "--L", "20", "--seed", "1", "--out", str(out)])
         assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("state", ["1.5", "nan"])
     def test_non_integer_state_exits_2(self, tmp_path, capsys, state):
         path = tmp_path / "bad_state.csv"
         path.write_text(f"id,from,to,t_start,t_stop\n1,0,1,0,1.0\n1,1,{state},1.0,2.0\n")
-        code = main(["multistate", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["multistate", str(path), "--seed", "1", "--out", str(out)])
         assert code == 2
         assert "row 1" in capsys.readouterr().err
-
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", ["1,1", "1,1,2,2.0,5.0,9"], ids=["short", "long"])
     def test_field_count_mismatch_exits_2(self, tmp_path, capsys, row):
         path = tmp_path / "ragged.csv"
         path.write_text(f"id,from,to,t_start,t_stop\n1,0,1,0,1.0\n{row}\n")
-        code = main(["multistate", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["multistate", str(path), "--seed", "1", "--out", str(out)])
         assert code == 2
         assert "row 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_curve_points_below_two_exits_2(self, multistate_csv, tmp_path, capsys, points):
@@ -278,7 +312,7 @@ class TestMultistateCommand:
                      "--seed", "1", "--out", str(out)])
         assert code == 2
         assert f"--curve-points must be >= 2, got {points}" in capsys.readouterr().err
-        assert not (out / "survival_curves.csv").exists()
+        assert not out.exists()
 
 
 class TestCurvesCommand:
@@ -299,7 +333,7 @@ class TestCurvesCommand:
         code = main(["curves", str(model_json), "--curve-points", points, "--out", str(out)])
         assert code == 2
         assert f"--curve-points must be >= 2, got {points}" in capsys.readouterr().err
-        assert not (out / "survival_curves.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("horizon", ["nan", "inf"])
@@ -308,7 +342,7 @@ class TestCurvesCommand:
         code = main(["curves", str(model_json), "--horizon", horizon, "--out", str(out)])
         assert code == 2
         assert f"--horizon must be finite, got {horizon}" in capsys.readouterr().err
-        assert not (out / "survival_curves.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     def test_horizon_not_positive_exits_2(self, model_json, tmp_path, capsys, horizon):
@@ -316,7 +350,7 @@ class TestCurvesCommand:
         code = main(["curves", str(model_json), "--horizon", horizon, "--out", str(out)])
         assert code == 2
         assert f"--horizon must be > 0, got {float(horizon)}" in capsys.readouterr().err
-        assert not (out / "survival_curves.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -333,7 +367,35 @@ class TestCurvesCommand:
         out = tmp_path / "bad"
         assert main(["curves", str(model_json), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not (out / "survival_curves.csv").exists()
+        assert not out.exists()
+
+    HAZARD = '{"domain": {"tau_min": 0, "tau_max": 1}, "breaks": [], "levels": [1.0]}'
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a01": {}}', "a01: missing field 'domain'"),
+            ("[1, 2]", "expected a JSON object, got list"),
+            (f'{{"a01": {HAZARD}, "a02": {HAZARD}}}', "missing field 'a12'"),
+            ('{"a01": {"domain": {"tau_min": "x", "tau_max": 1}}}',
+             "a01: domain: tau_min: expected a number, got 'x'"),
+            ('{"a01": {"domain": null}}', "a01: domain: expected a JSON object, got NoneType"),
+        ],
+        ids=["empty hazard", "list", "no a12", "text tau_min", "null domain"],
+    )
+    def test_malformed_model_json_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        out = tmp_path / "m"
+        assert main(["curves", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_model_path_naming_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["curves", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_roundtrip_from_model_json(self, multistate_csv, tmp_path):
         out = tmp_path / "ms_out2"
@@ -378,7 +440,7 @@ class TestRoundTrip:
         assert pfs.values[0] == 1.0
         km = kaplan_meier(sojourn_frame(parse_multistate_csv(multistate_csv), 0))
         assert np.array_equal(numeric_columns(out / "km_pfs.csv"), np.column_stack((km.grid, km.values)))
-        assert_json_files_canonical(out, 5)
+        assert_json_files_canonical(out, 4)
 
         out2 = tmp_path / "rt_sim"
         assert main(["simulate", "--scenario", "A2", "--n", "120", "--reps", "2",

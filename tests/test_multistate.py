@@ -309,12 +309,3 @@ class TestFitIllnessDeath:
         back = IllnessDeathModel.from_dict(model.to_dict())
         assert np.array_equal(back.a01.levels, model.a01.levels)
         assert back.a12.domain == model.a12.domain
-
-    def test_curve_json_roundtrip(self):
-        from hazstep import SurvivalCurve
-        import json
-
-        pfs, _ = survival_curves(constant_model(1.0, 1.0, 1.0), np.linspace(0, 1, 5))
-        back = SurvivalCurve(**json.loads(pfs.to_json()))
-        assert np.array_equal(back.grid, pfs.grid)
-        assert np.array_equal(back.values, pfs.values)

@@ -172,6 +172,12 @@ class TestRunStudy:
         with pytest.raises(ValidationError, match=f"threads must be >= 1, got {threads}"):
             run_study(named_scenario("A1", 100), 2, seed=1, threads=threads)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        # None would draw fresh entropy that the report could not record
+        with pytest.raises(ValidationError, match=f"seed must be >= 0, got {seed}"):
+            run_study(named_scenario("A1", 100), 2, seed=seed)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_scenario_needs_two_subjects(self, n):
         with pytest.raises(ValidationError, match=f"sample size must be >= 2, got {n}"):
