@@ -4,7 +4,8 @@ Each subcommand checks its inputs and computes its results, then creates the
 output directory and writes each JSON/CSV artifact once.  It exits with 0 on
 success, 2 on an invalid, unreadable or undecodable input or an unusable
 output directory, and 1 on internal errors.  Without ``--seed`` a fresh
-random seed is drawn, printed and recorded in the outputs.
+random seed is drawn, recorded in the outputs and printed once the inputs
+have passed their checks.
 """
 
 from __future__ import annotations
@@ -38,16 +39,14 @@ from .tuning import TuningConfig
 
 
 def _resolve_seed(args) -> int:
-    """``--seed``, or a fresh random seed, printed; the seed's owner checks it."""
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbits(32)
-    print(f"seed not supplied; using random seed {seed}", file=sys.stderr)
-    return seed
+    """``--seed``, or a fresh random seed; the seed's owner checks it."""
+    return secrets.randbits(32) if args.seed is None else args.seed
 
 
-def _out_dir(args) -> Path:
-    """The ``--out`` directory, created once every input has passed its checks."""
+def _out_dir(args, seed: int | None = None) -> Path:
+    """Make ``--out`` once every input has passed its checks, printing a drawn seed first."""
+    if seed is not None and args.seed is None:
+        print(f"seed not supplied; using random seed {seed}", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -105,7 +104,7 @@ def _fit_config_from_args(args, seed) -> FitConfig:
 def cmd_fit(args) -> int:
     config = _fit_config_from_args(args, _resolve_seed(args))
     fit = fit_hazard(parse_survival_csv(args.input), config)
-    out = _out_dir(args)
+    out = _out_dir(args, config.tuning.seed)
     _write_json(out / "hazard.json", fit.to_dict())
     _write_stepfun_csv(fit.hazard, out / "hazard_steps.csv")
     fit.cumulative.to_csv(out / "cumhaz.csv")
@@ -118,7 +117,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     scenario = named_scenario(args.scenario, args.n)
     report = run_study(scenario, args.reps, seed, threads=args.threads)
-    out = _out_dir(args)
+    out = _out_dir(args, seed)
     report_table_csv([report], out / "study_report.csv")
     _write_json(out / "study_runs.json", report.to_dict())
     agg = report.aggregates()
@@ -143,7 +142,7 @@ def cmd_multistate(args) -> int:
     curves = _curves(model, None, points)
     km_pfs = kaplan_meier(sojourn_frame(frame, 0))
     km_os = kaplan_meier(absorption_frame(frame, 2))
-    out = _out_dir(args)
+    out = _out_dir(args, seed)
     for (src, dst), fit in fits.items():
         name = f"hazard_{src}{dst}"
         _write_json(out / f"{name}.json", fit.to_dict())

@@ -8,11 +8,12 @@ exactly.  In one dimension fused sets only grow as lambda grows (Friedman,
 Hastie, Hoefling & Tibshirani 2007), so read from large lambda downward the
 solution path is a sequence of block splits (the dual path of Tibshirani &
 Taylor 2011).  :func:`flsa_solve` and :func:`flsa_path` both take them in the
-level-synchronous rounds of :class:`_SplitRounds`.
+level-synchronous rounds of the one :class:`_SplitRounds` per y of :func:`_split_tree`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(values[1:] != values[:-1]) + 1
 
 
-def _responses(y) -> np.ndarray:
-    """``y`` as a nonempty, finite 1-D float array."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size == 0:
-        raise ValidationError("y must be nonempty")
-    if np.any(~np.isfinite(y)):
-        raise ValidationError("y contains non-finite values")
-    return y
-
-
 def _split_lambdas(w, v, rel, off, lens, sl, sr, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each inner boundary of a batch of fused blocks reaches its bound as lambda falls.
 
@@ -121,28 +112,30 @@ class _SplitRounds:
     time at m = 1e5).
     """
 
-    def __init__(self, y: np.ndarray, starts: np.ndarray):
+    def __init__(self, y: np.ndarray):
+        starts = _run_starts(y)
         self.m = y.size
         self.v = y[np.concatenate(([0], starts))]
         self.ends = np.concatenate(([0], starts, [self.m])).astype(float)  # exact integers
         self.w = np.diff(self.ends)
         self.sign = np.zeros(self.v.size + 1)
-        self.taken, self.pending = np.zeros((4, 0)), np.zeros((5, 0))  # b, e, j exact integers
-        self._evaluate(np.array([0]), np.array([self.v.size]), np.array([np.inf]))
+        self.taken = np.zeros((4, 0))  # b, e, j exact integers
+        self.pending = self._evaluate(np.array([0]), np.array([self.v.size]), np.array([np.inf]))
 
     def run(self, pick) -> None:
         """Split the pending blocks ``pick(lam)`` selects, round by round, until it selects none."""
         while (go := pick(self.pending[0])).any():
             split = self.pending[:, go]
-            self.pending = self.pending[:, ~go]
-            self.taken = np.concatenate((self.taken, split[:4]), axis=1)
             lam, (b, e, j) = split[0], split[1:4].astype(np.intp)
             self.sign[j] = split[4]
             # the left children of the round's splits first, then the right ones
             b, e = np.concatenate((b, j)), np.concatenate((j, e))
-            self._evaluate(b, e, np.concatenate((lam, lam)))
+            new = self._evaluate(b, e, np.concatenate((lam, lam)))
+            # taken once their children are pending, so an interrupted round leaves the tree whole
+            self.pending = np.concatenate((self.pending[:, ~go], new), axis=1)
+            self.taken = np.concatenate((self.taken, split[:4]), axis=1)
 
-    def _evaluate(self, b, e, cap) -> None:
+    def _evaluate(self, b, e, cap) -> np.ndarray:
         lens = e - b
         off = lens.cumsum() - lens
         r = np.arange(off[-1] + lens[-1]) + (b - off).repeat(lens)  # the runs of the blocks
@@ -153,9 +146,8 @@ class _SplitRounds:
         hits = np.flatnonzero(t == top.repeat(lens))
         at = hits[np.searchsorted(hits, off)]  # the first largest lambda of each block
         lam = np.maximum(np.minimum(top, cap), 5e-324)
-        new = np.array([lam, b, e, r[at] + 1, np.sign(d[at])])[:, lens > 1]
-        self.pending = np.concatenate((self.pending, new), axis=1)
         self.held = (r, rel, t, d)
+        return np.array([lam, b, e, r[at] + 1, np.sign(d[at])])[:, lens > 1]
 
     def breakpoints(self, k_max: int | None) -> tuple[list[PathBreakpoint], float]:
         """The path of the splits taken, in descending lambda, and the lambda of
@@ -184,9 +176,26 @@ class _SplitRounds:
             hi[b_i] = lo[j_i] = left_i
             hi[j_i] = lo[e_i] = right_i
             zero_jumps.append(j_i)
-        if k_max is None or out[-1].changepoint_count <= k_max:
+        if k_max is None or not out or out[-1].changepoint_count <= k_max:
             out.append(PathBreakpoint(0.0, self.v.size - 1))  # every run a block
         return out, 0.0
+
+
+_last = threading.local()  # this thread's last split y, as bytes, and its tree
+
+
+def _split_tree(y) -> tuple[np.ndarray, _SplitRounds]:
+    """``y`` as a nonempty, finite 1-D float array, and its split tree with every split
+    taken so far: each thread keeps the tree of its last y while y stays byte-equal."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size == 0:
+        raise ValidationError("y must be nonempty")
+    if np.any(~np.isfinite(y)):
+        raise ValidationError("y contains non-finite values")
+    key = y.tobytes()
+    if getattr(_last, "key", None) != key:
+        _last.key, _last.tree = key, _SplitRounds(y)
+    return y, _last.tree
 
 
 def flsa_solve(y, lam: float) -> FusedLassoFit:
@@ -200,11 +209,12 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
         Nonnegative total-variation penalty level, on the scale of the
         (1/m)-normalized quadratic loss.
 
-    Each round of :class:`_SplitRounds` splits every block whose split lambda
-    exceeds ``lam`` by more than 1e-12 (relative); the rest are final, at
-    level mean + (m*lam / (2|B|)) * (s_r - s_l).  The rounds are as many as
-    the split tree at ``lam`` is deep: 4-31 on noisy increments at the tuned
-    penalties, about 1000 for a noise-free ramp j**2 at m = 2000.
+    The blocks are those the splits of y's tree (:func:`_split_tree`) whose
+    lambda exceeds ``lam`` by more than 1e-12 (relative) leave, at level
+    mean + (m*lam / (2|B|)) * (s_r - s_l).  Rounds resume only for pending
+    splits above that: none at or above the stop of a path of y, on a new y
+    as many as the tree at ``lam`` is deep: 4-31 on noisy increments at the
+    tuned penalties, about 1000 for a noise-free ramp j**2 at m = 2000.
 
     A jump of 0 can come out of rounding as a few ulps: a tie of splits can
     leave two neighbours flat (level slope 0, the only way their slopes
@@ -212,15 +222,14 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
     ``lam``.  So a boundary whose jump is within 8 ulps of its blocks' mean
     absolute values plus tilts, or against its own sign, is fused.
     """
-    y = _responses(y)
+    y, tree = _split_tree(y)
     if not np.isfinite(lam) or lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    starts = _run_starts(y)
-    if lam == 0 or starts.size == 0:
+    if lam == 0 or tree.v.size == 1:
         return FusedLassoFit(lam=float(lam), alpha=y.copy(), y=y.copy())
 
-    tree = _SplitRounds(y, starts)
-    tree.run(lambda pending: pending > lam * (1.0 + 1e-12))
+    above = lam * (1.0 + 1e-12)
+    tree.run(lambda pending: pending > above)
     w, v = tree.w, tree.v
 
     def levels(cut):
@@ -228,7 +237,7 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
         tilt = (sign[1:] - sign[:-1]) * lam * (0.5 * tree.m / size)
         return sign, size, tilt, np.add.reduceat(w * v, cut[:-1]) / size + tilt
 
-    cut = np.sort(np.concatenate(([0], tree.taken[3], [v.size]))).astype(np.intp)
+    cut = np.sort(np.r_[0, tree.taken[3, tree.taken[0] > above], v.size]).astype(np.intp)
     sign, size, tilt, level = levels(cut)
     # a level is good to a few ulps of its block's mean absolute value plus tilt
     scale = np.add.reduceat(w * np.abs(v), cut[:-1]) / size + np.abs(tilt)
@@ -287,14 +296,10 @@ def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
     pending blocks at or above the rank-th largest split lambda known, rank =
     k_max + 2, as no block below, nor its children, is among the first rank
     splits; the count stands if no pending split lies above the one that
-    ends it, else the rank goes up to that of the largest pending split.
+    ends it, else the rank goes up to that of the largest pending split.  The
+    tree is kept for the solves of y; splits they took sort after the stop.
     """
-    y = _responses(y)
-    starts = _run_starts(y)
-    if starts.size == 0:
-        return [PathBreakpoint(0.0, 0)]
-
-    tree = _SplitRounds(y, starts)
+    tree = _split_tree(y)[1]
     rank = np.inf if k_max is None else k_max + 2
 
     def pick(pending):

@@ -82,8 +82,9 @@ def pilot_lambda(y, k_max: int) -> float:
     Read off the top-down split path, which fixes the exact fit at every
     penalty: the lambda of the first breakpoint whose count is at most
     ``k_max``.  The path is cut below the first breakpoint over ``k_max``, so
-    only the blocks that can hold its first k_max + 2 splits are split; when
-    no count exceeds ``k_max`` it starts at lambda = 0 and the pilot is 0.
+    only the blocks that can hold its first k_max + 2 splits are split, on the
+    tree the solves of y reuse; when no count exceeds ``k_max`` it starts at
+    lambda = 0 and the pilot is 0.
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
@@ -146,7 +147,8 @@ def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
     Residuals of the exact fit at the pilot penalty, which is read off the
     solution path (:func:`pilot_lambda`), are multiplied by i.i.d. standard
     normal vectors; the selected penalty is the ceil(q*L)-th order statistic
-    of the resulting effective-noise sample.
+    of the resulting effective-noise sample.  The pilot fit, like a later
+    solve of y at the selected penalty, is read off the path's split tree.
 
     The warning that the path and the solver "disagree" fires when the pilot
     fit has more than ``k_max`` change points: the path's slope-history count

@@ -22,6 +22,7 @@ import csv
 import heapq
 import importlib.util
 import math
+import threading
 import time
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hazstep import PathBreakpoint, ValidationError
+from hazstep import PathBreakpoint, ValidationError, flsa, flsa_solve
 from hazstep.tuning import _noise_max
 
 # property tests draw the same examples on every run and keep no database
@@ -657,6 +658,31 @@ def stepfun_csv_rows(fun, path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture
+def split_trees(monkeypatch):
+    """The y of each split tree built from here on, with no tree kept before."""
+    built = []
+
+    class Counted(flsa._SplitRounds):
+        def __init__(self, y):
+            built.append(y.copy())
+            super().__init__(y)
+
+    monkeypatch.setattr(flsa, "_SplitRounds", Counted)
+    monkeypatch.setattr(flsa, "_last", threading.local())
+    return built
+
+
+def fresh_solve(y, lam):
+    """``flsa_solve`` on a split tree built for this call alone."""
+    kept = flsa._last
+    flsa._last = threading.local()
+    try:
+        return flsa_solve(y, lam)
+    finally:
+        flsa._last = kept
 
 
 # -- speed reference -----------------------------------------------------------

@@ -196,6 +196,17 @@ class TestSimulateCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_drawn_seed_is_printed_only_by_a_run_that_writes(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["simulate", "--scenario", "A1", "--n", "150", "--out", str(out)]
+        assert main(args + ["--reps", "0"]) == 2
+        assert "seed" not in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--reps", "1"]) == 0
+        printed = capsys.readouterr().err.split("seed not supplied; using random seed ")
+        assert len(printed) == 2
+        assert json.loads((out / "study_runs.json").read_text())["seed"] == int(printed[1])
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["simulate", "--scenario", "A1", "--n", "150", "--reps", "2",

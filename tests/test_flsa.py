@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     dp_solve_oracle,
     elementwise_bound_check,
+    fresh_solve,
     fused_objective,
     merge_path_oracle,
     reparametrized_check,
@@ -404,6 +408,76 @@ class TestPath:
                 below = flsa_solve(y, bp.lam * (1 - 1e-6)).changepoints.size
                 assert above == bp.changepoint_count
                 assert below == prev.changepoint_count
+
+
+def _cache_inputs():
+    rng = np.random.default_rng(21)
+    steps = np.repeat([2.0, 5.0, 3.0, 3.5], 100) + rng.normal(size=400)
+    ties = 1.3 * rng.poisson(1.0, size=400)  # a few distinct values, long runs
+    ramp = np.arange(200.0) ** 2  # about one round per two splits
+    return {"steps": steps, "ties": ties, "ramp": ramp}
+
+
+class TestSplitTreeCache:
+    @pytest.mark.parametrize("order", range(3))
+    @pytest.mark.parametrize("kind", ["steps", "ties", "ramp"])
+    def test_solves_after_the_path_equal_fresh_solves(self, split_trees, kind, order):
+        y = _cache_inputs()[kind]
+        path = flsa_path(y, 5)
+        lam0 = pilot_lambda(y, 5)
+        # above lambda0, at it, at the top breakpoint, and below the path's
+        # stop, where the rounds resume
+        lams = [3.0 * lam0, lam0, path[-1].lam, 0.5 * path[0].lam, 1e-3 * path[0].lam]
+        fresh = {lam: fresh_solve(y, lam).alpha.tobytes() for lam in lams}
+        for lam in np.random.default_rng(order).permutation(lams):
+            fit = flsa_solve(y, lam)
+            assert fit.lam == lam and fit.alpha.tobytes() == fresh[lam], lam
+        assert len(split_trees) == 1 + len(lams)  # the path's and the fresh ones
+
+    def test_y_changed_in_place_gets_a_new_tree(self, split_trees):
+        y = _cache_inputs()["steps"]
+        lam = pilot_lambda(y, 5)
+        flsa_solve(y, lam)
+        y[150] += 0.25
+        fit = flsa_solve(y, lam)
+        assert len(split_trees) == 2 and split_trees[1].tobytes() == y.tobytes()
+        assert fit.alpha.tobytes() == fresh_solve(y, lam).alpha.tobytes()
+
+    def test_signed_zero_is_another_y(self, split_trees):
+        pair = ([-0.0, 1.0], [0.0, 1.0])
+        fits = [flsa_solve(y, 0.1) for y in pair]
+        assert [t.tobytes() for t in split_trees] == [np.array(y).tobytes() for y in pair]
+        for y, fit in zip(pair, fits):
+            assert fit.alpha.tobytes() == fresh_solve(y, 0.1).alpha.tobytes()
+
+    def test_threads_do_not_share_a_tree(self):
+        # for each y the two threads split a new deep tree side by side
+        ys = [np.arange(600.0) ** 2 + r for r in range(5)]
+        lams = (1e-3, 1e-2)
+        expected = [[fresh_solve(y, lam).alpha.tobytes() for lam in lams] for y in ys]
+        start = threading.Barrier(2)
+        results, errors = ([], []), []
+
+        def solve(i):
+            try:
+                for y in ys:
+                    start.wait(timeout=30)
+                    results[i].append(flsa_solve(y, lams[i]).alpha.tobytes())
+            except Exception as exc:  # noqa: BLE001 - reported by the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert list(zip(*results)) == [tuple(e) for e in expected]
 
 
 class TestInterpolate:

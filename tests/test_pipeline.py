@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import dp_solve_oracle
+from conftest import dp_solve_oracle, fresh_solve
 from hazstep import (
     FitConfig,
     Scenario,
@@ -102,6 +102,16 @@ class TestFitHazard:
         a = fit_hazard(frame, cfg)
         b = fit_hazard(frame, cfg)
         assert a.to_json() == b.to_json()
+
+    def test_one_split_tree_per_fit(self, split_trees):
+        # the pilot path, the pilot solve and the final solve read one tree
+        frame = gen_scenario(named_scenario("B2", 300), 3)
+        fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=1, l_boot=30)))
+        y = fit.flsa.y
+        assert len(split_trees) == 1 and split_trees[0].tobytes() == y.tobytes()
+        pilot = fresh_solve(y, fit.tuning.lambda0)
+        assert (y - pilot.alpha).tobytes() == fit.tuning.residuals.tobytes()
+        assert fresh_solve(y, fit.tuning.lam).alpha.tobytes() == fit.flsa.alpha.tobytes()
 
     def test_one_increment_vector(self):
         frame = gen_scenario(constant_scenario(300), 2)
