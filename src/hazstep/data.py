@@ -297,9 +297,10 @@ def _json_field(obj, name: str, read=lambda value: value):
 # Every CSV file is read by _read_columns and written by _write_columns.  The
 # writer and the reader's csv path work _ROWS rows at a time.  The writer
 # formats each float once with repr (shortest round trip) and quotes only text
-# cells, as csv.writer does.
+# cells, as csv.writer does.  A block holds each of its cells as a str object,
+# so blocks are kept to a few hundred KB: larger ones raise peak memory.
 
-_ROWS = 8192
+_ROWS = 1024
 
 
 def _parse_float(text, row, col):

@@ -1,8 +1,9 @@
 """Illness-death model: per-transition fits and closed-form survival curves.
 
 The three-state model without recovery (initial 0, intermediate 1, absorbing
-2) is fitted one transition at a time by reducing trajectories to survival
-frames; the 1->2 frame uses the state-1 entry time as left truncation.
+2) is fitted transition by transition, two fits at a time in threads, by
+reducing trajectories to survival frames; the 1->2 frame uses
+the state-1 entry time as left truncation.
 Occupation probabilities follow the forward differential equations, which
 are solved exactly segment by segment since all intensities are piecewise
 constant.
@@ -10,6 +11,8 @@ constant.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,23 +91,55 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
     """Per-transition hazard fits, keyed by transition tuple.
 
     ``config`` may be a single :class:`FitConfig` applied to every
-    transition or a mapping keyed by transition tuples.  Each fit is
-    ``fit_hazard(split_transitions(frame, tr), cfg)``: a frame keeps the
-    entry times of its sojourns, so the 1->2 frame, and a 0->x frame whose
-    subjects enter state 0 after time 0, are left-truncated and their
-    default windows start at the 0.025 quantile of their uncensored times.
+    transition or a mapping keyed by transition tuples; a transition it
+    leaves out gets the defaults, and a key that is not a transition raises
+    ``ValidationError``.  Each fit is ``fit_hazard(split_transitions(frame,
+    tr), cfg)``: a frame keeps the entry times of its sojourns, so the 1->2
+    frame, and a 0->x frame whose subjects enter state 0 after time 0, are
+    left-truncated and their default windows start at the 0.025 quantile of
+    their uncensored times.
+
+    The fits run on two threads: the calling thread fits 0->1 while one
+    helper thread fits 0->2 and then 1->2.  Each fit has its own frame, seed
+    and split tree, so the fits equal the sequential ones, but log records of
+    different transitions may interleave.  A failed fit raises its error,
+    the first in ``TRANSITIONS`` order.  Once a fit has failed or the calling
+    thread is interrupted, no further fit starts; the call returns when the
+    fit under way in the helper has ended.
     """
-    out = {}
+    if isinstance(config, dict):
+        for key in config:
+            if key not in TRANSITIONS:
+                raise ValidationError(f"config key {key!r} is not a transition of {TRANSITIONS}")
+        configs = [config.get(tr, FitConfig()) for tr in TRANSITIONS]
+    else:
+        configs = [config or FitConfig()] * len(TRANSITIONS)
+    subs = []
     for tr in TRANSITIONS:
         sub = split_transitions(frame, tr)
         if not np.any(sub.status == 1):
             raise ValidationError(f"transition {tr}: zero events")
-        if isinstance(config, dict):
-            cfg = config.get(tr, FitConfig())
-        else:
-            cfg = config or FitConfig()
-        out[tr] = fit_hazard(sub, cfg)
-    return out
+        subs.append(sub)
+    stop = threading.Event()
+
+    def fit_rest():
+        # fit_hazard is read at call time, so a wrapper set on this module's
+        # global applies in the helper too
+        fits = []
+        for sub, cfg in zip(subs[1:], configs[1:]):
+            if stop.is_set():
+                break
+            fits.append(fit_hazard(sub, cfg))
+        return fits
+
+    with ThreadPoolExecutor(1) as pool:
+        rest = pool.submit(fit_rest)
+        try:
+            fits = [fit_hazard(subs[0], configs[0])] + rest.result()
+        except BaseException:
+            stop.set()
+            raise
+    return dict(zip(TRANSITIONS, fits))
 
 
 def state_probabilities(model: IllnessDeathModel, grid) -> tuple[np.ndarray, np.ndarray]:

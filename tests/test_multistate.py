@@ -1,3 +1,8 @@
+import logging
+import re
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -309,3 +314,99 @@ class TestFitIllnessDeath:
         back = IllnessDeathModel.from_dict(model.to_dict())
         assert np.array_equal(back.a01.levels, model.a01.levels)
         assert back.a12.domain == model.a12.domain
+
+
+class TestConcurrentFits:
+    """The three transition fits run side by side in threads."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return simulate_illness_death(constant_model(1.0, 0.5, 2.0), 800, 0.3, 31)
+
+    @staticmethod
+    def seeded(seed0):
+        return {
+            tr: FitConfig(p_high=0.95, tuning=TuningConfig(l_boot=40, seed=seed0 + i))
+            for i, tr in enumerate(((0, 1), (0, 2), (1, 2)))
+        }
+
+    @pytest.mark.parametrize("per_transition", [False, True], ids=["one-config", "dict"])
+    def test_fits_equal_sequential_fits(self, frame, per_transition):
+        one = FitConfig(tuning=TuningConfig(l_boot=40, seed=7))
+        config = self.seeded(7) if per_transition else one
+        fits = fit_illness_death_detailed(frame, config)
+        assert list(fits) == [(0, 1), (0, 2), (1, 2)]
+        for tr, fit in fits.items():
+            cfg = config[tr] if per_transition else config
+            alone = fit_hazard(split_transitions(frame, tr), cfg)
+            assert fit.to_json() == alone.to_json()
+            assert fit.tuning.u_boot.tobytes() == alone.tuning.u_boot.tobytes()
+            assert fit.tuning.residuals.tobytes() == alone.tuning.residuals.tobytes()
+
+    def test_calling_thread_fits_01_helper_fits_the_rest(self, frame, monkeypatch):
+        threads = {}
+
+        def recording(sub, cfg):
+            threads[cfg.tuning.seed] = threading.get_ident()
+            return fit_hazard(sub, cfg)
+
+        monkeypatch.setattr("hazstep.multistate.fit_hazard", recording)
+        fit_illness_death_detailed(frame, self.seeded(1))
+        assert threads[1] == threading.get_ident()
+        assert threads[2] == threads[3] != threads[1]
+
+    def test_first_error_in_transition_order_and_no_thread_left(self, frame, monkeypatch, caplog):
+        start = threading.active_count()
+        helpers = []
+
+        def failing(sub, cfg):
+            seed = cfg.tuning.seed
+            if threading.current_thread() is not threading.main_thread():
+                helpers.append(seed)
+                logging.getLogger("hazstep.pipeline").warning("helper fit of seed %d", seed)
+            if seed == 12:
+                raise ValidationError("fit of (0, 2) failed")
+            if seed == 13:
+                raise ValidationError("fit of (1, 2) failed")
+            return fit_hazard(sub, cfg)
+
+        fit_illness_death_detailed(frame, self.seeded(1))
+        assert threading.active_count() == start
+        monkeypatch.setattr("hazstep.multistate.fit_hazard", failing)
+        with caplog.at_level(logging.WARNING, logger="hazstep.pipeline"):
+            with pytest.raises(ValidationError, match=r"fit of \(0, 2\) failed"):
+                fit_illness_death_detailed(frame, self.seeded(11))
+        assert threading.active_count() == start
+        assert helpers == [12]  # (1, 2) does not start once (0, 2) has failed
+        main = threading.main_thread().ident
+        logged = [r.getMessage() for r in caplog.records if r.thread != main]
+        assert logged == ["helper fit of seed 12"]
+
+    @pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
+    def test_calling_thread_error_stops_the_helper(self, frame, monkeypatch, error):
+        start = threading.active_count()
+        failed = threading.Event()
+        seeds = []
+
+        def failing(sub, cfg):
+            seeds.append(cfg.tuning.seed)
+            if cfg.tuning.seed == 1:
+                failed.set()
+                raise error("fit of (0, 1) failed")
+            if cfg.tuning.seed == 2:
+                failed.wait(5)
+                time.sleep(0.05)  # the calling thread is past its raise by now
+            return fit_hazard(sub, cfg)
+
+        monkeypatch.setattr("hazstep.multistate.fit_hazard", failing)
+        with pytest.raises(error, match=r"fit of \(0, 1\) failed"):
+            fit_illness_death_detailed(frame, self.seeded(1))
+        assert threading.active_count() == start
+        assert sorted(seeds) == [1, 2]
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 3), "01"])
+    def test_unknown_config_key_rejected(self, frame, key):
+        config = {(0, 1): FitConfig(), key: FitConfig(tuning=TuningConfig(seed=5))}
+        message = re.escape(f"config key {key!r} is not a transition")
+        with pytest.raises(ValidationError, match=message):
+            fit_illness_death_detailed(frame, config)
