@@ -82,43 +82,43 @@ class BreslowCurve:
 
 
 def _likelihood_constants(frame: SurvivalFrame):
-    """What every likelihood evaluation on ``frame`` shares: the event mask, the
-    summed covariates of the events, and the (row, col) pairs of s2's distinct
-    entries."""
+    """What every likelihood evaluation on ``frame`` shares: the centred
+    covariates, the event mask, the events' summed centred covariates, and
+    the number of distinct event times up to each entry and each time.
+
+    The partial likelihood is shift-invariant, so beta keeps its meaning for
+    ``breslow_fit``'s uncentred columns.  Centring on row 0, then on the
+    means, makes a constant column, and its information row and column, 0.
+    """
+    W = frame.covariates - frame.covariates[0]
+    W -= W.mean(axis=0)
+    lo, hi = np.searchsorted(frame._event_ties[0], (frame.entry, frame.time), side="right")
     events = frame.status == 1
-    return events, np.sum(frame.covariates[events], axis=0), np.triu_indices(frame.d)
+    return W, events, np.sum(W[events], axis=0), lo, hi
 
 
 def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray, constants):
-    """Log partial likelihood, gradient and information (Breslow ties)."""
-    events, event_sum, (rows, cols) = constants
+    """Log partial likelihood, gradient and information (Breslow ties).
+
+    One risk-set pass sums s0 = sum w_i and s1 = sum w_i W_i at each event
+    time t_k.  The information's first term, sum_k d_k / s0_k sum_{i at risk
+    at t_k} w_i W_i W_i', is W' diag(w_i H_i) W: H_i, the sum of d_k / s0_k
+    over t_k in (entry_i, time_i], is the Breslow cumulative hazard.
+    """
+    W, events, event_sum, lo, hi = constants
     ev_times, d_k = frame._event_ties
-    W = frame.covariates
-    n, d = W.shape
     eta = W @ beta
     w = np.exp(eta)
-    # the summands of s0, s1 and the d(d+1)/2 distinct ones of the symmetric
-    # s2 side by side, so one risk-set pass sums all three
-    summands = np.empty((n, 1 + d + rows.size))
-    summands[:, 0] = w
-    np.multiply(W, w[:, None], out=summands[:, 1 : 1 + d])
-    for c, (i, j) in enumerate(zip(rows, cols), start=1 + d):
-        np.multiply(W[:, i], W[:, j], out=summands[:, c])
-        summands[:, c] *= w
-    sums = risk_set_sums(frame, summands, ev_times)
-    s0, s1 = sums[:, 0], sums[:, 1 : 1 + d]
-    # C order: einsum's summation order, and so info's bits, follow s2's layout
-    s2 = np.empty((sums.shape[0], d, d))
-    s2[:, rows, cols] = s2[:, cols, rows] = sums[:, 1 + d :]
-
+    sums = risk_set_sums(frame, np.column_stack((w, W * w[:, None])), ev_times)
+    s0, s1 = sums[:, 0], sums[:, 1:]
     if np.any(s0 <= 0):
         raise ValidationError("empty risk set at an event time")
     loglik = float(np.sum(eta[events]) - np.sum(d_k * np.log(s0)))
     mean = s1 / s0[:, None]
     grad = event_sum - d_k @ mean
-    info = np.einsum("k,kij->ij", d_k, s2 / s0[:, None, None]) - np.einsum(
-        "k,ki,kj->ij", d_k, mean, mean
-    )
+    cum = np.concatenate(([0.0], np.cumsum(d_k / s0)))
+    H = cum[hi] - cum[lo]
+    info = (W.T * (w * H)) @ W - (mean.T * d_k) @ mean
     return loglik, grad, info
 
 

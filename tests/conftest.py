@@ -532,6 +532,24 @@ def risk_set_sums_sort_per_call(frame, weights, times):
     return total
 
 
+def cox_information_oracle(frame, beta):
+    """Breslow Cox information from the full d x d risk-set sums s2.
+
+    sum_k d_k (s2_k / s0_k - mean_k mean_k') at the distinct event times,
+    with s0, s1 and s2 = sum w_i W_i W_i' over each risk set summed by
+    ``risk_set_sums_sort_per_call`` on the uncentred covariates.
+    """
+    W = frame.covariates
+    w = np.exp(W @ beta)
+    times, d_k = np.unique(frame.time[frame.status == 1], return_counts=True)
+    s0 = risk_set_sums_sort_per_call(frame, w, times)
+    mean = risk_set_sums_sort_per_call(frame, W * w[:, None], times) / s0[:, None]
+    s2 = risk_set_sums_sort_per_call(frame, (W[:, :, None] * W[:, None, :]) * w[:, None, None], times)
+    return np.einsum("k,kij->ij", d_k, s2 / s0[:, None, None]) - np.einsum(
+        "k,ki,kj->ij", d_k, mean, mean
+    )
+
+
 def bootstrap_stats_single_draw(residuals, seed, l_boot):
     """Bootstrap statistics from one (l_boot, m) normal draw, row by row.
 

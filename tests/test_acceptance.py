@@ -107,7 +107,10 @@ CELL_SEEDS = {
 @pytest.fixture(scope="session")
 def studies():
     # reports do not depend on the process count, so the cells use the cores there are
-    threads = min(4, len(os.sched_getaffinity(0)))
+    cores = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    )
+    threads = min(4, cores)
     out = {}
     for (name, n), seed in CELL_SEEDS.items():
         out[(name, n)] = run_study(named_scenario(name, n), REPS[n], seed, threads=threads)

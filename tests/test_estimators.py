@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import nelson_aalen_reference, risk_set_sums_sort_per_call
+from conftest import cox_information_oracle, nelson_aalen_reference, risk_set_sums_sort_per_call
 from hazstep import (
     SurvivalFrame,
     ValidationError,
@@ -107,6 +109,43 @@ class TestCoxFit:
             e[k] = h
             fd = (loglik(fit.beta + e) - loglik(fit.beta - e)) / (2 * h)
             assert abs(fd) <= 1e-4 * max(1.0, abs(loglik(fit.beta)))
+
+    def test_memory_linear_in_n_times_d(self):
+        # the d(d + 1)/2 covariate products of every record alone would take
+        # twice the bound here
+        n, d = 20_000, 30
+        rng = np.random.default_rng(3)
+        cov = rng.normal(size=(n, d))
+        time = rng.exponential(np.exp(-cov @ np.full(d, 0.1)))
+        frame = frame_of(time, (rng.random(n) < 0.8).astype(int), cov)
+        tracemalloc.start()
+        try:
+            fit = cox_fit(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert peak < 8 * n * (1 + d) * 8
+
+    @pytest.mark.parametrize("constant", [1.0, 0.3])
+    def test_aliased_columns_keep_the_one_column_fit(self, constant):
+        # a constant or collinear column adds no information, so the fit keeps
+        # the one-column answer; which columns are aliased is not reported yet,
+        # so converged stays False
+        rng = np.random.default_rng(23)
+        n = 2000
+        x = rng.normal(size=n)
+        t = rng.exponential(np.exp(-0.7 * x))
+        c = rng.exponential(2.0, n)
+        time, status = np.minimum(t, c), (t <= c).astype(int)
+        one = cox_fit(frame_of(time, status, x))
+        assert one.converged
+        with_constant = cox_fit(frame_of(time, status, np.column_stack((np.full(n, constant), x))))
+        assert with_constant.beta[0] == 0.0
+        assert abs(with_constant.beta[1] - one.beta[0]) <= 1e-12
+        doubled = cox_fit(frame_of(time, status, np.column_stack((x, 2 * x))))
+        assert abs(doubled.beta[0] + 2 * doubled.beta[1] - one.beta[0]) <= 1e-12
+        assert not with_constant.converged and not doubled.converged
 
 
 class TestBreslow:
@@ -266,7 +305,7 @@ class TestRiskSetCache:
                 assert got.tobytes() == want.tobytes()
 
     def test_stacked_weights_sum_as_separate_calls(self, truncated):
-        # cox_fit sums the s0, s1 and s2 summands in one call, column by column
+        # cox_fit sums its s0 and s1 summands in one call, column by column
         frame = tied_frame(truncated)
         W = frame.covariates
         w = np.exp(W @ [0.3, -0.7])
@@ -276,21 +315,22 @@ class TestRiskSetCache:
         separate = [risk_set_sums(frame, p, times).reshape(times.size, -1) for p in parts]
         assert stacked.tobytes() == np.column_stack(separate).tobytes()
 
-    def test_packed_s2_gives_the_bits_of_all_products(self, truncated):
-        # cox_fit sums only the d(d+1)/2 distinct summands of the symmetric s2
-        frame = tied_frame(truncated)
-        W = frame.covariates
-        beta = np.array([0.3, -0.7])
-        w = np.exp(W @ beta)
-        times, d_k = frame._event_ties
-        s0 = risk_set_sums(frame, w, times)
-        mean = risk_set_sums(frame, W * w[:, None], times) / s0[:, None]
-        s2 = risk_set_sums(frame, (W[:, :, None] * W[:, None, :]) * w[:, None, None], times)
-        info = np.einsum("k,kij->ij", d_k, s2 / s0[:, None, None]) - np.einsum(
-            "k,ki,kj->ij", d_k, mean, mean
-        )
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_information_matches_the_s2_oracle(self, truncated, d):
+        # cox_fit gets the information from the Breslow cumulative hazard over
+        # each record's risk interval, on centred covariates
+        rng = np.random.default_rng(d)
+        n = 300
+        entry = np.round(rng.uniform(0, 1, n), 1) if truncated else np.zeros(n)
+        cov = rng.normal(loc=np.linspace(-2.0, 3.0, d), size=(n, d))
+        beta = rng.normal(scale=0.3, size=d)
+        time = entry + 0.1 + np.round(rng.exponential(np.exp(-(cov - cov.mean(0)) @ beta)), 1)
+        frame = SurvivalFrame(time=time, status=rng.random(n) < 0.7, entry=entry, covariates=cov)
         constants = estimators._likelihood_constants(frame)
-        assert estimators._partial_loglik_parts(frame, beta, constants)[2].tobytes() == info.tobytes()
+        info = estimators._partial_loglik_parts(frame, beta, constants)[2]
+        want = cox_information_oracle(frame, beta)
+        # entries near 0 are held to the scale of the largest
+        np.testing.assert_allclose(info, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     def test_cox_and_breslow_bit_equal(self, truncated, monkeypatch):
         fit = cox_fit(tied_frame(truncated))
