@@ -60,6 +60,12 @@ def _column(values, name: str) -> np.ndarray:
     return col
 
 
+def _check_integer(value, name: str, low: int) -> None:
+    """Raise a ValidationError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
 def _freeze(record, **arrays) -> None:
     """Make each validated array read-only and set it as a field of the frozen ``record``."""
     for name, a in arrays.items():
@@ -227,16 +233,19 @@ class MultiStateFrame:
 
 # Every indented JSON text is made by _json_parts.  With an indent, json.dumps
 # runs its pure-Python encoder on every value; _json_parts makes the same text
-# but encodes each flat list of numbers with the C encoder and re-indents its
-# ", " separators, which no number, true, false or null contains.
+# but encodes each number vector, a flat list of numbers or a 1-D numeric
+# array, with the C encoder, _ROWS values at a time, and re-indents each
+# chunk's ", " separators, which no number, true, false or null contains.  So a
+# record's to_dict() may hold its read-only arrays, and writing one costs a
+# chunk of str objects, not a copy of the vector as floats and as text.
 
 _NUMBER_TYPES = frozenset((int, float, bool, type(None)))
 
 
 def _json_text(obj, indent=None) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=indent)``."""
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=indent)``, arrays as lists."""
     if indent is None:
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(obj, sort_keys=True, default=np.ndarray.tolist)
     return "".join(_json_parts(obj, "\n", " " * indent))
 
 
@@ -259,12 +268,16 @@ def _json_parts(obj, newline: str, step: str):
             yield from _json_parts(value, inner, step)
             opening = ","
         yield newline + "}"
+    elif (isinstance(obj, np.ndarray) and obj.size) or (
+        isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) <= _NUMBER_TYPES
+    ):
+        opening = "[" + inner
+        for lo in range(0, len(obj), _ROWS):
+            chunk = json.dumps(obj[lo : lo + _ROWS], default=np.ndarray.tolist)
+            yield opening + chunk[1:-1].replace(", ", "," + inner)
+            opening = "," + inner
+        yield newline + "]"
     elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= _NUMBER_TYPES:
-            yield "[" + inner
-            yield json.dumps(obj)[1:-1].replace(", ", "," + inner)
-            yield newline + "]"
-            return
         opening = "["
         for item in obj:
             yield opening + inner
@@ -272,7 +285,7 @@ def _json_parts(obj, newline: str, step: str):
             opening = ","
         yield newline + "]"
     else:
-        yield json.dumps(obj)
+        yield json.dumps(obj, default=np.ndarray.tolist)
 
 
 class _JsonRecord:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalFrame, _column, _freeze, _write_columns, risk_set_sums
+from .data import SurvivalFrame, _check_integer, _column, _freeze, _write_columns, risk_set_sums
 from .errors import ValidationError
 from .stepfun import Window, _corners
 
@@ -233,8 +233,7 @@ def build_increments(curve: BreslowCurve, window: Window, m: int) -> np.ndarray:
     the hazard in rescaled time units, i.e. ``window.length`` times the
     hazard in original units.
     """
-    if m < 2:
-        raise ValidationError(f"grid size must be >= 2, got {m}")
+    _check_integer(m, "grid size", 2)
     if window.tau_min < 0 or window.tau_max > curve.tau:
         raise ValidationError(
             f"window ({window.tau_min}, {window.tau_max}) outside data support [0, {curve.tau}]"

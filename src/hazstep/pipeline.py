@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalFrame, _column, _freeze, _JsonRecord, risk_set_sums
+from .data import SurvivalFrame, _check_integer, _column, _freeze, _JsonRecord, risk_set_sums
 from .errors import ValidationError
 from .estimators import (
     BreslowCurve,
@@ -52,8 +52,8 @@ class FitConfig:
     beta: object = None
 
     def __post_init__(self):
-        if self.grid_size is not None and self.grid_size < 2:
-            raise ValidationError(f"grid size must be >= 2, got {self.grid_size}")
+        if self.grid_size is not None:
+            _check_integer(self.grid_size, "grid size", 2)
         if self.beta is not None:
             _freeze(self, beta=_column(self.beta, "beta"))
 
@@ -192,8 +192,7 @@ def discretize_truth(truth: StepFunction, window: Window, m: int) -> np.ndarray:
     returned in rescaled units (multiplied by the window length) so they are
     directly comparable with the increment responses.
     """
-    if m < 1:
-        raise ValidationError(f"grid size must be >= 1, got {m}")
+    _check_integer(m, "grid size", 1)
     scale = window.length
     mids = window.tau_min + (np.arange(1, m + 1) - 0.5) * (scale / m)
     return np.asarray(truth(mids), dtype=float) * scale

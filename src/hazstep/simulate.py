@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
-from .data import _column, _freeze, _JsonRecord, _write_columns
+from .data import _check_integer, _column, _freeze, _JsonRecord, _write_columns
 from .errors import ValidationError
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
@@ -64,8 +64,7 @@ class Scenario:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError(f"sample size must be >= 2, got {self.n}")
+        _check_integer(self.n, "sample size", 2)
         if self.censoring_rate < 0:
             raise ValidationError(f"censoring rate must be >= 0, got {self.censoring_rate}")
         _freeze(self, beta=_column(self.beta, "beta"))
@@ -259,12 +258,9 @@ def run_study(scenario: Scenario, replications: int, seed: int, threads: int = 1
     index, so thread count does not affect the report.  Failed replications
     are recorded, not dropped silently.
     """
-    if replications < 1:
-        raise ValidationError(f"replications must be >= 1, got {replications}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_integer(replications, "replications", 1)
+    _check_integer(threads, "threads", 1)
+    _check_integer(seed, "seed", 0)
     children = np.random.SeedSequence(seed).spawn(replications)
     tasks = []
     for r, child in enumerate(children):
@@ -329,8 +325,7 @@ def simulate_illness_death(
     Subject i (id i) has a sojourn row in state 0 and, if it was observed
     to fall ill, a second row in state 1.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_integer(n, "n", 1)
     rng = np.random.default_rng(seed)
     exit0, to_illness, death12, cens = _simulate_paths(model, n, censoring_rate, rng)
     cens0 = (cens < exit0) | ~np.isfinite(exit0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _freeze, _JsonRecord
+from .data import _check_integer, _freeze, _JsonRecord
 from .errors import ValidationError
 from .estimators import empirical_quantile
 from .flsa import flsa_path, flsa_solve
@@ -47,12 +47,9 @@ class TuningConfig:
     def __post_init__(self):
         if not 0 < self.q < 1:
             raise ValidationError(f"q must be in (0, 1), got {self.q}")
-        if self.k_max < 0:
-            raise ValidationError(f"k_max must be >= 0, got {self.k_max}")
-        if self.l_boot < 1:
-            raise ValidationError(f"l_boot must be >= 1, got {self.l_boot}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_integer(self.k_max, "k_max", 0)
+        _check_integer(self.l_boot, "l_boot", 1)
+        _check_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,8 @@ class TuningResult(_JsonRecord):
             "lambda0": self.lambda0,
             "lambda": self.lam,
             "seed": self.seed,
-            "u_boot": self.u_boot.tolist(),
-            "residuals": self.residuals.tolist(),
+            "u_boot": self.u_boot,
+            "residuals": self.residuals,
         }
 
 
@@ -86,8 +83,7 @@ def pilot_lambda(y, k_max: int) -> float:
     tree the solves of y reuse; when no count exceeds ``k_max`` it starts at
     lambda = 0 and the pilot is 0.
     """
-    if k_max < 0:
-        raise ValidationError(f"k_max must be >= 0, got {k_max}")
+    _check_integer(k_max, "k_max", 0)
     return next(float(bp.lam) for bp in flsa_path(y, k_max) if bp.changepoint_count <= k_max)
 
 

@@ -24,6 +24,7 @@ import importlib.util
 import math
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +672,16 @@ def stepfun_csv_rows(fun, path):
         writer.writerow(["t", "level"])
         for t, v in fun.corner_points():
             writer.writerow([repr(float(t)), repr(float(v))])
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory tracemalloc traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@ import csv
 import inspect
 import json
 import re
-import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -17,6 +16,7 @@ from conftest import (
     km_to_csv_rows,
     report_table_csv_rows,
     stepfun_csv_rows,
+    traced_peak,
     write_multistate_csv_rows,
     write_survival_csv_rows,
 )
@@ -53,6 +53,7 @@ from hazstep.data import (
     _read_columns,
     _text,
     _write_columns,
+    _write_json,
     sojourn_frame,
 )
 from hazstep.multistate import (
@@ -74,7 +75,7 @@ from hazstep.simulate import (
     two_level_hazard,
 )
 from hazstep.stepfun import StepFunction, Window
-from hazstep.tuning import TuningConfig
+from hazstep.tuning import TuningConfig, TuningResult
 
 HEADER = "id,from,to,t_start,t_stop\n"
 BAD_TIMES = "times must be finite and >= 0, got"
@@ -243,12 +244,7 @@ class TestBlockReader:
         )
         path = tmp_path / "big.csv"
         write_survival_csv(frame, path)
-        tracemalloc.start()
-        try:
-            parse_survival_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(parse_survival_csv, path)
         assert peak < 12e6
 
 
@@ -546,6 +542,30 @@ class TestJsonText:
         obj = self.CASES[case]
         assert _json_text(obj, indent) == json.dumps(obj, sort_keys=True, indent=indent)
 
+    @pytest.mark.parametrize("size", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
+    @pytest.mark.parametrize("indent", [None, 0, 2, 4])
+    def test_arrays_encode_as_their_lists(self, rng, size, indent):
+        # a float array is encoded _ROWS values at a time; a reversed view is
+        # strided
+        values = rng.normal(size=size)
+        values[:4] = [-0.0, 5e-324, 1e300, 1 / 3][:size]
+        obj = {"b": values, "a": [values[::-1], {"c": values}], "n": 3}
+        as_lists = {"b": values.tolist(), "a": [values[::-1].tolist(), {"c": values.tolist()}], "n": 3}
+        assert _json_text(obj, indent) == json.dumps(as_lists, sort_keys=True, indent=indent)
+        assert _json_text(values, indent) == json.dumps(values.tolist(), indent=indent)
+
+    def test_writing_a_tuning_result_holds_one_chunk(self, rng, tmp_path):
+        # the residuals alone are 1.6 MB of float64; writing them as one list
+        # and one string peaked at 16 MB
+        result = TuningResult(
+            lambda0=0.5, lam=1.5, u_boot=rng.normal(size=100), residuals=rng.normal(size=200_000), seed=3
+        )
+        path = tmp_path / "tuning.json"
+        _, peak = traced_peak(lambda: _write_json(path, result.to_dict()))
+        assert peak < 1e6
+        assert path.read_text() == result.to_json(indent=2) + "\n"
+        assert json.loads(path.read_text())["residuals"] == result.residuals.tolist()
+
     @pytest.fixture(scope="class")
     def cli_records(self):
         """Every record the CLI writes, from small seeded runs."""
@@ -575,9 +595,9 @@ class TestJsonText:
         record = cli_records[name]
         obj = record.to_dict()
         text = _json_text(obj, indent=2)
-        assert text == json.dumps(obj, sort_keys=True, indent=2)
+        assert text == json.dumps(obj, sort_keys=True, indent=2, default=np.ndarray.tolist)
         assert record.to_json(indent=2) == text
-        assert record.to_json() == json.dumps(obj, sort_keys=True)
+        assert record.to_json() == json.dumps(obj, sort_keys=True, default=np.ndarray.tolist)
 
 
 def _columns_reader(converters):

@@ -1,9 +1,12 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import cox_information_oracle, nelson_aalen_reference, risk_set_sums_sort_per_call
+from conftest import (
+    cox_information_oracle,
+    nelson_aalen_reference,
+    risk_set_sums_sort_per_call,
+    traced_peak,
+)
 from hazstep import (
     SurvivalFrame,
     ValidationError,
@@ -118,12 +121,7 @@ class TestCoxFit:
         cov = rng.normal(size=(n, d))
         time = rng.exponential(np.exp(-cov @ np.full(d, 0.1)))
         frame = frame_of(time, (rng.random(n) < 0.8).astype(int), cov)
-        tracemalloc.start()
-        try:
-            fit = cox_fit(frame)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        fit, peak = traced_peak(cox_fit, frame)
         assert fit.converged
         assert peak < 8 * n * (1 + d) * 8
 

@@ -197,6 +197,13 @@ class TestFitHazard:
         with pytest.raises(ValidationError, match=f"grid size must be >= 2, got {grid_size}"):
             fit_hazard(frame, FitConfig(grid_size=grid_size, tuning=TuningConfig(seed=0, l_boot=10)))
 
+    def test_grid_must_be_an_integer(self):
+        # a float grid size used to pass and fail inside fit_hazard with a TypeError
+        with pytest.raises(ValidationError, match="^grid size must be >= 2, got 50.5$"):
+            FitConfig(grid_size=50.5)
+        with pytest.raises(ValidationError, match="^grid size must be >= 1, got 2.5$"):
+            discretize_truth(two_level_hazard(), Window(0, 1), 2.5)
+
     def test_empty_risk_interval_warns(self, caplog):
         # nobody is at risk on (0.4, 0.6): late entries start at 0.6
         time = np.concatenate((np.linspace(0.05, 0.4, 40), np.linspace(0.65, 1.0, 40)))

@@ -167,6 +167,20 @@ class TestRunStudy:
         with pytest.raises(ValidationError):
             run_study(named_scenario("A1", 100), 0, seed=1)
 
+    @pytest.mark.parametrize("field, value", [("replications", 2.5), ("threads", 1.5)])
+    def test_counts_must_be_integers(self, field, value):
+        # a float count used to raise a TypeError from inside numpy or the pool
+        args = dict(replications=2, seed=1) | {field: value}
+        with pytest.raises(ValidationError, match=f"^{field} must be >= "):
+            run_study(named_scenario("A1", 100), **args)
+
+    def test_sample_sizes_must_be_integers(self):
+        with pytest.raises(ValidationError, match="^sample size must be >= 2, got 100.5$"):
+            named_scenario("A1", 100.5)
+        one = StepFunction(W01, [], [1.0])
+        with pytest.raises(ValidationError, match="^n must be >= 1, got 10.0$"):
+            simulate_illness_death(IllnessDeathModel(a01=one, a02=one, a12=one), 10.0, 0.2, 0)
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_invalid_threads(self, threads):
         with pytest.raises(ValidationError, match=f"threads must be >= 1, got {threads}"):

@@ -1,10 +1,9 @@
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import bootstrap_stats_single_draw, effective_noise
+from conftest import bootstrap_stats_single_draw, effective_noise, traced_peak
 from hazstep import (
     TuningConfig,
     ValidationError,
@@ -258,6 +257,22 @@ class TestBootstrap:
         with pytest.raises(ValidationError, match="seed"):
             TuningConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", 1.5), ("l_boot", 2.5), ("k_max", 1.5), ("seed", "3"), ("l_boot", None)]
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        # a float or a non-number used to be accepted here and to fail later with a TypeError
+        with pytest.raises(ValidationError, match=f"^{field} must be >= "):
+            TuningConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = TuningConfig(k_max=np.int64(3), l_boot=np.int32(20), seed=np.uint64(7))
+        assert bootstrap_lambda(np.arange(40.0), config).u_boot.size == 20
+
+    def test_pilot_k_max_must_be_an_integer(self):
+        with pytest.raises(ValidationError, match="^k_max must be >= 0, got 1.5$"):
+            pilot_lambda(np.arange(10.0), 1.5)
+
     def test_streamed_rows_match_single_draw(self, rng):
         # the rows are drawn in blocks; u_boot must equal the statistics of
         # one (L, m) draw bit for bit, the ragged last block included
@@ -296,12 +311,7 @@ class TestBootstrap:
         # a draw buffer and a statistic buffer of about _BLOCK values each, or of
         # one row each when m > _BLOCK, plus O(m + l_boot)
         residuals = rng.normal(size=m)
-        tracemalloc.start()
-        try:
-            tuning._bootstrap_stats(residuals, np.random.default_rng(4), l_boot)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(tuning._bootstrap_stats, residuals, np.random.default_rng(4), l_boot)
         assert peak < bound
 
     def test_memory_linear_in_m(self, rng):
@@ -309,10 +319,5 @@ class TestBootstrap:
         # keeps the pilot's Python loops quick under tracemalloc
         m, l_boot = 2_000, 5_000
         y = np.repeat([2.0, 0.5], m // 2) + rng.normal(size=m)
-        tracemalloc.start()
-        try:
-            bootstrap_lambda(y, TuningConfig(l_boot=l_boot, seed=4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(bootstrap_lambda, y, TuningConfig(l_boot=l_boot, seed=4))
         assert peak < 64e6
