@@ -34,7 +34,6 @@ print(f"squared l2 error of the discretized fit: "
       f"{hs.metric_l2(fit.flsa.alpha, truth):.4f}")
 print(f"integral gap vs Breslow increment: {fit.integral_gap():+.4f}")
 
-# corner points are plot-ready: plt.plot(*fit.hazard.corner_points().T)
-corners = fit.hazard.corner_points()
-print(f"step-function corner points ({corners.shape[0]} rows), first rows:")
-print(np.round(corners[:4], 3))
+# to plot the fitted steps:
+#   h = fit.hazard
+#   plt.stairs(h.levels, [h.domain.tau_min, *h.breaks, h.domain.tau_max])

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import absorption_frame, parse_multistate_csv, parse_survival_csv, sojourn_frame
-from .data import _write_columns, _write_json
+from .data import _write_json
 from .data import split_transitions  # noqa: F401 - perfbench/tracer.py wraps it
 from .errors import ValidationError
 from .multistate import (
@@ -34,7 +34,7 @@ from .multistate import (
 )
 from .pipeline import FitConfig, fit_hazard
 from .simulate import named_scenario, report_table_csv, run_study
-from .stepfun import StepFunction, Window
+from .stepfun import Window
 from .tuning import TuningConfig
 
 
@@ -50,10 +50,6 @@ def _out_dir(args, seed: int | None = None) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_stepfun_csv(fun: StepFunction, path) -> None:
-    _write_columns(path, ["t", "level"], fun.corner_points().T)
 
 
 def _curve_points(args) -> int:
@@ -106,10 +102,9 @@ def cmd_fit(args) -> int:
     fit = fit_hazard(parse_survival_csv(args.input), config)
     out = _out_dir(args, config.tuning.seed)
     _write_json(out / "hazard.json", fit.to_dict())
-    _write_stepfun_csv(fit.hazard, out / "hazard_steps.csv")
     fit.cumulative.to_csv(out / "cumhaz.csv")
     _write_json(out / "tuning.json", fit.tuning.to_dict())
-    print(f"wrote hazard.json, hazard_steps.csv, cumhaz.csv, tuning.json to {out}")
+    print(f"wrote hazard.json, cumhaz.csv, tuning.json to {out}")
     return 0
 
 
@@ -144,14 +139,12 @@ def cmd_multistate(args) -> int:
     km_os = kaplan_meier(absorption_frame(frame, 2))
     out = _out_dir(args, seed)
     for (src, dst), fit in fits.items():
-        name = f"hazard_{src}{dst}"
-        _write_json(out / f"{name}.json", fit.to_dict())
-        _write_stepfun_csv(fit.hazard, out / f"{name}_steps.csv")
+        _write_json(out / f"hazard_{src}{dst}.json", fit.to_dict())
     _write_json(out / "model.json", model.to_dict())
     curves_to_csv(*curves, out / "survival_curves.csv")
     km_to_csv(km_pfs, out / "km_pfs.csv")
     km_to_csv(km_os, out / "km_os.csv")
-    print(f"wrote per-transition hazards, model.json, survival_curves.csv, km_*.csv to {out}")
+    print(f"wrote hazard_01/02/12.json, model.json, survival_curves.csv, km_*.csv to {out}")
     return 0
 
 

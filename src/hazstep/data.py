@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -64,6 +65,14 @@ def _check_integer(value, name: str, low: int) -> None:
     """Raise a ValidationError naming ``name`` unless ``value`` is an integer >= ``low``."""
     if not isinstance(value, (int, np.integer)) or value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_number(value, name: str) -> None:
+    """Raise a ValidationError naming ``name`` unless ``value`` is a finite number."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not abs(value) < math.inf:
+        raise ValidationError(f"{name} must be finite")
 
 
 def _freeze(record, **arrays) -> None:
@@ -309,9 +318,11 @@ def _json_field(obj, name: str, read=lambda value: value):
 
 # Every CSV file is read by _read_columns and written by _write_columns.  The
 # writer and the reader's csv path work _ROWS rows at a time.  The writer
-# formats each float once with repr (shortest round trip) and quotes only text
-# cells, as csv.writer does.  A block holds each of its cells as a str object,
-# so blocks are kept to a few hundred KB: larger ones raise peak memory.
+# formats each number with repr (for a float, its shortest round trip) and
+# quotes only text cells, as csv.writer does.  A block holds each of its cells
+# as a str object, so blocks are kept to a few hundred KB: larger ones raise
+# peak memory.  Each curve is written once: a step curve as one (time, value)
+# row per jump after its starting row, a fitted step function only as JSON.
 
 _ROWS = 1024
 
@@ -445,23 +456,11 @@ def _text_cells(cells) -> list[str]:
     return texts
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    # step curves repeat each value in adjacent corner rows: repr each run of
-    # equal bits once (-0.0 and 0.0 differ in bits and in repr)
-    bits = np.asarray(values, dtype=float).view(np.int64)
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    return texts[np.cumsum(first) - 1].tolist()
-
-
 def _cells(cells) -> list[str]:
-    """Cells of one column: floats as repr, integers as str, the rest as quoted text."""
+    """Cells of one column: numbers as repr, the rest as quoted text."""
     if isinstance(cells, np.ndarray):
-        if cells.dtype.kind == "f":
-            return _float_cells(cells)
-        if cells.dtype.kind in "iub":
-            return list(map(str, cells.tolist()))
+        if cells.dtype.kind in "fiub":
+            return list(map(repr, cells.tolist()))
         cells = cells.tolist()
     return _text_cells(cells)
 

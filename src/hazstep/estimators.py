@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalFrame, _check_integer, _column, _freeze, _write_columns, risk_set_sums
+from .data import SurvivalFrame, _check_integer, _check_number, _column, _freeze, _write_columns
+from .data import risk_set_sums
 from .errors import ValidationError
-from .stepfun import Window, _corners
+from .stepfun import Window
 
 __all__ = [
     "CoxFit",
@@ -57,8 +58,7 @@ class BreslowCurve:
     def __post_init__(self):
         jt = _column(self.jump_times, "jump_times")
         js = _column(self.jump_sizes, "jump_sizes")
-        if not np.isfinite(self.tau):
-            raise ValidationError("tau must be finite")
+        _check_number(self.tau, "tau")
         if jt.size != js.size:
             raise ValidationError("jump_times and jump_sizes differ in length")
         if jt.size and not np.all(np.diff(jt) > 0):
@@ -76,9 +76,9 @@ class BreslowCurve:
         return out if out.ndim else float(out)
 
     def to_csv(self, path) -> None:
-        """Corner points of the step curve: two rows (before, after) per jump."""
+        """A (0, 0) row, then one (jump time, cumulative hazard after it) row per jump."""
         totals = np.concatenate(([0.0], np.cumsum(self.jump_sizes)))
-        _write_columns(path, ["time", "cumhaz"], _corners(0.0, self.jump_times, self.tau, totals))
+        _write_columns(path, ["time", "cumhaz"], (np.concatenate(([0.0], self.jump_times)), totals))
 
 
 def _likelihood_constants(frame: SurvivalFrame):

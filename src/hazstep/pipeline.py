@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalFrame, _check_integer, _column, _freeze, _JsonRecord, risk_set_sums
+from .data import SurvivalFrame, _check_integer, _check_number, _column, _freeze, _JsonRecord
+from .data import risk_set_sums
 from .errors import ValidationError
 from .estimators import (
     BreslowCurve,
@@ -52,6 +53,9 @@ class FitConfig:
     beta: object = None
 
     def __post_init__(self):
+        if self.p_low is not None:
+            _check_number(self.p_low, "p_low")
+        _check_number(self.p_high, "p_high")
         if self.grid_size is not None:
             _check_integer(self.grid_size, "grid size", 2)
         if self.beta is not None:

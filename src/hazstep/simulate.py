@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CENSORED_STATE, MultiStateFrame, SurvivalFrame
-from .data import _check_integer, _column, _freeze, _JsonRecord, _write_columns
+from .data import _check_integer, _check_number, _column, _freeze, _JsonRecord, _write_columns
 from .errors import ValidationError
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
@@ -65,14 +65,26 @@ class Scenario:
 
     def __post_init__(self):
         _check_integer(self.n, "sample size", 2)
-        if self.censoring_rate < 0:
-            raise ValidationError(f"censoring rate must be >= 0, got {self.censoring_rate}")
+        _check_censoring_rate(self.censoring_rate)
         _freeze(self, beta=_column(self.beta, "beta"))
 
     @property
     def window(self) -> Window:
         """Estimation window of the fits: the hazard's domain."""
         return self.hazard.domain
+
+
+def _check_censoring_rate(rate) -> None:
+    _check_number(rate, "censoring_rate")
+    if rate < 0:
+        raise ValidationError(f"censoring_rate must be >= 0, got {rate}")
+
+
+def _censoring_times(rate: float, n: int, rng) -> np.ndarray:
+    """n exponential censoring times at a checked ``rate``; rate 0 censors no one."""
+    if rate == 0:
+        return np.full(n, np.inf)
+    return rng.exponential(scale=1.0 / rate, size=n)
 
 
 def named_scenario(name: str, n: int) -> Scenario:
@@ -108,10 +120,7 @@ def gen_scenario(scenario: Scenario, seed) -> SurvivalFrame:
         lin = np.zeros(n)
     e = rng.exponential(size=n)
     t_star = scenario.hazard.inverse_cumulative(e / np.exp(lin))
-    if scenario.censoring_rate > 0:
-        c = rng.exponential(scale=1.0 / scenario.censoring_rate, size=n)
-    else:
-        c = np.full(n, np.inf)
+    c = _censoring_times(scenario.censoring_rate, n, rng)
     time = np.minimum(t_star, c)
     status = (t_star <= c).astype(np.int8)
     return SurvivalFrame(time=time, status=status, entry=np.zeros(n), covariates=cov)
@@ -310,11 +319,7 @@ def _simulate_paths(model: IllnessDeathModel, n: int, censoring_rate: float, rng
     e2 = rng.exponential(size=n)
     a12_at_entry = np.asarray(model.a12.cumulative(np.where(np.isfinite(exit0), exit0, 0.0)))
     death_after_illness = model.a12.inverse_cumulative(a12_at_entry + e2)
-    if censoring_rate > 0:
-        cens = rng.exponential(scale=1.0 / censoring_rate, size=n)
-    else:
-        cens = np.full(n, np.inf)
-    return exit0, to_illness, death_after_illness, cens
+    return exit0, to_illness, death_after_illness, _censoring_times(censoring_rate, n, rng)
 
 
 def simulate_illness_death(
@@ -326,6 +331,7 @@ def simulate_illness_death(
     to fall ill, a second row in state 1.
     """
     _check_integer(n, "n", 1)
+    _check_censoring_rate(censoring_rate)
     rng = np.random.default_rng(seed)
     exit0, to_illness, death12, cens = _simulate_paths(model, n, censoring_rate, rng)
     cens0 = (cens < exit0) | ~np.isfinite(exit0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _column, _freeze, _json_field, _JsonRecord
+from .data import _check_number, _column, _freeze, _json_field, _JsonRecord
 from .errors import ValidationError
 
 __all__ = ["Window", "StepFunction"]
@@ -35,8 +35,8 @@ class Window:
     tau_max: float
 
     def __post_init__(self):
-        if not np.isfinite(self.tau_min) or not np.isfinite(self.tau_max):
-            raise ValidationError("window bounds must be finite")
+        _check_number(self.tau_min, "tau_min")
+        _check_number(self.tau_max, "tau_max")
         if not self.tau_min < self.tau_max:
             raise ValidationError(
                 f"window requires tau_min < tau_max, got ({self.tau_min}, {self.tau_max})"
@@ -157,15 +157,3 @@ class StepFunction(_JsonRecord):
     def from_dict(cls, d: dict) -> "StepFunction":
         domain = _json_field(d, "domain", Window.from_dict)
         return cls(domain, _json_field(d, "breaks"), _json_field(d, "levels"))
-
-    def corner_points(self) -> np.ndarray:
-        """(t, level) rows tracing the exact steps, two rows per break."""
-        return np.column_stack(
-            _corners(self.domain.tau_min, self.breaks, self.domain.tau_max, self.levels)
-        )
-
-
-def _corners(start, breaks, end, levels) -> tuple[np.ndarray, np.ndarray]:
-    """(times, values) of a step curve's corners, two per break; one level per piece."""
-    times = np.concatenate(([start], np.repeat(breaks, 2), [end]))
-    return times, np.repeat(levels, 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_integer, _freeze, _JsonRecord
+from .data import _check_integer, _check_number, _freeze, _JsonRecord
 from .errors import ValidationError
 from .estimators import empirical_quantile
 from .flsa import flsa_path, flsa_solve
@@ -45,6 +45,7 @@ class TuningConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_number(self.q, "q")
         if not 0 < self.q < 1:
             raise ValidationError(f"q must be in (0, 1), got {self.q}")
         _check_integer(self.k_max, "k_max", 0)

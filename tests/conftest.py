@@ -623,10 +623,8 @@ def breslow_to_csv_rows(curve, path):
         writer.writerow([0.0, 0.0])
         total = 0.0
         for t, s in zip(curve.jump_times, curve.jump_sizes):
-            writer.writerow([repr(float(t)), repr(float(total))])
             total += float(s)
             writer.writerow([repr(float(t)), repr(float(total))])
-        writer.writerow([repr(float(curve.tau)), repr(float(total))])
 
 
 def curves_to_csv_rows(pfs, os_, path):
@@ -664,14 +662,6 @@ def report_table_csv_rows(reports, path):
                 [rep.scenario, rep.n, rep.replications]
                 + [fmt(k) for k in ("l2_sq", "d_asym", "snr", "censored_fraction")]
             )
-
-
-def stepfun_csv_rows(fun, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "level"])
-        for t, v in fun.corner_points():
-            writer.writerow([repr(float(t)), repr(float(v))])
 
 
 def traced_peak(fn, *args):

@@ -23,11 +23,17 @@ from hazstep import (
     write_survival_csv,
 )
 from hazstep.cli import main
+from hazstep.data import _floats, _read_columns
 
 
 def numeric_columns(path):
     """The rows of a numeric CSV artifact below its header."""
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def artifacts(out):
+    """The names of the files a command wrote, sorted."""
+    return sorted(path.name for path in out.iterdir())
 
 
 def assert_json_files_canonical(out, count):
@@ -76,8 +82,7 @@ class TestFitCommand:
              "--seed", "5", "--out", str(out)]
         )
         assert code == 0
-        for name in ("hazard.json", "hazard_steps.csv", "cumhaz.csv", "tuning.json"):
-            assert (out / name).exists()
+        assert artifacts(out) == ["cumhaz.csv", "hazard.json", "tuning.json"]
         doc = json.loads((out / "hazard.json").read_text())
         hazard = StepFunction.from_dict(doc["hazard"])
         assert hazard.is_nonnegative()
@@ -184,6 +189,7 @@ class TestSimulateCommand:
         args = ["simulate", "--scenario", "A1", "--n", "150", "--reps", "3", "--seed", "7"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
+        assert artifacts(out1) == ["study_report.csv", "study_runs.json"]
         assert (out1 / "study_report.csv").read_text() == (out2 / "study_report.csv").read_text()
         assert (out1 / "study_runs.json").read_text() == (out2 / "study_runs.json").read_text()
 
@@ -251,16 +257,15 @@ class TestMultistateCommand:
              "--out", str(out)]
         )
         assert code == 0
-        for name in (
+        assert artifacts(out) == [
             "hazard_01.json",
             "hazard_02.json",
             "hazard_12.json",
+            "km_os.csv",
+            "km_pfs.csv",
             "model.json",
             "survival_curves.csv",
-            "km_pfs.csv",
-            "km_os.csv",
-        ):
-            assert (out / name).exists()
+        ]
         rows = (out / "survival_curves.csv").read_text().strip().splitlines()[1:]
         vals = np.array([[float(x) for x in r.split(",")] for r in rows])
         assert np.all(np.diff(vals[:, 1]) <= 1e-12)  # S_PFS nonincreasing
@@ -417,6 +422,7 @@ class TestCurvesCommand:
         out2 = tmp_path / "curves_out"
         code = main(["curves", str(out / "model.json"), "--out", str(out2)])
         assert code == 0
+        assert artifacts(out2) == ["survival_curves.csv"]
         written = (out / "survival_curves.csv").read_bytes()
         assert (out2 / "survival_curves.csv").read_bytes() == written
 
@@ -431,14 +437,13 @@ class TestRoundTrip:
         assert main(["fit", str(survival_csv), "--L", "60", "--seed", "8",
                      "--out", str(out)]) == 0
         doc = json.loads((out / "hazard.json").read_text())
-        hazard = StepFunction.from_dict(doc["hazard"])
-        assert np.array_equal(numeric_columns(out / "hazard_steps.csv"), hazard.corner_points())
-        # cumhaz.csv: the corner points of the Breslow curve, two rows per jump
+        # cumhaz.csv: a (0, 0) row, then (jump time, cumulative hazard after it)
+        # per jump of the Breslow curve
         curve = breslow_fit(parse_survival_csv(survival_csv), doc["beta"])
         assert curve.jump_times.size > 0
-        times = np.r_[0.0, np.repeat(curve.jump_times, 2), curve.tau]
-        totals = np.repeat(np.r_[0.0, np.cumsum(curve.jump_sizes)], 2)
-        assert np.array_equal(numeric_columns(out / "cumhaz.csv"), np.column_stack((times, totals)))
+        back = _read_columns(out / "cumhaz.csv", {"time": _floats, "cumhaz": _floats})
+        assert back["time"].tobytes() == np.r_[0.0, curve.jump_times].tobytes()
+        assert back["cumhaz"].tobytes() == np.r_[0.0, np.cumsum(curve.jump_sizes)].tobytes()
         tuning = json.loads((out / "tuning.json").read_text())
         assert tuning["lambda"] == doc["lambda"]
         assert_json_files_canonical(out, 2)

@@ -15,7 +15,6 @@ from conftest import (
     curves_to_csv_rows,
     km_to_csv_rows,
     report_table_csv_rows,
-    stepfun_csv_rows,
     traced_peak,
     write_multistate_csv_rows,
     write_survival_csv_rows,
@@ -42,7 +41,6 @@ from hazstep import (
 )
 import hazstep.data
 import hazstep.multistate
-from hazstep.cli import _write_stepfun_csv
 from hazstep.data import (
     _ROWS,
     _cells,
@@ -445,7 +443,7 @@ class TestWritersMatchRowOracles:
         self.same_bytes(tmp_path, curve.to_csv, lambda p: breslow_to_csv_rows(curve, p))
         empty = BreslowCurve(jump_times=[], jump_sizes=[], tau=2.0)
         text = self.same_bytes(tmp_path, empty.to_csv, lambda p: breslow_to_csv_rows(empty, p))
-        assert text == b"time,cumhaz\r\n0.0,0.0\r\n2.0,0.0\r\n"
+        assert text == b"time,cumhaz\r\n0.0,0.0\r\n"
 
     def test_breslow_cumsum_equals_running_sum(self, tmp_path, rng):
         n = 100_000
@@ -487,14 +485,6 @@ class TestWritersMatchRowOracles:
             scenarios = [row[0] for row in csv.reader(fh)]
         assert scenarios == ["scenario", 'B2,"x"', "cens"]
 
-    def test_stepfun(self, tmp_path):
-        fun = StepFunction(Window(0.0, 1e16), [5e-324, 0.1 + 0.2, 3.0], [-0.0, 1e308, 1 / 3, 3.0])
-        self.same_bytes(
-            tmp_path,
-            lambda p: _write_stepfun_csv(fun, p),
-            lambda p: stepfun_csv_rows(fun, p),
-        )
-
 
 class TestColumnWriter:
     """Cells the column writer formats itself, against csv.writer on the same rows."""
@@ -511,7 +501,7 @@ class TestColumnWriter:
             assert [row[0] for row in csv.reader(fh)][1:] == texts
 
     def test_float_runs_keep_every_repr(self):
-        # runs of equal bits are formatted once; -0.0 and 0.0 are different runs
+        # each cell is its own repr, so -0.0 stays apart from 0.0 and NaN is written
         values = np.array([0.0, -0.0, -0.0, 0.0, 1.5, 1.5, np.nan, np.nan, np.inf, -np.inf, 5e-324])
         for column in (values, np.repeat(values, 3), np.column_stack((values, values)).T[1]):
             assert _cells(column) == list(map(repr, column.tolist()))
@@ -697,11 +687,13 @@ VALID_KWARGS = {
     StepFunction: lambda: dict(domain=Window(0.0, 1.0), breaks=[0.5], levels=[1.0, 2.0]),
     BreslowCurve: lambda: dict(jump_times=[0.5, 0.75], jump_sizes=[0.1, 0.2], tau=1.0),
     SurvivalCurve: lambda: dict(grid=[0.0, 0.5], values=[1.0, 0.5]),
-    Scenario: lambda: dict(hazard=two_level_hazard(), n=10, beta=[0.25, 1.0]),
-    FitConfig: lambda: dict(beta=[0.25, 1.0]),
+    Scenario: lambda: dict(hazard=two_level_hazard(), n=10, beta=[0.25, 1.0], censoring_rate=0.5),
+    FitConfig: lambda: dict(beta=[0.25, 1.0], p_low=0.0, p_high=0.975),
+    Window: lambda: dict(tau_min=0.0, tau_max=1.0),
+    TuningConfig: lambda: dict(q=0.9),
 }
 
-# every float field of a record; the scalar BreslowCurve.tau comes last
+# every float field of a record: the arrays, then the scalars
 FLOAT_FIELDS = [
     (StepFunction, "breaks"),
     (StepFunction, "levels"),
@@ -712,6 +704,12 @@ FLOAT_FIELDS = [
     (Scenario, "beta"),
     (FitConfig, "beta"),
     (BreslowCurve, "tau"),
+    (Window, "tau_min"),
+    (Window, "tau_max"),
+    (Scenario, "censoring_rate"),
+    (FitConfig, "p_low"),
+    (FitConfig, "p_high"),
+    (TuningConfig, "q"),
 ]
 FLOAT_FIELD_IDS = [f"{make.__name__}.{field}" for make, field in FLOAT_FIELDS]
 
@@ -813,11 +811,16 @@ class TestRecordInvariants:
         with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
             make(**kwargs)
 
-    @pytest.mark.parametrize("make, field", FLOAT_FIELDS[:-1], ids=FLOAT_FIELD_IDS[:-1])
+    @pytest.mark.parametrize("make, field", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
     def test_non_numeric_float_fields_rejected(self, make, field):
+        # a scalar field used to take a string, or to fail on it with a TypeError
         kwargs = VALID_KWARGS[make]()
-        kwargs[field] = ["x", *kwargs[field][1:]]
-        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers"):
+        value = kwargs[field]
+        if np.isscalar(value):
+            kwargs[field], rule = "0.5", "a number, got '0.5'"
+        else:
+            kwargs[field], rule = ["x", *value[1:]], "a sequence of numbers"
+        with pytest.raises(ValidationError, match=f"^{field} must be {rule}"):
             make(**kwargs)
 
 

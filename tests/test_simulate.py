@@ -90,6 +90,15 @@ class TestGenScenario:
         frame = gen_scenario(sc, 5)
         assert np.all(frame.status == 1)
 
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, None])
+    def test_bad_censoring_rate_rejected(self, rate):
+        # a negative or NaN rate used to censor no one, and None to fail with a TypeError
+        one = StepFunction(W01, [], [1.0])
+        with pytest.raises(ValidationError, match="^censoring_rate must be "):
+            simulate_illness_death(IllnessDeathModel(a01=one, a02=one, a12=one), 200, rate, 1)
+        with pytest.raises(ValidationError, match="^censoring_rate must be "):
+            Scenario(hazard=two_level_hazard(), n=50, censoring_rate=rate)
+
     @pytest.mark.parametrize("name", ["A1", "B1", "A2", "B2"])
     def test_censoring_fraction_in_band(self, name):
         # the scenario family censors around 18-24% of subjects on average

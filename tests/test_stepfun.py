@@ -100,8 +100,3 @@ class TestStepFunction:
         assert g.domain == f.domain
         assert np.array_equal(g.breaks, f.breaks)
         assert np.array_equal(g.levels, f.levels)
-
-    def test_corner_points_trace_steps(self):
-        f = StepFunction(Window(0, 1), [0.25], [4.0, 1.0])
-        corners = f.corner_points()
-        assert corners.tolist() == [[0.0, 4.0], [0.25, 4.0], [0.25, 1.0], [1.0, 1.0]]
