@@ -61,15 +61,20 @@ def _column(values, name: str) -> np.ndarray:
     return col
 
 
+def _is_number(value) -> bool:
+    """True for an int or a float, numpy's included; False for a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_integer(value, name: str, low: int) -> None:
     """Raise a ValidationError naming ``name`` unless ``value`` is an integer >= ``low``."""
-    if not isinstance(value, (int, np.integer)) or value < low:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_number(value, name: str) -> None:
     """Raise a ValidationError naming ``name`` unless ``value`` is a finite number."""
-    if not isinstance(value, (int, float, np.integer, np.floating)):
+    if not _is_number(value):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     if not abs(value) < math.inf:
         raise ValidationError(f"{name} must be finite")
@@ -145,6 +150,11 @@ class SurvivalFrame:
         keys = [self.time, self.entry] if np.any(self.entry > 0) else [self.time]
         orders = [np.argsort(k, kind="stable") for k in keys]
         return [(k[order], order) for k, order in zip(keys, orders)]
+
+    @cached_property
+    def _event_slots(self) -> list[np.ndarray]:
+        """Where the distinct event times fall in each risk order's sorted keys."""
+        return _slots(self._risk_orders, self._event_ties[0])
 
 
 def _state_column(values) -> np.ndarray:
@@ -596,29 +606,35 @@ def absorption_frame(frame: MultiStateFrame, state: int) -> SurvivalFrame:
 # -- risk sets -----------------------------------------------------------------
 
 
-def _suffix_sums(sorted_keys: np.ndarray, order: np.ndarray, weights: np.ndarray, t) -> np.ndarray:
-    """Sum of weights[order] over sorted_keys >= t at each t (keys ascending)."""
-    # one array, sorted and then summed in place, above a row of zeros for t
-    # past every key
+def _slots(orders, times) -> list:
+    """Index of the first key >= t, at each t of ``times``, in each order's sorted keys."""
+    return [np.searchsorted(keys, times, side="left") for keys, _ in orders]
+
+
+def _suffix_sums(order: np.ndarray, weights: np.ndarray, slots) -> np.ndarray:
+    """Sum of weights[order[j]] over j >= slot at each of ``slots``."""
+    # one array, sorted and then summed in place, above a row of zeros for a
+    # slot past every key
     suffix = np.zeros((order.size + 1,) + weights.shape[1:])
     np.take(weights, order, axis=0, out=suffix[:-1], mode="clip")
     np.cumsum(suffix[-2::-1], axis=0, out=suffix[-2::-1])
-    return suffix[np.searchsorted(sorted_keys, t, side="left")]
+    return suffix[slots]
 
 
-def risk_set_sums(frame: SurvivalFrame, weights, times) -> np.ndarray:
+def risk_set_sums(frame: SurvivalFrame, weights, times=None) -> np.ndarray:
     """Sums of ``weights`` over the risk sets {i: entry_i < t <= time_i}.
 
     This is the weighted at-risk process Y(t) = sum_i w_i 1{entry_i < t <=
-    time_i} at each t of ``times``.  Weights may carry trailing dimensions;
-    two suffix-sum passes, over the frame's stable sort orders (built once
-    per frame), make left truncation cost the same as none.
+    time_i} at each t of ``times``, or at the frame's distinct event times
+    when ``times`` is None.  Weights may carry trailing dimensions; two
+    suffix-sum passes, over the frame's stable sort orders (built once per
+    frame), make left truncation cost the same as none.  Where the event
+    times fall in those orders is looked up once per frame too.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape[:1] != (frame.n,):
         raise ValidationError(f"weights of shape {weights.shape} for {frame.n} records")
-    (by_time, order_t), *truncated = frame._risk_orders
-    total = _suffix_sums(by_time, order_t, weights, times)
-    for by_entry, order_e in truncated:
-        total = total - _suffix_sums(by_entry, order_e, weights, times)
-    return total
+    orders = frame._risk_orders
+    slots = frame._event_slots if times is None else _slots(orders, times)
+    at_time, *at_entry = (_suffix_sums(order, weights, at) for (_, order), at in zip(orders, slots))
+    return at_time - at_entry[0] if at_entry else at_time

@@ -81,6 +81,17 @@ class BreslowCurve:
         _write_columns(path, ["time", "cumhaz"], (np.concatenate(([0.0], self.jump_times)), totals))
 
 
+def _event_counts(order: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The number of distinct event times <= each key of a risk order, per record.
+
+    An event time is <= the key at place j of the order exactly when its
+    slot, the place of the first key >= it, is <= j.
+    """
+    counts = np.empty(order.size, dtype=np.intp)
+    counts[order] = np.cumsum(np.bincount(slots, minlength=order.size + 1))[:-1]
+    return counts
+
+
 def _likelihood_constants(frame: SurvivalFrame):
     """What every likelihood evaluation on ``frame`` shares: the centred
     covariates, the event mask, the events' summed centred covariates, and
@@ -89,12 +100,15 @@ def _likelihood_constants(frame: SurvivalFrame):
     The partial likelihood is shift-invariant, so beta keeps its meaning for
     ``breslow_fit``'s uncentred columns.  Centring on row 0, then on the
     means, makes a constant column, and its information row and column, 0.
+    Without left truncation every entry is 0 and every event time > 0, so no
+    event time is <= an entry.
     """
     W = frame.covariates - frame.covariates[0]
     W -= W.mean(axis=0)
-    lo, hi = np.searchsorted(frame._event_ties[0], (frame.entry, frame.time), side="right")
+    orders = [order for _, order in frame._risk_orders]
+    hi, *lo = map(_event_counts, orders, frame._event_slots)
     events = frame.status == 1
-    return W, events, np.sum(W[events], axis=0), lo, hi
+    return W, events, np.sum(W[events], axis=0), lo[0] if lo else 0, hi
 
 
 def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray, constants):
@@ -106,10 +120,10 @@ def _partial_loglik_parts(frame: SurvivalFrame, beta: np.ndarray, constants):
     over t_k in (entry_i, time_i], is the Breslow cumulative hazard.
     """
     W, events, event_sum, lo, hi = constants
-    ev_times, d_k = frame._event_ties
+    d_k = frame._event_ties[1]
     eta = W @ beta
     w = np.exp(eta)
-    sums = risk_set_sums(frame, np.column_stack((w, W * w[:, None])), ev_times)
+    sums = risk_set_sums(frame, np.column_stack((w, W * w[:, None])))
     s0, s1 = sums[:, 0], sums[:, 1:]
     if np.any(s0 <= 0):
         raise ValidationError("empty risk set at an event time")
@@ -189,7 +203,7 @@ def breslow_fit(frame: SurvivalFrame, beta=None) -> BreslowCurve:
             f"exp(W @ beta) overflows at beta = {beta.tolist()}; a Cox fit that "
             "stopped there may not have converged (e.g. separated covariates)"
         )
-    z = risk_set_sums(frame, weights, ev_times)
+    z = risk_set_sums(frame, weights)
     keep = z > 0
     return BreslowCurve(
         jump_times=ev_times[keep],

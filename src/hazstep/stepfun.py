@@ -14,17 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_number, _column, _freeze, _json_field, _JsonRecord
+from .data import _check_number, _column, _freeze, _is_number, _json_field, _JsonRecord
 from .errors import ValidationError
 
 __all__ = ["Window", "StepFunction"]
 
 
+# from_dict reads only JSON numbers: a string or a boolean is not one
 def _number(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"expected a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ValidationError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, name: str) -> list:
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -156,4 +162,5 @@ class StepFunction(_JsonRecord):
     @classmethod
     def from_dict(cls, d: dict) -> "StepFunction":
         domain = _json_field(d, "domain", Window.from_dict)
-        return cls(domain, _json_field(d, "breaks"), _json_field(d, "levels"))
+        breaks, levels = (_numbers(_json_field(d, name), name) for name in ("breaks", "levels"))
+        return cls(domain, breaks, levels)

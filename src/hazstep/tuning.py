@@ -55,6 +55,9 @@ class TuningConfig:
 
 @dataclass(frozen=True)
 class TuningResult(_JsonRecord):
+    """Penalties, seed and bootstrap statistics.  ``residuals``, y minus the
+    pilot fit, are not serialised: the fit's y and ``lambda0`` give them."""
+
     lambda0: float
     lam: float
     u_boot: np.ndarray
@@ -70,7 +73,6 @@ class TuningResult(_JsonRecord):
             "lambda": self.lam,
             "seed": self.seed,
             "u_boot": self.u_boot,
-            "residuals": self.residuals,
         }
 
 

@@ -511,13 +511,16 @@ def state_probabilities_knot_walk(model, grid):
     return np.array([p00[t] for t in grid]), np.array([p01[t] for t in grid])
 
 
-def risk_set_sums_sort_per_call(frame, weights, times):
+def risk_set_sums_sort_per_call(frame, weights, times=None):
     """Sum of weights over {i: entry_i < t <= time_i}, sorting on every call.
 
     The same suffix sums over the same stable orders as
-    ``hazstep.data.risk_set_sums``, recomputed from the columns each time.
+    ``hazstep.data.risk_set_sums``, recomputed from the columns each time, at
+    ``times`` or else at the frame's distinct event times.
     """
     weights = np.asarray(weights, dtype=float)
+    if times is None:
+        times = np.unique(frame.time[frame.status == 1])
 
     def not_before(keys):
         order = np.argsort(keys, kind="stable")

@@ -7,11 +7,15 @@ from conftest import kaplan_meier_reference
 
 from hazstep import (
     CENSORED_STATE,
+    FitConfig,
     IllnessDeathModel,
     StepFunction,
+    TuningConfig,
     Window,
     breslow_fit,
     curves_from_csv,
+    fit_hazard,
+    flsa_solve,
     gen_scenario,
     kaplan_meier,
     named_scenario,
@@ -386,6 +390,8 @@ class TestCurvesCommand:
         assert not out.exists()
 
     HAZARD = '{"domain": {"tau_min": 0, "tau_max": 1}, "breaks": [], "levels": [1.0]}'
+    TEXT_BREAK = HAZARD.replace("[]", '["0.5"]')
+    BOOLEAN_LEVEL = HAZARD.replace("[1.0]", "[false]")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -396,8 +402,15 @@ class TestCurvesCommand:
             ('{"a01": {"domain": {"tau_min": "x", "tau_max": 1}}}',
              "a01: domain: tau_min: expected a number, got 'x'"),
             ('{"a01": {"domain": null}}', "a01: domain: expected a JSON object, got NoneType"),
+            ('{"a01": {"domain": {"tau_min": 0, "tau_max": true}}}',
+             "a01: domain: tau_max: expected a number, got True"),
+            (f'{{"a01": {TEXT_BREAK}}}',
+             "a01: breaks must be a sequence of numbers, got ['0.5']"),
+            (f'{{"a01": {BOOLEAN_LEVEL}}}',
+             "a01: levels must be a sequence of numbers, got [False]"),
         ],
-        ids=["empty hazard", "list", "no a12", "text tau_min", "null domain"],
+        ids=["empty hazard", "list", "no a12", "text tau_min", "null domain", "boolean tau_max",
+             "text break", "boolean level"],
     )
     def test_malformed_model_json_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "model.json"
@@ -447,6 +460,25 @@ class TestRoundTrip:
         tuning = json.loads((out / "tuning.json").read_text())
         assert tuning["lambda"] == doc["lambda"]
         assert_json_files_canonical(out, 2)
+
+    def test_pilot_residuals_rebuild_from_the_artifacts(self, covariate_csv, tmp_path):
+        # tuning.json does not hold the residuals: cumhaz.csv and hazard.json
+        # give them again, bit for bit
+        out = tmp_path / "res"
+        assert main(["fit", str(covariate_csv), "--L", "60", "--seed", "8",
+                     "--out", str(out)]) == 0
+        tuning = json.loads((out / "tuning.json").read_text())
+        assert tuning.keys() == {"lambda", "lambda0", "seed", "u_boot"}
+        doc = json.loads((out / "hazard.json").read_text())
+        curve = _read_columns(out / "cumhaz.csv", {"time": _floats, "cumhaz": _floats})
+        window, m = Window.from_dict(doc["window"]), doc["grid_size"]
+        at_grid = curve["cumhaz"][np.searchsorted(curve["time"][1:], window.grid(m), "right")]
+        y = np.maximum(m * np.diff(at_grid), 0.0)
+        residuals = y - flsa_solve(y, doc["lambda0"]).alpha
+        fit = fit_hazard(parse_survival_csv(covariate_csv),
+                         FitConfig(tuning=TuningConfig(l_boot=60, seed=8)))
+        assert fit.cox is not None
+        assert residuals.tobytes() == fit.tuning.residuals.tobytes()
 
     def test_multistate_and_simulate_artifacts_reparse(self, multistate_csv, tmp_path):
         out = tmp_path / "rt_ms"

@@ -545,16 +545,16 @@ class TestJsonText:
         assert _json_text(values, indent) == json.dumps(values.tolist(), indent=indent)
 
     def test_writing_a_tuning_result_holds_one_chunk(self, rng, tmp_path):
-        # the residuals alone are 1.6 MB of float64; writing them as one list
-        # and one string peaked at 16 MB
+        # 200 000 bootstrap statistics are 1.6 MB of float64; writing them as
+        # one list and one string peaked at 16 MB
         result = TuningResult(
-            lambda0=0.5, lam=1.5, u_boot=rng.normal(size=100), residuals=rng.normal(size=200_000), seed=3
+            lambda0=0.5, lam=1.5, u_boot=rng.normal(size=200_000), residuals=rng.normal(size=100), seed=3
         )
         path = tmp_path / "tuning.json"
         _, peak = traced_peak(lambda: _write_json(path, result.to_dict()))
         assert peak < 1e6
         assert path.read_text() == result.to_json(indent=2) + "\n"
-        assert json.loads(path.read_text())["residuals"] == result.residuals.tolist()
+        assert json.loads(path.read_text())["u_boot"] == result.u_boot.tolist()
 
     @pytest.fixture(scope="class")
     def cli_records(self):
@@ -712,6 +712,7 @@ FLOAT_FIELDS = [
     (TuningConfig, "q"),
 ]
 FLOAT_FIELD_IDS = [f"{make.__name__}.{field}" for make, field in FLOAT_FIELDS]
+SCALAR_FLOAT_FIELDS = FLOAT_FIELDS[8:]  # after the eight arrays
 
 
 class TestRecordInvariants:
@@ -821,6 +822,15 @@ class TestRecordInvariants:
         else:
             kwargs[field], rule = ["x", *value[1:]], "a sequence of numbers"
         with pytest.raises(ValidationError, match=f"^{field} must be {rule}"):
+            make(**kwargs)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    @pytest.mark.parametrize("make, field", SCALAR_FLOAT_FIELDS, ids=FLOAT_FIELD_IDS[8:])
+    def test_boolean_float_fields_rejected(self, make, field, bad):
+        # a bool is an int to Python, and used to pass as 1 or 0
+        kwargs = VALID_KWARGS[make]()
+        kwargs[field] = bad
+        with pytest.raises(ValidationError, match=f"^{field} must be a number, got {bad}$"):
             make(**kwargs)
 
 

@@ -358,3 +358,31 @@ class TestRiskSetCache:
         assert fit.iterations >= 3
         # one stable sort of time, plus one of entry under left truncation
         assert sorts == [frame.n] * (1 + truncated)
+
+    def test_frame_looks_up_its_event_times_once(self, truncated, monkeypatch):
+        frame = tied_frame(truncated)
+        ev_times = frame._event_ties[0]
+        lookups = []
+        searchsorted = np.searchsorted
+
+        def counting_searchsorted(a, v, *args, **kwargs):
+            if v is ev_times:
+                lookups.append(a.size)
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting_searchsorted)
+        fit = cox_fit(frame)
+        breslow_fit(frame, fit.beta)
+        assert fit.iterations >= 3
+        # one search of the sorted times, plus one of the sorted entries under
+        # left truncation
+        assert lookups == [frame.n] * (1 + truncated)
+
+    def test_event_times_by_default(self, truncated):
+        frame = tied_frame(truncated)
+        W = frame.covariates
+        w = np.exp(W @ [0.3, -0.7])
+        for weights in (w, W * w[:, None]):
+            for _ in range(2):  # the second call reads the cached lookup
+                got = risk_set_sums(frame, weights)
+                assert got.tobytes() == risk_set_sums_sort_per_call(frame, weights).tobytes()

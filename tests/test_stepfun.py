@@ -100,3 +100,24 @@ class TestStepFunction:
         assert g.domain == f.domain
         assert np.array_equal(g.breaks, f.breaks)
         assert np.array_equal(g.levels, f.levels)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("tau_min", "0", "domain: tau_min: expected a number, got '0'"),
+            ("tau_max", True, "domain: tau_max: expected a number, got True"),
+            ("breaks", ["0.5"], "breaks must be a sequence of numbers, got ['0.5']"),
+            ("levels", [False, 2], "levels must be a sequence of numbers, got [False, 2]"),
+            ("levels", [0, "2"], "levels must be a sequence of numbers, got [0, '2']"),
+            ("breaks", 0.5, "breaks must be a sequence of numbers, got 0.5"),
+        ],
+        ids=["text tau_min", "boolean tau_max", "text break", "boolean level", "text level",
+             "scalar breaks"],
+    )
+    def test_from_dict_reads_only_json_numbers(self, field, value, message):
+        # a string or a boolean used to be read as the number it converts to
+        d = {"domain": {"tau_min": 0, "tau_max": 1}, "breaks": [0.5], "levels": [0, 2]}
+        (d["domain"] if field.startswith("tau") else d)[field] = value
+        with pytest.raises(ValidationError) as caught:
+            StepFunction.from_dict(d)
+        assert str(caught.value) == message

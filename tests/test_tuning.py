@@ -258,10 +258,13 @@ class TestBootstrap:
             TuningConfig(seed=-1)
 
     @pytest.mark.parametrize(
-        "field, value", [("seed", 1.5), ("l_boot", 2.5), ("k_max", 1.5), ("seed", "3"), ("l_boot", None)]
+        "field, value",
+        [("seed", 1.5), ("l_boot", 2.5), ("k_max", 1.5), ("seed", "3"), ("l_boot", None),
+         ("seed", True), ("k_max", False)],
     )
     def test_integer_fields_must_be_integers(self, field, value):
-        # a float or a non-number used to be accepted here and to fail later with a TypeError
+        # a float or a non-number used to be accepted here and to fail later
+        # with a TypeError, and a bool passed as 1 or 0
         with pytest.raises(ValidationError, match=f"^{field} must be >= "):
             TuningConfig(**{field: value})
 
