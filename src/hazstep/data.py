@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import re
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,12 +51,18 @@ CENSORED_STATE = -1
 # arrays its function computed, with no second copy.
 
 
+def _floats_of(values, name: str) -> np.ndarray:
+    """A private float copy of ``values``: a numeric-dtype array or nested sequences of numbers."""
+    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    numbers = a.dtype.kind in "iuf" or (a.dtype == object and all(map(_is_number, a.flat)))
+    if a.ndim == 0 or not numbers:
+        raise ValidationError(f"{name} must be a sequence of numbers, got {reprlib.repr(values)}")
+    return a.astype(float)
+
+
 def _column(values, name: str) -> np.ndarray:
     """A private 1-D float copy of ``values``, which must all be finite."""
-    try:
-        col = np.array(values, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
+    col = _floats_of(values, name).reshape(-1)
     if not np.all(np.isfinite(col)):
         raise ValidationError(f"{name} must be finite")
     return col
@@ -97,11 +104,11 @@ class SurvivalFrame:
     covariates: np.ndarray  # shape (n, d), d may be 0
 
     def __post_init__(self):
-        time = np.array(self.time, dtype=float).reshape(-1)
+        time = _floats_of(self.time, "time").reshape(-1)
         # status is checked before its int8 copy, which would truncate 1.7 or wrap 257
         status = np.asarray(self.status).reshape(-1)
-        entry = np.array(self.entry, dtype=float).reshape(-1)
-        cov = np.array(self.covariates, dtype=float)
+        entry = _floats_of(self.entry, "entry").reshape(-1)
+        cov = _floats_of(self.covariates, "covariates")
         if cov.ndim == 1:
             cov = cov.reshape(len(time), -1) if cov.size else cov.reshape(len(time), 0)
         n = time.size
@@ -190,8 +197,8 @@ class MultiStateFrame:
         ids = np.asarray(self.id).reshape(-1)
         src = _state_column(self.from_state)
         dst = _state_column(self.to_state)
-        start = np.asarray(self.t_start, dtype=float).reshape(-1)
-        stop = np.asarray(self.t_stop, dtype=float).reshape(-1)
+        start = _floats_of(self.t_start, "t_start").reshape(-1)
+        stop = _floats_of(self.t_stop, "t_stop").reshape(-1)
         n = ids.size
         if not src.size == dst.size == start.size == stop.size == n:
             raise ValidationError("column lengths differ")

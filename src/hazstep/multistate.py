@@ -23,6 +23,7 @@ from .errors import ValidationError
 from .estimators import breslow_fit
 from .pipeline import FitConfig, HazardFit, fit_hazard
 from .stepfun import StepFunction
+from .tuning import _spare_cpus
 
 __all__ = [
     "IllnessDeathModel",
@@ -99,13 +100,13 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
     left-truncated and their default windows start at the 0.025 quantile of
     their uncensored times.
 
-    The fits run on two threads: the calling thread fits 0->1 while one
-    helper thread fits 0->2 and then 1->2.  Each fit has its own frame, seed
-    and split tree, so the fits equal the sequential ones, but log records of
-    different transitions may interleave.  A failed fit raises its error,
-    the first in ``TRANSITIONS`` order.  Once a fit has failed or the calling
-    thread is interrupted, no further fit starts; the call returns when the
-    fit under way in the helper has ended.
+    The fits run on two threads: the calling thread fits 0->1 while one helper
+    thread, holding a spare-CPU token, fits 0->2 and then 1->2.  Each fit has its
+    own frame, seed and split tree, so the fits equal the sequential ones, but log
+    records of different transitions may interleave.  A failed fit raises its
+    error, the first in ``TRANSITIONS`` order.  Once a fit has failed or the
+    calling thread is interrupted, no further fit starts; the call returns when
+    the fit under way in the helper has ended.
     """
     if isinstance(config, dict):
         for key in config:
@@ -132,7 +133,7 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
             fits.append(fit_hazard(sub, cfg))
         return fits
 
-    with ThreadPoolExecutor(1) as pool:
+    with _spare_cpus(), ThreadPoolExecutor(1) as pool:
         rest = pool.submit(fit_rest)
         try:
             fits = [fit_hazard(subs[0], configs[0])] + rest.result()

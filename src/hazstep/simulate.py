@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
 from .stepfun import StepFunction, Window
-from .tuning import TuningConfig
+from .tuning import TuningConfig, _set_spare_cpus
 
 __all__ = [
     "Scenario",
@@ -277,7 +277,8 @@ def run_study(scenario: Scenario, replications: int, seed: int, threads: int = 1
         tasks.append((scenario, r, int(data_seed), int(tune_seed)))
 
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the workers fill the CPUs, so none of them has a spare one
+        with ProcessPoolExecutor(threads, initializer=_set_spare_cpus, initargs=(0,)) as pool:
             outcomes = list(
                 pool.map(_run_one_safe, tasks, chunksize=max(1, replications // (4 * threads)))
             )

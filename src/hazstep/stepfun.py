@@ -27,12 +27,6 @@ def _number(value) -> float:
     return float(value)
 
 
-def _numbers(values, name: str) -> list:
-    if not (isinstance(values, list) and all(map(_is_number, values))):
-        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}")
-    return values
-
-
 @dataclass(frozen=True)
 class Window:
     """Estimation interval [tau_min, tau_max]."""
@@ -162,5 +156,4 @@ class StepFunction(_JsonRecord):
     @classmethod
     def from_dict(cls, d: dict) -> "StepFunction":
         domain = _json_field(d, "domain", Window.from_dict)
-        breaks, levels = (_numbers(_json_field(d, name), name) for name in ("breaks", "levels"))
-        return cls(domain, breaks, levels)
+        return cls(domain, _json_field(d, "breaks"), _json_field(d, "levels"))

@@ -691,6 +691,10 @@ VALID_KWARGS = {
     FitConfig: lambda: dict(beta=[0.25, 1.0], p_low=0.0, p_high=0.975),
     Window: lambda: dict(tau_min=0.0, tau_max=1.0),
     TuningConfig: lambda: dict(q=0.9),
+    SurvivalFrame: lambda: dict(time=[1.5, 2.0], status=[1, 0], entry=[0.0, 0.0],
+                                covariates=[[0.5], [1.0]]),
+    MultiStateFrame: lambda: dict(id=[1, 1], from_state=[0, 1], to_state=[1, 2],
+                                  t_start=[0.0, 1.0], t_stop=[1.0, 2.0]),
 }
 
 # every float field of a record: the arrays, then the scalars
@@ -713,6 +717,14 @@ FLOAT_FIELDS = [
 ]
 FLOAT_FIELD_IDS = [f"{make.__name__}.{field}" for make, field in FLOAT_FIELDS]
 SCALAR_FLOAT_FIELDS = FLOAT_FIELDS[8:]  # after the eight arrays
+# every float array field, the frames' columns included
+ARRAY_FIELDS = FLOAT_FIELDS[:8] + [
+    (SurvivalFrame, "time"),
+    (SurvivalFrame, "entry"),
+    (SurvivalFrame, "covariates"),
+    (MultiStateFrame, "t_start"),
+    (MultiStateFrame, "t_stop"),
+]
 
 
 class TestRecordInvariants:
@@ -832,6 +844,61 @@ class TestRecordInvariants:
         kwargs[field] = bad
         with pytest.raises(ValidationError, match=f"^{field} must be a number, got {bad}$"):
             make(**kwargs)
+
+
+    @pytest.mark.parametrize("bad", ["0.5", True, np.True_], ids=["text", "bool", "numpy-bool"])
+    @pytest.mark.parametrize(
+        "make, field", ARRAY_FIELDS, ids=[f"{m.__name__}.{f}" for m, f in ARRAY_FIELDS]
+    )
+    def test_array_fields_take_only_numbers(self, make, field, bad):
+        # np.array(..., dtype=float) used to read "0.5" as 0.5 and True as 1.0
+        kwargs = VALID_KWARGS[make]()
+        value = kwargs[field]
+        kwargs[field] = [[bad], *value[1:]] if field == "covariates" else [bad, *value[1:]]
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers, got "):
+            make(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(time=["1.5", True]), "time"),
+            (dict(entry=["0", 0]), "entry"),
+            (dict(covariates=[["1"], [True]]), "covariates"),
+            (dict(time=np.array([True, True])), "time"),
+            (dict(entry=np.array(["0", "0"])), "entry"),
+        ],
+        ids=["time", "entry", "covariates", "bool-array", "text-array"],
+    )
+    def test_frame_columns_take_only_numbers(self, kwargs, field):
+        two = dict(time=[1.5, 2.0], status=[1, 0], entry=[0, 0], covariates=np.empty((2, 0)))
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence of numbers, got "):
+            SurvivalFrame(**{**two, **kwargs})
+
+    def test_step_function_takes_only_numbers(self):
+        message = r"^breaks must be a sequence of numbers, got \['0.5'\]$"
+        with pytest.raises(ValidationError, match=message):
+            StepFunction(Window(0, 1), ["0.5"], [True, "2"])
+
+    def test_numeric_arrays_are_checked_by_their_dtype(self, monkeypatch):
+        # a numeric array keeps the fast path: no item of it is looked at in Python
+        domain = Window(0.0, 1.0)
+        monkeypatch.setattr(hazstep.data, "_is_number", None)
+        frame = SurvivalFrame(time=np.array([1.5, 2.0]), status=np.array([1, 0]),
+                              entry=np.zeros(2, dtype=np.int32),
+                              covariates=np.ones((2, 1), dtype=np.float32))
+        assert frame.entry.dtype == frame.covariates.dtype == np.float64
+        levels = np.arange(2, dtype=np.uint8)
+        assert StepFunction(domain, np.array([0.5]), levels).levels.tolist() == [0.0, 1.0]
+        ms = MultiStateFrame(id=[1], from_state=[0], to_state=[1], t_start=np.zeros(1),
+                             t_stop=np.ones(1, dtype=np.int64))
+        assert ms.t_stop.tolist() == [1.0]
+
+    def test_long_column_message_is_abridged(self):
+        n = 100_000
+        with pytest.raises(ValidationError, match=r"^time must be .*, \.\.\.\]$") as caught:
+            SurvivalFrame(time=[1.0] * n + ["2"], status=[1] * (n + 1), entry=[0.0] * (n + 1),
+                          covariates=[])
+        assert len(str(caught.value)) < 100
 
 
 class TestParseMultistate:

@@ -28,6 +28,7 @@ from hazstep import (
     split_transitions,
     state_probabilities,
     survival_curves,
+    tuning,
 )
 
 W01 = Window(0, 1)
@@ -403,6 +404,31 @@ class TestConcurrentFits:
             fit_illness_death_detailed(frame, self.seeded(1))
         assert threading.active_count() == start
         assert sorted(seeds) == [1, 2]
+
+    def test_nested_bootstraps_start_no_helper(self, frame, monkeypatch):
+        # the helper fit holds the one spare CPU, so each bootstrap reduces on
+        # the thread that called it, though every one has blocks enough
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        monkeypatch.setattr(tuning, "_PIPELINE_BLOCKS", 1)
+        callers, reducers = set(), set()
+        bootstrap_stats, noise_max = tuning._bootstrap_stats, tuning._noise_max
+
+        def calling(*args):
+            callers.add(threading.current_thread())
+            return bootstrap_stats(*args)
+
+        def reducing(*args):
+            reducers.add(threading.current_thread())
+            noise_max(*args)
+
+        monkeypatch.setattr(tuning, "_bootstrap_stats", calling)
+        monkeypatch.setattr(tuning, "_noise_max", reducing)
+        start = threading.active_count()
+        fit_illness_death_detailed(frame, self.seeded(1))
+        assert len(callers) == 2 and reducers == callers
+        assert threading.active_count() == start
+        assert budget.acquire(blocking=False)  # given back
 
     @pytest.mark.parametrize("key", [(1, 0), (0, 3), "01"])
     def test_unknown_config_key_rejected(self, frame, key):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,8 +24,14 @@ from hazstep import (
     three_level_hazard,
     two_level_hazard,
 )
+from hazstep import simulate, tuning
 
 W01 = Window(0, 1)
+
+
+def spare_token(args):
+    """A replication that reports whether its process had a spare-CPU token."""
+    return {"replication": args[1], "spare": tuning._SPARE_CPUS.acquire(blocking=False)}
 
 
 class TestSampler:
@@ -211,6 +218,14 @@ class TestRunStudy:
         serial = run_study(sc, 4, seed=55, threads=1)
         parallel = run_study(sc, 4, seed=55, threads=2)
         assert serial.to_json() == parallel.to_json()
+
+    def test_workers_hold_no_spare_cpu(self, monkeypatch):
+        # the workers fill the CPUs, so none may start a helper thread
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
+        monkeypatch.setattr(simulate, "_run_one", spare_token)
+        report = run_study(named_scenario("A1", 100), 4, seed=1, threads=2)
+        assert [row["spare"] for row in report.rows] == [False] * 4
+        assert tuning._SPARE_CPUS.acquire(blocking=False)  # the caller's is untouched
 
 
 class TestIllnessDeathSimulator:

@@ -1,4 +1,7 @@
 import logging
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +17,30 @@ from hazstep import (
 )
 from hazstep import flsa, tuning
 from hazstep.tuning import _BLOCK
+
+
+TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+@pytest.fixture(params=["serial", "pipelined"])
+def bootstrap_path(request, monkeypatch):
+    """Force the bootstrap's serial or pipelined path for every block count,
+    and check afterwards that the caller reduced the blocks, or a helper did."""
+    pipelined = request.param == "pipelined"
+    if pipelined and not TWO_CPUS:
+        pytest.skip("the pipeline needs 2 usable CPUs")
+    monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(int(pipelined)))
+    monkeypatch.setattr(tuning, "_PIPELINE_BLOCKS", 1)
+    reducers = set()
+    noise_max = tuning._noise_max
+
+    def recorded(*args):
+        reducers.add(threading.current_thread())
+        noise_max(*args)
+
+    monkeypatch.setattr(tuning, "_noise_max", recorded)
+    yield
+    assert (threading.current_thread() in reducers) != pipelined
 
 
 def centered_design_noise(u):
@@ -300,7 +327,7 @@ class TestBootstrap:
         ],
         ids=["one-row-blocks", "short", "m2", "ragged", "zero-residuals"],
     )
-    def test_bytes_independent_of_block_shape(self, rng, m, l_boot, zero):
+    def test_bytes_independent_of_block_shape(self, rng, m, l_boot, zero, bootstrap_path):
         residuals = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
         got = tuning._bootstrap_stats(residuals, np.random.default_rng(29), l_boot)
         assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, l_boot).tobytes()
@@ -310,12 +337,98 @@ class TestBootstrap:
         [(20_000, 1000, 3 * _BLOCK * 8), (100_000, 100, 3 * 100_000 * 8 + 64 * 1024)],
         ids=["multi-row-blocks", "one-row-blocks"],
     )
-    def test_memory_two_reused_blocks(self, rng, m, l_boot, bound):
-        # a draw buffer and a statistic buffer of about _BLOCK values each, or of
-        # one row each when m > _BLOCK, plus O(m + l_boot)
+    def test_memory_two_reused_blocks(self, rng, m, l_boot, bound, bootstrap_path):
+        # two buffers of about _BLOCK values each, or of one row each when
+        # m > _BLOCK, plus O(m + l_boot): a draw and a statistic buffer, or
+        # two draw buffers and a small statistic scratch when pipelined
         residuals = rng.normal(size=m)
         _, peak = traced_peak(tuning._bootstrap_stats, residuals, np.random.default_rng(4), l_boot)
         assert peak < bound
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    @pytest.mark.parametrize(
+        "step", ["draw 5", "reduce 5", "reduce 16"], ids=["draw", "reduce", "last-reduce"]
+    )
+    def test_failure_mid_stream_returns_the_token(self, rng, monkeypatch, error, step):
+        # 16 blocks of 65 rows: whichever thread fails at whichever block, the
+        # error reaches the caller, the helper is joined and the token given back
+        if not TWO_CPUS:
+            pytest.skip("the pipeline needs 2 usable CPUs")
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        kind, at = step.split()
+        draws, reduces = [], []
+        source, noise_max = np.random.default_rng(3), tuning._noise_max
+
+        class Failing:
+            def standard_normal(self, out):
+                draws.append(threading.current_thread())
+                if kind == "draw" and len(draws) == int(at):
+                    raise error(step)
+                source.standard_normal(out=out)
+
+        def reduce(*args):
+            reduces.append(threading.current_thread())
+            if kind == "reduce" and len(reduces) == int(at):
+                raise error(step)
+            noise_max(*args)
+
+        monkeypatch.setattr(tuning, "_noise_max", reduce)
+        start = threading.active_count()
+        with pytest.raises(error, match=step):
+            tuning._bootstrap_stats(rng.normal(size=1000), Failing(), 1000)
+        assert threading.active_count() == start
+        assert budget.acquire(blocking=False)
+        # the caller draws, the helper reduces, and no more than two blocks
+        # are drawn past a failed one
+        assert set(draws) == {threading.current_thread()}
+        assert threading.current_thread() not in reduces and len(draws) <= int(at) + 2
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the pipeline needs 2 usable CPUs")
+    def test_caller_waits_for_a_free_buffer(self, rng, monkeypatch):
+        # with a slow helper, block k + 2 is not drawn into block k's buffer
+        # before block k is reduced
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
+        noise_max = tuning._noise_max
+
+        def slow(*args):
+            time.sleep(0.01)
+            noise_max(*args)
+
+        monkeypatch.setattr(tuning, "_noise_max", slow)
+        residuals = rng.normal(size=3001)
+        got = tuning._bootstrap_stats(residuals, np.random.default_rng(29), 400)
+        assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, 400).tobytes()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the pipeline needs 2 usable CPUs")
+    def test_helper_runs_off_the_callers_cpu(self, rng, monkeypatch):
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
+        usable = os.sched_getaffinity(0)
+        assert tuning._cpu() in usable
+        caller_cpu = max(usable)
+        monkeypatch.setattr(tuning, "_cpu", lambda: caller_cpu)
+        pinned, noise_max = [], tuning._noise_max
+
+        def recorded(*args):
+            pinned.append((threading.current_thread(), frozenset(os.sched_getaffinity(0))))
+            noise_max(*args)
+
+        monkeypatch.setattr(tuning, "_noise_max", recorded)
+        tuning._bootstrap_stats(rng.normal(size=1000), np.random.default_rng(1), 1000)
+        assert {affinity for _, affinity in pinned} == {frozenset(usable - {caller_cpu})}
+        assert threading.current_thread() not in {thread for thread, _ in pinned}
+        assert os.sched_getaffinity(0) == usable  # the caller's own is never touched
+
+    def test_small_bootstraps_take_no_token(self, rng, monkeypatch):
+        # fewer blocks than _PIPELINE_BLOCKS are reduced by the caller
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        monkeypatch.setattr(budget, "acquire", None)
+        residuals = rng.normal(size=1000)
+        blocks = -(-100 // (_BLOCK // 1000))
+        assert blocks < tuning._PIPELINE_BLOCKS
+        got = tuning._bootstrap_stats(residuals, np.random.default_rng(5), 100)
+        assert got.tobytes() == bootstrap_stats_single_draw(residuals, 5, 100).tobytes()
 
     def test_memory_linear_in_m(self, rng):
         # one (L, m) float64 matrix alone would take 80 MB here; a small m
