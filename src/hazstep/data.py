@@ -53,9 +53,12 @@ CENSORED_STATE = -1
 
 def _floats_of(values, name: str) -> np.ndarray:
     """A private float copy of ``values``: a numeric-dtype array or nested sequences of numbers."""
-    a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    numbers = a.dtype.kind in "iuf" or (a.dtype == object and all(map(_is_number, a.flat)))
-    if a.ndim == 0 or not numbers:
+    try:
+        a = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+        numbers = a.dtype.kind in "iuf" or (a.dtype == object and all(map(_is_number, a.flat)))
+    except ValueError:  # arrays numpy cannot stack, such as of shapes (2, 2) and (2, 3)
+        a, numbers = None, False
+    if not numbers or a.ndim == 0:
         raise ValidationError(f"{name} must be a sequence of numbers, got {reprlib.repr(values)}")
     return a.astype(float)
 
@@ -257,61 +260,15 @@ class MultiStateFrame:
 # -- JSON and CSV I/O ----------------------------------------------------------
 
 
-# Every indented JSON text is made by _json_parts.  With an indent, json.dumps
-# runs its pure-Python encoder on every value; _json_parts makes the same text
-# but encodes each number vector, a flat list of numbers or a 1-D numeric
-# array, with the C encoder, _ROWS values at a time, and re-indents each
-# chunk's ", " separators, which no number, true, false or null contains.  So a
-# record's to_dict() may hold its read-only arrays, and writing one costs a
-# chunk of str objects, not a copy of the vector as floats and as text.
-
-_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
-
-
 def _json_text(obj, indent=None) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=indent)``, arrays as lists."""
-    if indent is None:
-        return json.dumps(obj, sort_keys=True, default=np.ndarray.tolist)
-    return "".join(_json_parts(obj, "\n", " " * indent))
+    """``json.dumps(obj, sort_keys=True, indent=indent)``, arrays as lists."""
+    return json.dumps(obj, sort_keys=True, indent=indent, default=np.ndarray.tolist)
 
 
 def _write_json(path, obj) -> None:
-    """Write ``_json_text(obj, indent=2)`` and a newline, piece by piece."""
+    """Write ``_json_text(obj, indent=2)`` and a newline."""
     with open(path, "w") as fh:
-        fh.writelines(_json_parts(obj, "\n", "  "))
-        fh.write("\n")
-
-
-def _json_parts(obj, newline: str, step: str):
-    """Pieces of the indented text of ``obj``, nested at ``newline``."""
-    inner = newline + step
-    if isinstance(obj, dict) and obj:
-        opening = "{"
-        for key, value in sorted(obj.items()):
-            # json.dumps writes a non-string key as the text of its JSON value
-            name = key if isinstance(key, str) else json.dumps(key)
-            yield opening + inner + json.dumps(name) + ": "
-            yield from _json_parts(value, inner, step)
-            opening = ","
-        yield newline + "}"
-    elif (isinstance(obj, np.ndarray) and obj.size) or (
-        isinstance(obj, (list, tuple)) and obj and set(map(type, obj)) <= _NUMBER_TYPES
-    ):
-        opening = "[" + inner
-        for lo in range(0, len(obj), _ROWS):
-            chunk = json.dumps(obj[lo : lo + _ROWS], default=np.ndarray.tolist)
-            yield opening + chunk[1:-1].replace(", ", "," + inner)
-            opening = "," + inner
-        yield newline + "]"
-    elif isinstance(obj, (list, tuple)) and obj:
-        opening = "["
-        for item in obj:
-            yield opening + inner
-            yield from _json_parts(item, inner, step)
-            opening = ","
-        yield newline + "]"
-    else:
-        yield json.dumps(obj, default=np.ndarray.tolist)
+        fh.write(_json_text(obj, 2) + "\n")
 
 
 class _JsonRecord:

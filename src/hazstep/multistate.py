@@ -1,9 +1,9 @@
 """Illness-death model: per-transition fits and closed-form survival curves.
 
 The three-state model without recovery (initial 0, intermediate 1, absorbing
-2) is fitted transition by transition, two fits at a time in threads, by
-reducing trajectories to survival frames; the 1->2 frame uses
-the state-1 entry time as left truncation.
+2) is fitted transition by transition, one after another, by reducing
+trajectories to survival frames; the 1->2 frame uses the state-1 entry time
+as left truncation.
 Occupation probabilities follow the forward differential equations, which
 are solved exactly segment by segment since all intensities are piecewise
 constant.
@@ -11,8 +11,6 @@ constant.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,6 @@ from .errors import ValidationError
 from .estimators import breslow_fit
 from .pipeline import FitConfig, HazardFit, fit_hazard
 from .stepfun import StepFunction
-from .tuning import _spare_cpus
 
 __all__ = [
     "IllnessDeathModel",
@@ -100,13 +97,9 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
     left-truncated and their default windows start at the 0.025 quantile of
     their uncensored times.
 
-    The fits run on two threads: the calling thread fits 0->1 while one helper
-    thread, holding a spare-CPU token, fits 0->2 and then 1->2.  Each fit has its
-    own frame, seed and split tree, so the fits equal the sequential ones, but log
-    records of different transitions may interleave.  A failed fit raises its
-    error, the first in ``TRANSITIONS`` order.  Once a fit has failed or the
-    calling thread is interrupted, no further fit starts; the call returns when
-    the fit under way in the helper has ended.
+    The fits run on the calling thread in ``TRANSITIONS`` order, so each
+    bootstrap may take the spare CPU for itself.  A failed fit raises its
+    error, and no later fit starts.
     """
     if isinstance(config, dict):
         for key in config:
@@ -121,25 +114,8 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
         if not np.any(sub.status == 1):
             raise ValidationError(f"transition {tr}: zero events")
         subs.append(sub)
-    stop = threading.Event()
-
-    def fit_rest():
-        # fit_hazard is read at call time, so a wrapper set on this module's
-        # global applies in the helper too
-        fits = []
-        for sub, cfg in zip(subs[1:], configs[1:]):
-            if stop.is_set():
-                break
-            fits.append(fit_hazard(sub, cfg))
-        return fits
-
-    with _spare_cpus(), ThreadPoolExecutor(1) as pool:
-        rest = pool.submit(fit_rest)
-        try:
-            fits = [fit_hazard(subs[0], configs[0])] + rest.result()
-        except BaseException:
-            stop.set()
-            raise
+    # fit_hazard is read at call time, so a wrapper set on this module's global applies
+    fits = [fit_hazard(sub, cfg) for sub, cfg in zip(subs, configs)]
     return dict(zip(TRANSITIONS, fits))
 
 

@@ -14,17 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _check_number, _column, _freeze, _is_number, _json_field, _JsonRecord
+from .data import _check_number, _column, _freeze, _json_field, _JsonRecord
 from .errors import ValidationError
 
 __all__ = ["Window", "StepFunction"]
-
-
-# from_dict reads only JSON numbers: a string or a boolean is not one
-def _number(value) -> float:
-    if not _is_number(value):
-        raise ValidationError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class Window:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Window":
-        return cls(*(_json_field(d, name, _number) for name in ("tau_min", "tau_max")))
+        return cls(*(_json_field(d, name) for name in ("tau_min", "tau_max")))
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def _cpu() -> int:
 
 
 @contextmanager
-def _spare_cpus(wanted: bool = True):
+def _spare_cpus(wanted: bool):
     """Yield the usable CPUs other than the caller's while holding a spare-CPU token,
     or an empty set, with no token, when not ``wanted`` or when none is free."""
     budget = _SPARE_CPUS

@@ -400,10 +400,10 @@ class TestCurvesCommand:
             ("[1, 2]", "expected a JSON object, got list"),
             (f'{{"a01": {HAZARD}, "a02": {HAZARD}}}', "missing field 'a12'"),
             ('{"a01": {"domain": {"tau_min": "x", "tau_max": 1}}}',
-             "a01: domain: tau_min: expected a number, got 'x'"),
+             "a01: domain: tau_min must be a number, got 'x'"),
             ('{"a01": {"domain": null}}', "a01: domain: expected a JSON object, got NoneType"),
             ('{"a01": {"domain": {"tau_min": 0, "tau_max": true}}}',
-             "a01: domain: tau_max: expected a number, got True"),
+             "a01: domain: tau_max must be a number, got True"),
             (f'{{"a01": {TEXT_BREAK}}}',
              "a01: breaks must be a sequence of numbers, got ['0.5']"),
             (f'{{"a01": {BOOLEAN_LEVEL}}}',

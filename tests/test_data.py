@@ -51,7 +51,6 @@ from hazstep.data import (
     _read_columns,
     _text,
     _write_columns,
-    _write_json,
     sojourn_frame,
 )
 from hazstep.multistate import (
@@ -73,7 +72,7 @@ from hazstep.simulate import (
     two_level_hazard,
 )
 from hazstep.stepfun import StepFunction, Window
-from hazstep.tuning import TuningConfig, TuningResult
+from hazstep.tuning import TuningConfig
 
 HEADER = "id,from,to,t_start,t_stop\n"
 BAD_TIMES = "times must be finite and >= 0, got"
@@ -532,29 +531,16 @@ class TestJsonText:
         obj = self.CASES[case]
         assert _json_text(obj, indent) == json.dumps(obj, sort_keys=True, indent=indent)
 
-    @pytest.mark.parametrize("size", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
+    @pytest.mark.parametrize("size", [0, 1, 5])
     @pytest.mark.parametrize("indent", [None, 0, 2, 4])
     def test_arrays_encode_as_their_lists(self, rng, size, indent):
-        # a float array is encoded _ROWS values at a time; a reversed view is
-        # strided
+        # a reversed view is strided
         values = rng.normal(size=size)
         values[:4] = [-0.0, 5e-324, 1e300, 1 / 3][:size]
         obj = {"b": values, "a": [values[::-1], {"c": values}], "n": 3}
         as_lists = {"b": values.tolist(), "a": [values[::-1].tolist(), {"c": values.tolist()}], "n": 3}
         assert _json_text(obj, indent) == json.dumps(as_lists, sort_keys=True, indent=indent)
         assert _json_text(values, indent) == json.dumps(values.tolist(), indent=indent)
-
-    def test_writing_a_tuning_result_holds_one_chunk(self, rng, tmp_path):
-        # 200 000 bootstrap statistics are 1.6 MB of float64; writing them as
-        # one list and one string peaked at 16 MB
-        result = TuningResult(
-            lambda0=0.5, lam=1.5, u_boot=rng.normal(size=200_000), residuals=rng.normal(size=100), seed=3
-        )
-        path = tmp_path / "tuning.json"
-        _, peak = traced_peak(lambda: _write_json(path, result.to_dict()))
-        assert peak < 1e6
-        assert path.read_text() == result.to_json(indent=2) + "\n"
-        assert json.loads(path.read_text())["u_boot"] == result.u_boot.tolist()
 
     @pytest.fixture(scope="class")
     def cli_records(self):
@@ -866,8 +852,9 @@ class TestRecordInvariants:
             (dict(covariates=[["1"], [True]]), "covariates"),
             (dict(time=np.array([True, True])), "time"),
             (dict(entry=np.array(["0", "0"])), "entry"),
+            (dict(time=[np.zeros((2, 2)), np.zeros((2, 3))]), "time"),
         ],
-        ids=["time", "entry", "covariates", "bool-array", "text-array"],
+        ids=["time", "entry", "covariates", "bool-array", "text-array", "unstackable-arrays"],
     )
     def test_frame_columns_take_only_numbers(self, kwargs, field):
         two = dict(time=[1.5, 2.0], status=[1, 0], entry=[0, 0], covariates=np.empty((2, 0)))

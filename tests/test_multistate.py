@@ -1,4 +1,4 @@
-import logging
+import os
 import re
 import threading
 import time
@@ -32,6 +32,7 @@ from hazstep import (
 )
 
 W01 = Window(0, 1)
+TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def constant_model(h01, h02, h12, domain=W01):
@@ -317,8 +318,8 @@ class TestFitIllnessDeath:
         assert back.a12.domain == model.a12.domain
 
 
-class TestConcurrentFits:
-    """The three transition fits run side by side in threads."""
+class TestFitsInTurn:
+    """The three transition fits run one after another on the calling thread."""
 
     @pytest.fixture(scope="class")
     def frame(self):
@@ -344,89 +345,73 @@ class TestConcurrentFits:
             assert fit.tuning.u_boot.tobytes() == alone.tuning.u_boot.tobytes()
             assert fit.tuning.residuals.tobytes() == alone.tuning.residuals.tobytes()
 
-    def test_calling_thread_fits_01_helper_fits_the_rest(self, frame, monkeypatch):
-        threads = {}
+    @staticmethod
+    def recording(calls, fail_at=None, error=ValidationError):
+        """A fit_hazard that records (seed, thread) and raises ``error`` at seed ``fail_at``."""
 
-        def recording(sub, cfg):
-            threads[cfg.tuning.seed] = threading.get_ident()
-            return fit_hazard(sub, cfg)
-
-        monkeypatch.setattr("hazstep.multistate.fit_hazard", recording)
-        fit_illness_death_detailed(frame, self.seeded(1))
-        assert threads[1] == threading.get_ident()
-        assert threads[2] == threads[3] != threads[1]
-
-    def test_first_error_in_transition_order_and_no_thread_left(self, frame, monkeypatch, caplog):
-        start = threading.active_count()
-        helpers = []
-
-        def failing(sub, cfg):
+        def fit(sub, cfg):
             seed = cfg.tuning.seed
-            if threading.current_thread() is not threading.main_thread():
-                helpers.append(seed)
-                logging.getLogger("hazstep.pipeline").warning("helper fit of seed %d", seed)
-            if seed == 12:
-                raise ValidationError("fit of (0, 2) failed")
-            if seed == 13:
-                raise ValidationError("fit of (1, 2) failed")
+            calls.append((seed, threading.get_ident()))
+            if seed == fail_at:
+                time.sleep(0.05)  # a helper thread, were there one, starts its fit by now
+                raise error(f"fit of seed {seed} failed")
             return fit_hazard(sub, cfg)
 
+        return fit
+
+    def test_fits_run_on_the_calling_thread_in_order(self, frame, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hazstep.multistate.fit_hazard", self.recording(calls))
         fit_illness_death_detailed(frame, self.seeded(1))
-        assert threading.active_count() == start
-        monkeypatch.setattr("hazstep.multistate.fit_hazard", failing)
-        with caplog.at_level(logging.WARNING, logger="hazstep.pipeline"):
-            with pytest.raises(ValidationError, match=r"fit of \(0, 2\) failed"):
-                fit_illness_death_detailed(frame, self.seeded(11))
-        assert threading.active_count() == start
-        assert helpers == [12]  # (1, 2) does not start once (0, 2) has failed
-        main = threading.main_thread().ident
-        logged = [r.getMessage() for r in caplog.records if r.thread != main]
-        assert logged == ["helper fit of seed 12"]
+        me = threading.get_ident()
+        assert calls == [(1, me), (2, me), (3, me)]
+
+    def test_failing_02_stops_before_12(self, frame, monkeypatch):
+        calls = []
+        monkeypatch.setattr("hazstep.multistate.fit_hazard", self.recording(calls, fail_at=2))
+        with pytest.raises(ValidationError, match="fit of seed 2 failed"):
+            fit_illness_death_detailed(frame, self.seeded(1))
+        me = threading.get_ident()
+        assert calls == [(1, me), (2, me)]
 
     @pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
-    def test_calling_thread_error_stops_the_helper(self, frame, monkeypatch, error):
+    def test_failing_01_starts_no_other_fit(self, frame, monkeypatch, error):
         start = threading.active_count()
-        failed = threading.Event()
-        seeds = []
-
-        def failing(sub, cfg):
-            seeds.append(cfg.tuning.seed)
-            if cfg.tuning.seed == 1:
-                failed.set()
-                raise error("fit of (0, 1) failed")
-            if cfg.tuning.seed == 2:
-                failed.wait(5)
-                time.sleep(0.05)  # the calling thread is past its raise by now
-            return fit_hazard(sub, cfg)
-
-        monkeypatch.setattr("hazstep.multistate.fit_hazard", failing)
-        with pytest.raises(error, match=r"fit of \(0, 1\) failed"):
+        calls = []
+        monkeypatch.setattr(
+            "hazstep.multistate.fit_hazard", self.recording(calls, fail_at=1, error=error)
+        )
+        with pytest.raises(error, match="fit of seed 1 failed"):
             fit_illness_death_detailed(frame, self.seeded(1))
+        assert [seed for seed, _ in calls] == [1]
         assert threading.active_count() == start
-        assert sorted(seeds) == [1, 2]
 
-    def test_nested_bootstraps_start_no_helper(self, frame, monkeypatch):
-        # the helper fit holds the one spare CPU, so each bootstrap reduces on
-        # the thread that called it, though every one has blocks enough
+    @pytest.mark.skipif(not TWO_CPUS, reason="the pipeline needs 2 usable CPUs")
+    def test_each_bootstrap_takes_the_spare_cpu(self, frame, monkeypatch):
+        # no fit holds the one spare CPU, so every bootstrap pipelines: a helper
+        # reduces its blocks, and the token is back before the next one starts
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
         monkeypatch.setattr(tuning, "_PIPELINE_BLOCKS", 1)
-        callers, reducers = set(), set()
+        reducers = []  # the reducing threads of each bootstrap
         bootstrap_stats, noise_max = tuning._bootstrap_stats, tuning._noise_max
 
         def calling(*args):
-            callers.add(threading.current_thread())
+            assert budget.acquire(blocking=False)
+            budget.release()
+            reducers.append(set())
             return bootstrap_stats(*args)
 
         def reducing(*args):
-            reducers.add(threading.current_thread())
+            reducers[-1].add(threading.current_thread())
             noise_max(*args)
 
         monkeypatch.setattr(tuning, "_bootstrap_stats", calling)
         monkeypatch.setattr(tuning, "_noise_max", reducing)
         start = threading.active_count()
         fit_illness_death_detailed(frame, self.seeded(1))
-        assert len(callers) == 2 and reducers == callers
+        assert len(reducers) == 3
+        assert all(threads and threading.current_thread() not in threads for threads in reducers)
         assert threading.active_count() == start
         assert budget.acquire(blocking=False)  # given back
 

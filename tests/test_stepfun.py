@@ -104,8 +104,8 @@ class TestStepFunction:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("tau_min", "0", "domain: tau_min: expected a number, got '0'"),
-            ("tau_max", True, "domain: tau_max: expected a number, got True"),
+            ("tau_min", "0", "domain: tau_min must be a number, got '0'"),
+            ("tau_max", True, "domain: tau_max must be a number, got True"),
             ("breaks", ["0.5"], "breaks must be a sequence of numbers, got ['0.5']"),
             ("levels", [False, 2], "levels must be a sequence of numbers, got [False, 2]"),
             ("levels", [0, "2"], "levels must be a sequence of numbers, got [0, '2']"),
