@@ -531,10 +531,10 @@ class TestJsonText:
         obj = self.CASES[case]
         assert _json_text(obj, indent) == json.dumps(obj, sort_keys=True, indent=indent)
 
-    @pytest.mark.parametrize("size", [0, 1, 5])
+    @pytest.mark.parametrize("size", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
     @pytest.mark.parametrize("indent", [None, 0, 2, 4])
     def test_arrays_encode_as_their_lists(self, rng, size, indent):
-        # a reversed view is strided
+        # empty, one value and some thousand values; a reversed view is strided
         values = rng.normal(size=size)
         values[:4] = [-0.0, 5e-324, 1e300, 1 / 3][:size]
         obj = {"b": values, "a": [values[::-1], {"c": values}], "n": 3}
