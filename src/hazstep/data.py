@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 import reprlib
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -86,7 +86,7 @@ def _check_number(value, name: str) -> None:
     """Raise a ValidationError naming ``name`` unless ``value`` is a finite number."""
     if not _is_number(value):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not abs(value) < math.inf:
+    if not abs(value) <= sys.float_info.max:  # NaN, inf and ints beyond the float range
         raise ValidationError(f"{name} must be finite")
 
 

@@ -27,7 +27,7 @@ from .estimators import (
 )
 from .flsa import FusedLassoFit, flsa_solve, interpolate
 from .stepfun import StepFunction, Window
-from .tuning import TuningConfig, TuningResult, bootstrap_lambda
+from .tuning import TuningConfig, TuningResult, _normal_blocks, bootstrap_lambda
 
 __all__ = ["FitConfig", "HazardFit", "fit_hazard", "discretize_truth"]
 
@@ -138,19 +138,19 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
     """
     config = config or FitConfig()
     beta, cox = _resolve_beta(frame, config)
-    curve = breslow_fit(frame, beta)
-
-    if config.window is not None:
-        window = config.window
-    else:
-        p_low = config.p_low
-        if p_low is None:
-            p_low = 0.025 if np.any(frame.entry > 0) else 0.0
-        window = choose_window(frame, p_low, config.p_high)
-
     m = frame.n if config.grid_size is None else config.grid_size
-    y = build_increments(curve, window, m)
-    tuning_result = bootstrap_lambda(y, config.tuning)
+    # the bootstrap's normals depend on the seed, L and m alone: draw them while y is built
+    with _normal_blocks(config.tuning.seed, config.tuning.l_boot, m) as normals:
+        curve = breslow_fit(frame, beta)
+        if config.window is not None:
+            window = config.window
+        else:
+            p_low = config.p_low
+            if p_low is None:
+                p_low = 0.025 if np.any(frame.entry > 0) else 0.0
+            window = choose_window(frame, p_low, config.p_high)
+        y = build_increments(curve, window, m)
+        tuning_result = bootstrap_lambda(y, config.tuning, normals=normals)
     fused = flsa_solve(y, tuning_result.lam)
     _warn_on_empty_risk(frame, beta, window, m)
 

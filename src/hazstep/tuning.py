@@ -5,8 +5,10 @@ lasso reformulation: a pilot fit with a moderate number of change points
 supplies residuals, which are multiplied elementwise by standard normal
 draws; the maximum statistic of each such bootstrap sample approximates the
 effective-noise distribution, and the selected penalty is its empirical
-q-quantile.  The draws come from one seeded stream in the calling thread; a
-helper thread on a spare CPU may reduce them, leaving every statistic as it was.
+q-quantile.  The normals come from one seeded stream.  From m*L = 2**16 on, a helper
+thread on a spare CPU draws them, from the end of a fit's Cox step on, into two reused
+blocks of 2**16 values, and the caller reduces them 4096 statistic columns at a time;
+smaller bootstraps are drawn by the caller.  Every statistic is as if drawn serially.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ class TuningConfig:
     ``l_boot`` defaults to 1000 (application scale); simulation studies use
     100.  The random generator is numpy's PCG64 (``default_rng``) and normal
     variates come from its ziggurat ``standard_normal``, so results are
-    bit-reproducible across platforms for a given seed.  The calling thread
-    draws the normals in row-major blocks, which a helper thread on a spare CPU
-    may reduce, so ``u_boot`` depends on neither the block size nor the threads.
-    Its memory is two reused blocks of about ``_BLOCK`` values (one row each
-    when m is larger) plus O(m + L), not O(L*m).
+    bit-reproducible across platforms for a given seed.  From m*L = ``_DRAW_AHEAD`` on,
+    a helper on a spare CPU draws the row-major blocks of normals, from the end of a
+    fit's Cox step on, and the caller reduces them; else the caller draws them too.
+    ``u_boot`` is the same bits either way.  Memory: two blocks of ``_BLOCK`` values
+    (one row for larger m), a 4096-column statistic scratch and O(m + L), not O(L*m).
     """
 
     q: float = 0.9
@@ -119,9 +121,9 @@ def _noise_max(u: np.ndarray, stats: np.ndarray, ramp: np.ndarray, out: np.ndarr
     np.multiply(out, 2.0, out=out)
 
 
-# normal draws held at once by the bootstrap (512 KB of float64), statistic
-# columns a pipelined bootstrap forms at once, and the fewest blocks it pipelines
-_BLOCK, _SCRATCH, _PIPELINE_BLOCKS = 1 << 16, 1 << 12, 8
+# normal draws held in one block (512 KB of float64), statistic columns formed at
+# once, and the least work m * L whose draw runs ahead on a spare CPU
+_BLOCK, _SCRATCH, _DRAW_AHEAD = 1 << 16, 1 << 12, 1 << 16
 
 
 def _set_spare_cpus(count: int) -> None:
@@ -154,47 +156,54 @@ def _spare_cpus(wanted: bool):
             budget.release()
 
 
-def _bootstrap_stats(residuals: np.ndarray, rng: np.random.Generator, l_boot: int) -> np.ndarray:
-    """Effective-noise statistics of residuals * eps, one per bootstrap row.
-
-    The caller draws the ``l_boot`` normal rows eps in blocks of ``_BLOCK // m`` rows
-    (at least one); PCG64 fills ``standard_normal`` in C order, so the blocks consume
-    the stream of one ``(l_boot, m)`` draw.  From ``_PIPELINE_BLOCKS`` blocks on, given
-    a spare CPU, a helper thread pinned off the caller's CPU reduces block k while the
-    caller draws block k + 1 into a second buffer; otherwise the caller reduces each
-    block.  :func:`_noise_max` treats every row alike, so the statistics depend on
-    neither the block height nor the path.  Memory is two reused blocks (the
-    statistic's is small when pipelined) plus O(m + l_boot).
+@contextmanager
+def _normal_blocks(seed, l_boot: int, m: int):
+    """Yield an iterator over ``default_rng(seed).standard_normal((l_boot, m))`` in blocks of
+    ``_BLOCK // m`` rows (at least one), which consume that draw's stream in C order.  From
+    m * l_boot = ``_DRAW_AHEAD`` on, given a spare CPU, a helper pinned off the caller's CPU
+    draws blocks 0 and 1 into two buffers on entry, and block k + 2 into block k's buffer
+    once the caller asks for block k + 1; else the caller draws each block into one buffer.
     """
-    n = residuals.size
-    rows = min(l_boot, max(1, _BLOCK // n))
-    starts = range(0, l_boot, rows)
-    ramp, u_boot, jobs = np.arange(1.0, n), np.empty(l_boot), []
-
-    def reduce(block, lo):
-        np.multiply(block, residuals, out=block)
-        _noise_max(block, stats[: len(block)], ramp, u_boot[lo : lo + len(block)])
-
-    with _spare_cpus(len(starts) >= _PIPELINE_BLOCKS) as cpus, ThreadPoolExecutor(
+    rng, rows = np.random.default_rng(seed), min(l_boot, max(1, _BLOCK // max(m, 1)))
+    heights = [min(rows, l_boot - lo) for lo in range(0, l_boot, rows)]
+    with _spare_cpus(m * l_boot >= _DRAW_AHEAD) as cpus, ThreadPoolExecutor(
         1, initializer=lambda: os.sched_setaffinity(0, cpus)
     ) as pool:
-        stats = np.empty((rows, min(n - 1, _SCRATCH) if cpus else n - 1))
-        blocks = [np.empty((rows, n)) for _ in range(1 + bool(cpus))]
-        for k, lo in enumerate(starts):
-            if len(jobs) == 2:  # block k - 2 is reduced, so its buffer is free
-                jobs.pop(0).result()
-            block = blocks[k % len(blocks)][: min(rows, l_boot - lo)]
-            rng.standard_normal(out=block)
-            if cpus:
-                jobs.append(pool.submit(reduce, block, lo))
-            else:
-                reduce(block, lo)
-        for job in jobs:
-            job.result()
+        buffers = [np.empty((rows, m)) for _ in range(1 + bool(cpus))]
+
+        def draw(k):
+            return rng.standard_normal(out=buffers[k % len(buffers)][: heights[k]])
+
+        jobs = [pool.submit(draw, k) for k in range(len(heights))[:2]] if cpus else []
+
+        def blocks():
+            for k in range(len(heights)):
+                yield jobs.pop(0).result() if cpus else draw(k)
+                if cpus and k + 2 < len(heights):  # block k is reduced, so its buffer is free
+                    jobs.append(pool.submit(draw, k + 2))
+
+        yield blocks()
+
+
+def _bootstrap_stats(residuals: np.ndarray, blocks, l_boot: int) -> np.ndarray:
+    """Effective-noise statistics of residuals * eps for the ``l_boot`` rows eps of the
+    blocks of :func:`_normal_blocks`, drawn by a helper from m * l_boot = ``_DRAW_AHEAD``
+    on (in a fit, from the end of its Cox step on) and else by the caller.  The caller
+    reduces each block in place, ``_SCRATCH`` statistic columns at a time; :func:`_noise_max`
+    treats every row alike, so the statistics depend on neither the block height nor the
+    thread that drew it.  Memory: two blocks (one when the caller draws) plus O(m + l_boot)."""
+    n = residuals.size
+    ramp, u_boot, lo = np.arange(1.0, n), np.empty(l_boot), 0
+    for block in blocks:
+        if lo == 0:  # the first block is the tallest
+            stats = np.empty((len(block), min(n - 1, _SCRATCH)))
+        np.multiply(block, residuals, out=block)
+        _noise_max(block, stats[: len(block)], ramp, u_boot[lo : lo + len(block)])
+        lo += len(block)
     return u_boot
 
 
-def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
+def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
     """Multiplier-bootstrap selection of the fused-lasso penalty.
 
     Residuals of the exact fit at the pilot penalty, which is read off the
@@ -206,11 +215,16 @@ def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
     The warning that the path and the solver "disagree" fires when the pilot
     fit has more than ``k_max`` change points: the path's slope-history count
     lags the jumps the solver evaluates, as on some inputs whose magnitudes
-    span hundreds of decades.
+    span hundreds of decades.  ``normals`` are the entered ``_normal_blocks`` of
+    the seed, ``l_boot`` and y.size, from a caller that starts the draw earlier
+    (``fit_hazard``, after its Cox step); without them the draw starts here.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size < 2:
         raise ValidationError(f"need at least 2 observations, got {y.size}")
+    if normals is None:  # draw while the pilot path runs
+        with _normal_blocks(config.seed, config.l_boot, y.size) as normals:
+            return bootstrap_lambda(y, config, normals=normals)
     lam0 = pilot_lambda(y, config.k_max)
     pilot = flsa_solve(y, lam0)
     if pilot.changepoints.size > config.k_max:
@@ -219,7 +233,7 @@ def bootstrap_lambda(y, config: TuningConfig) -> TuningResult:
             "path and the exact solver disagree", lam0, pilot.changepoints.size, config.k_max
         )
     residuals = y - pilot.alpha
-    u_boot = _bootstrap_stats(residuals, np.random.default_rng(config.seed), config.l_boot)
+    u_boot = _bootstrap_stats(residuals, normals, config.l_boot)
     return TuningResult(
         lambda0=float(lam0),
         lam=empirical_quantile(u_boot, config.q),

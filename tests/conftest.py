@@ -14,7 +14,8 @@ cached sort orders, the knot walk is the package's closed-form curve rule
 one knot at a time in plain floats, and the bootstrap reference is the
 package's statistic on one draw of all its normal rows, all for bit-for-bit
 comparisons.  ``effective_noise`` runs the package's private row statistic
-on one vector, for the tests of that statistic.  The session hooks at the
+on one vector, for the tests of that statistic, and ``RecordingGenerator``
+is a seeded generator that records which thread draws from it.  The session hooks at the
 end print a speed reference for the suite's wall time.
 """
 
@@ -22,6 +23,7 @@ import csv
 import heapq
 import importlib.util
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -675,6 +677,18 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class RecordingGenerator(np.random.Generator):
+    """``default_rng(seed)`` that adds (thread, usable CPUs) of each of its draws to ``drawers``."""
+
+    def __init__(self, seed, drawers):
+        super().__init__(np.random.PCG64(seed))
+        self.drawers = drawers
+
+    def standard_normal(self, *args, **kwargs):
+        self.drawers.add((threading.current_thread(), frozenset(os.sched_getaffinity(0))))
+        return super().standard_normal(*args, **kwargs)
 
 
 @pytest.fixture

@@ -392,6 +392,7 @@ class TestCurvesCommand:
     HAZARD = '{"domain": {"tau_min": 0, "tau_max": 1}, "breaks": [], "levels": [1.0]}'
     TEXT_BREAK = HAZARD.replace("[]", '["0.5"]')
     BOOLEAN_LEVEL = HAZARD.replace("[1.0]", "[false]")
+    HUGE_TAU_MAX = HAZARD.replace('"tau_max": 1', '"tau_max": 1' + "0" * 400)  # no float holds it
 
     @pytest.mark.parametrize(
         "text, message",
@@ -408,9 +409,10 @@ class TestCurvesCommand:
              "a01: breaks must be a sequence of numbers, got ['0.5']"),
             (f'{{"a01": {BOOLEAN_LEVEL}}}',
              "a01: levels must be a sequence of numbers, got [False]"),
+            (f'{{"a01": {HUGE_TAU_MAX}}}', "a01: domain: tau_max must be finite"),
         ],
         ids=["empty hazard", "list", "no a12", "text tau_min", "null domain", "boolean tau_max",
-             "text break", "boolean level"],
+             "text break", "boolean level", "401-digit tau_max"],
     )
     def test_malformed_model_json_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "model.json"

@@ -810,6 +810,15 @@ class TestRecordInvariants:
         with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
             make(**kwargs)
 
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["huge-int", "huge-negative-int"])
+    @pytest.mark.parametrize("make, field", SCALAR_FLOAT_FIELDS, ids=FLOAT_FIELD_IDS[8:])
+    def test_int_beyond_the_float_range_is_not_finite(self, make, field, bad):
+        # abs(10**400) < inf holds, so such an int used to pass and overflow later
+        kwargs = VALID_KWARGS[make]()
+        kwargs[field] = bad
+        with pytest.raises(ValidationError, match=f"^{field} must be finite$"):
+            make(**kwargs)
+
     @pytest.mark.parametrize("make, field", FLOAT_FIELDS, ids=FLOAT_FIELD_IDS)
     def test_non_numeric_float_fields_rejected(self, make, field):
         # a scalar field used to take a string, or to fail on it with a TypeError

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    RecordingGenerator,
     kaplan_meier_reference,
     rk4_state_probabilities,
     state_probabilities_knot_walk,
@@ -24,6 +25,7 @@ from hazstep import (
     fit_hazard,
     fit_illness_death_detailed,
     kaplan_meier,
+    pipeline,
     simulate_illness_death,
     split_transitions,
     state_probabilities,
@@ -386,32 +388,28 @@ class TestFitsInTurn:
         assert [seed for seed, _ in calls] == [1]
         assert threading.active_count() == start
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="the pipeline needs 2 usable CPUs")
+    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
     def test_each_bootstrap_takes_the_spare_cpu(self, frame, monkeypatch):
-        # no fit holds the one spare CPU, so every bootstrap pipelines: a helper
-        # reduces its blocks, and the token is back before the next one starts
+        # no fit holds the one spare CPU, so every fit draws ahead: a helper
+        # draws its normals, and the token is back before the next fit starts
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
-        monkeypatch.setattr(tuning, "_PIPELINE_BLOCKS", 1)
-        reducers = []  # the reducing threads of each bootstrap
-        bootstrap_stats, noise_max = tuning._bootstrap_stats, tuning._noise_max
+        monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
+        drawers = []  # (thread, CPUs) of the draws of each fit
+        normal_blocks = pipeline._normal_blocks
 
-        def calling(*args):
+        def starting(seed, l_boot, m):
             assert budget.acquire(blocking=False)
             budget.release()
-            reducers.append(set())
-            return bootstrap_stats(*args)
+            drawers.append(set())
+            return normal_blocks(RecordingGenerator(seed, drawers[-1]), l_boot, m)
 
-        def reducing(*args):
-            reducers[-1].add(threading.current_thread())
-            noise_max(*args)
-
-        monkeypatch.setattr(tuning, "_bootstrap_stats", calling)
-        monkeypatch.setattr(tuning, "_noise_max", reducing)
+        monkeypatch.setattr(pipeline, "_normal_blocks", starting)
         start = threading.active_count()
         fit_illness_death_detailed(frame, self.seeded(1))
-        assert len(reducers) == 3
-        assert all(threads and threading.current_thread() not in threads for threads in reducers)
+        assert len(drawers) == 3
+        threads = [{thread for thread, _ in fit} for fit in drawers]
+        assert all(fit and threading.current_thread() not in fit for fit in threads)
         assert threading.active_count() == start
         assert budget.acquire(blocking=False)  # given back
 

@@ -1,5 +1,7 @@
 import dataclasses
 import logging
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -21,11 +23,16 @@ from hazstep import (
     gen_scenario,
     kkt_residual,
     named_scenario,
+    pipeline,
     three_level_hazard,
+    tuning,
     two_level_hazard,
 )
 from hazstep.estimators import BreslowCurve
 from hazstep.flsa import interpolate
+
+
+TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def constant_scenario(n):
@@ -262,3 +269,67 @@ class TestFitHazard:
         assert np.isfinite(gap)
         # the fitted integral tracks the Breslow increment up to shrinkage
         assert abs(gap) < 0.5
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
+class TestDrawAhead:
+    """fit_hazard starts the bootstrap's draw once the Cox step is done."""
+
+    @pytest.fixture
+    def budget(self, monkeypatch):
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
+        start = threading.active_count()
+        yield budget
+        assert threading.active_count() == start  # the helper is joined
+        assert budget.acquire(blocking=False)  # and its token given back
+
+    @staticmethod
+    def held(budget):
+        free = budget.acquire(blocking=False)
+        if free:
+            budget.release()
+        return not free
+
+    def test_bytes_equal_on_both_paths(self, budget, monkeypatch):
+        frame = gen_scenario(named_scenario("B2", 1000), 3)
+        config = FitConfig(tuning=TuningConfig(seed=5, l_boot=100))
+        ahead = fit_hazard(frame, config)
+        monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1 << 62)
+        serial = fit_hazard(frame, config)
+        assert ahead.tuning.u_boot.tobytes() == serial.tuning.u_boot.tobytes()
+        assert ahead.to_json() == serial.to_json()
+
+    def test_draw_starts_after_cox(self, budget, monkeypatch):
+        seen = []
+
+        def observed(name, step):
+            def call(*args):
+                seen.append((name, self.held(budget)))
+                return step(*args)
+
+            return call
+
+        for name in ("cox_fit", "breslow_fit"):
+            monkeypatch.setattr(pipeline, name, observed(name, getattr(pipeline, name)))
+        fit_hazard(gen_scenario(named_scenario("B2", 300), 4), FitConfig())
+        assert seen == [("cox_fit", False), ("breslow_fit", True)]
+
+    @pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
+    def test_error_while_drawing_ahead_joins_the_helper(self, budget, monkeypatch, error):
+        def failing(*args):
+            assert self.held(budget)
+            raise error("no increments")
+
+        monkeypatch.setattr(pipeline, "build_increments", failing)
+        with pytest.raises(error, match="no increments"):
+            fit_hazard(gen_scenario(named_scenario("B2", 300), 4), FitConfig())
+
+    def test_one_record_frame(self, budget):
+        frame = SurvivalFrame(
+            time=np.array([1.0]), status=np.array([1]), entry=np.zeros(1),
+            covariates=np.empty((1, 0)),
+        )
+        with pytest.raises(ValidationError, match="^need at least 2 distinct uncensored event times$"):
+            fit_hazard(frame)

@@ -6,7 +6,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bootstrap_stats_single_draw, effective_noise, traced_peak
+from conftest import (
+    RecordingGenerator,
+    bootstrap_stats_single_draw,
+    effective_noise,
+    traced_peak,
+)
 from hazstep import (
     TuningConfig,
     ValidationError,
@@ -22,25 +27,27 @@ from hazstep.tuning import _BLOCK
 TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-@pytest.fixture(params=["serial", "pipelined"])
+def bootstrap_stats(residuals, seed, l_boot):
+    """The bootstrap statistics of ``residuals`` as ``bootstrap_lambda`` forms them."""
+    with tuning._normal_blocks(seed, l_boot, residuals.size) as blocks:
+        return tuning._bootstrap_stats(residuals, blocks, l_boot)
+
+
+@pytest.fixture(params=["serial", "ahead"])
 def bootstrap_path(request, monkeypatch):
-    """Force the bootstrap's serial or pipelined path for every block count,
-    and check afterwards that the caller reduced the blocks, or a helper did."""
-    pipelined = request.param == "pipelined"
-    if pipelined and not TWO_CPUS:
-        pytest.skip("the pipeline needs 2 usable CPUs")
-    monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(int(pipelined)))
-    monkeypatch.setattr(tuning, "_PIPELINE_BLOCKS", 1)
-    reducers = set()
-    noise_max = tuning._noise_max
-
-    def recorded(*args):
-        reducers.add(threading.current_thread())
-        noise_max(*args)
-
-    monkeypatch.setattr(tuning, "_noise_max", recorded)
-    yield
-    assert (threading.current_thread() in reducers) != pipelined
+    """Force the bootstrap's serial or draw-ahead path for every size; yield a
+    ``default_rng`` stand-in and check afterwards that the caller drew every
+    block, or a helper did."""
+    ahead = request.param == "ahead"
+    if ahead and not TWO_CPUS:
+        pytest.skip("drawing ahead needs 2 usable CPUs")
+    monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(int(ahead)))
+    monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
+    drawers = set()
+    yield lambda seed: RecordingGenerator(seed, drawers)
+    threads = {thread for thread, _ in drawers}
+    assert threads and (threading.current_thread() in threads) != ahead
+    assert len(threads) == 1
 
 
 def centered_design_noise(u):
@@ -319,17 +326,19 @@ class TestBootstrap:
     @pytest.mark.parametrize(
         "m, l_boot, zero",
         [
+            (500, 131, False),  # one block of 131 rows
+            (1000, 100, False),  # the study shape: blocks of 65 and 35 rows
             (_BLOCK + 4464, 3, False),  # one row per block
             (2, 5, False),  # l_boot below the block height
             (2, _BLOCK // 2 + 7, False),  # several blocks of m = 2
             (3001, 67, False),  # 21-row blocks, a ragged last one
             (3001, 67, True),
         ],
-        ids=["one-row-blocks", "short", "m2", "ragged", "zero-residuals"],
+        ids=["one-block", "study", "one-row-blocks", "short", "m2", "ragged", "zero-residuals"],
     )
     def test_bytes_independent_of_block_shape(self, rng, m, l_boot, zero, bootstrap_path):
         residuals = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
-        got = tuning._bootstrap_stats(residuals, np.random.default_rng(29), l_boot)
+        got = bootstrap_stats(residuals, bootstrap_path(29), l_boot)
         assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, l_boot).tobytes()
 
     @pytest.mark.parametrize(
@@ -338,11 +347,11 @@ class TestBootstrap:
         ids=["multi-row-blocks", "one-row-blocks"],
     )
     def test_memory_two_reused_blocks(self, rng, m, l_boot, bound, bootstrap_path):
-        # two buffers of about _BLOCK values each, or of one row each when
-        # m > _BLOCK, plus O(m + l_boot): a draw and a statistic buffer, or
-        # two draw buffers and a small statistic scratch when pipelined
+        # two draw buffers of about _BLOCK values each, or of one row each when
+        # m > _BLOCK (one buffer when the caller draws), plus the caller's
+        # 4096-column statistic scratch and O(m + l_boot)
         residuals = rng.normal(size=m)
-        _, peak = traced_peak(tuning._bootstrap_stats, residuals, np.random.default_rng(4), l_boot)
+        _, peak = traced_peak(bootstrap_stats, residuals, bootstrap_path(4), l_boot)
         assert peak < bound
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
@@ -353,19 +362,20 @@ class TestBootstrap:
         # 16 blocks of 65 rows: whichever thread fails at whichever block, the
         # error reaches the caller, the helper is joined and the token given back
         if not TWO_CPUS:
-            pytest.skip("the pipeline needs 2 usable CPUs")
+            pytest.skip("drawing ahead needs 2 usable CPUs")
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
         kind, at = step.split()
         draws, reduces = [], []
-        source, noise_max = np.random.default_rng(3), tuning._noise_max
 
-        class Failing:
+        class Failing(np.random.Generator):
             def standard_normal(self, out):
                 draws.append(threading.current_thread())
                 if kind == "draw" and len(draws) == int(at):
                     raise error(step)
-                source.standard_normal(out=out)
+                return super().standard_normal(out=out)
+
+        noise_max = tuning._noise_max
 
         def reduce(*args):
             reduces.append(threading.current_thread())
@@ -376,17 +386,17 @@ class TestBootstrap:
         monkeypatch.setattr(tuning, "_noise_max", reduce)
         start = threading.active_count()
         with pytest.raises(error, match=step):
-            tuning._bootstrap_stats(rng.normal(size=1000), Failing(), 1000)
+            bootstrap_stats(rng.normal(size=1000), Failing(np.random.PCG64(3)), 1000)
         assert threading.active_count() == start
         assert budget.acquire(blocking=False)
-        # the caller draws, the helper reduces, and no more than two blocks
-        # are drawn past a failed one
-        assert set(draws) == {threading.current_thread()}
-        assert threading.current_thread() not in reduces and len(draws) <= int(at) + 2
+        # the helper draws, the caller reduces, and no more than one block is
+        # drawn past the failed one
+        assert threading.current_thread() not in draws and len(set(draws)) == 1
+        assert set(reduces) <= {threading.current_thread()} and len(draws) <= int(at) + 1
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="the pipeline needs 2 usable CPUs")
-    def test_caller_waits_for_a_free_buffer(self, rng, monkeypatch):
-        # with a slow helper, block k + 2 is not drawn into block k's buffer
+    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
+    def test_helper_waits_for_a_free_buffer(self, rng, monkeypatch):
+        # with a slow caller, block k + 2 is not drawn into block k's buffer
         # before block k is reduced
         monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
         noise_max = tuning._noise_max
@@ -397,38 +407,51 @@ class TestBootstrap:
 
         monkeypatch.setattr(tuning, "_noise_max", slow)
         residuals = rng.normal(size=3001)
-        got = tuning._bootstrap_stats(residuals, np.random.default_rng(29), 400)
+        got = bootstrap_stats(residuals, 29, 400)
         assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, 400).tobytes()
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="the pipeline needs 2 usable CPUs")
+    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
     def test_helper_runs_off_the_callers_cpu(self, rng, monkeypatch):
         monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
         usable = os.sched_getaffinity(0)
         assert tuning._cpu() in usable
         caller_cpu = max(usable)
         monkeypatch.setattr(tuning, "_cpu", lambda: caller_cpu)
-        pinned, noise_max = [], tuning._noise_max
-
-        def recorded(*args):
-            pinned.append((threading.current_thread(), frozenset(os.sched_getaffinity(0))))
-            noise_max(*args)
-
-        monkeypatch.setattr(tuning, "_noise_max", recorded)
-        tuning._bootstrap_stats(rng.normal(size=1000), np.random.default_rng(1), 1000)
-        assert {affinity for _, affinity in pinned} == {frozenset(usable - {caller_cpu})}
-        assert threading.current_thread() not in {thread for thread, _ in pinned}
+        drawers = set()
+        bootstrap_stats(rng.normal(size=1000), RecordingGenerator(1, drawers), 1000)
+        assert {affinity for _, affinity in drawers} == {frozenset(usable - {caller_cpu})}
+        assert threading.current_thread() not in {thread for thread, _ in drawers}
         assert os.sched_getaffinity(0) == usable  # the caller's own is never touched
 
     def test_small_bootstraps_take_no_token(self, rng, monkeypatch):
-        # fewer blocks than _PIPELINE_BLOCKS are reduced by the caller
+        # below _DRAW_AHEAD normals the caller draws them
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
         monkeypatch.setattr(budget, "acquire", None)
-        residuals = rng.normal(size=1000)
-        blocks = -(-100 // (_BLOCK // 1000))
-        assert blocks < tuning._PIPELINE_BLOCKS
-        got = tuning._bootstrap_stats(residuals, np.random.default_rng(5), 100)
+        residuals, drawers = rng.normal(size=100), set()
+        assert 100 * 100 < tuning._DRAW_AHEAD
+        got = bootstrap_stats(residuals, RecordingGenerator(5, drawers), 100)
         assert got.tobytes() == bootstrap_stats_single_draw(residuals, 5, 100).tobytes()
+        assert {thread for thread, _ in drawers} == {threading.current_thread()}
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
+    def test_bootstrap_lambda_draws_ahead_of_its_pilot(self, rng, monkeypatch):
+        # given no normals, bootstrap_lambda starts its draw before its pilot
+        # path, so the spare CPU is taken while the path runs
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        held, path = [], tuning.flsa_path
+
+        def observed(*args):
+            held.append(not budget.acquire(blocking=False))
+            return path(*args)
+
+        monkeypatch.setattr(tuning, "flsa_path", observed)
+        y = np.repeat([1.0, 3.0], 500) + rng.normal(size=1000)
+        result = bootstrap_lambda(y, TuningConfig(l_boot=100, seed=8))
+        assert held == [True] and budget.acquire(blocking=False)
+        expected = bootstrap_stats_single_draw(result.residuals, 8, 100)
+        assert result.u_boot.tobytes() == expected.tobytes()
 
     def test_memory_linear_in_m(self, rng):
         # one (L, m) float64 matrix alone would take 80 MB here; a small m
