@@ -97,10 +97,10 @@ def fit_illness_death_detailed(frame: MultiStateFrame, config=None) -> dict[tupl
     left-truncated and their default windows start at the 0.025 quantile of
     their uncensored times.
 
-    The fits run on the calling thread in ``TRANSITIONS`` order, so each fit of
-    m*L >= ``tuning._DRAW_AHEAD`` may take the spare CPU: a helper draws its normals
-    there, two 512 KB blocks at a time, once the Cox step is done, and the calling
-    thread reduces them.  A failed fit raises its error, and no later fit starts.
+    The fits run on the calling thread in ``TRANSITIONS`` order.  A fit of m*L >=
+    ``tuning._DRAW_AHEAD`` with L > 64 may take the spare CPU: the process's worker then
+    draws and reduces 64-row groups, each from its own seeded stream, beside the caller,
+    one 512 KB block per thread plus O(m + L).  A failed fit raises; no later fit starts.
     """
     if isinstance(config, dict):
         for key in config:

@@ -27,7 +27,7 @@ from .estimators import (
 )
 from .flsa import FusedLassoFit, flsa_solve, interpolate
 from .stepfun import StepFunction, Window
-from .tuning import TuningConfig, TuningResult, _normal_blocks, bootstrap_lambda
+from .tuning import TuningConfig, TuningResult, _normal_draw, bootstrap_lambda
 
 __all__ = ["FitConfig", "HazardFit", "fit_hazard", "discretize_truth"]
 
@@ -139,8 +139,8 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
     config = config or FitConfig()
     beta, cox = _resolve_beta(frame, config)
     m = frame.n if config.grid_size is None else config.grid_size
-    # the bootstrap's normals depend on the seed, L and m alone: draw them while y is built
-    with _normal_blocks(config.tuning.seed, config.tuning.l_boot, m) as normals:
+    # the normals depend on the seed, L and m alone: the worker may draw ahead while y is built
+    with _normal_draw(config.tuning.seed, config.tuning.l_boot, m) as normals:
         curve = breslow_fit(frame, beta)
         if config.window is not None:
             window = config.window

@@ -5,18 +5,20 @@ lasso reformulation: a pilot fit with a moderate number of change points
 supplies residuals, which are multiplied elementwise by standard normal
 draws; the maximum statistic of each such bootstrap sample approximates the
 effective-noise distribution, and the selected penalty is its empirical
-q-quantile.  The normals come from one seeded stream.  From m*L = 2**16 on, a helper
-thread on a spare CPU draws them, from the end of a fit's Cox step on, into two reused
-blocks of 2**16 values, and the caller reduces them 4096 statistic columns at a time;
-smaller bootstraps are drawn by the caller.  Every statistic is as if drawn serially.
+q-quantile.  Bootstrap rows 64g ... 64g + 63 come from their own seeded stream, so
+the statistics depend on the seed, L and the residuals alone.  From m*L = 2**16 on,
+when L > 64 and a spare CPU is free, one long-lived worker thread pinned off the
+caller's CPU draws and reduces groups beside the calling thread; else the caller does
+all.  Each thread holds one block of 2**16 normals (one row for larger m).
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -39,11 +41,13 @@ class TuningConfig:
     ``l_boot`` defaults to 1000 (application scale); simulation studies use
     100.  The random generator is numpy's PCG64 (``default_rng``) and normal
     variates come from its ziggurat ``standard_normal``, so results are
-    bit-reproducible across platforms for a given seed.  From m*L = ``_DRAW_AHEAD`` on,
-    a helper on a spare CPU draws the row-major blocks of normals, from the end of a
-    fit's Cox step on, and the caller reduces them; else the caller draws them too.
-    ``u_boot`` is the same bits either way.  Memory: two blocks of ``_BLOCK`` values
-    (one row for larger m), a 4096-column statistic scratch and O(m + L), not O(L*m).
+    bit-reproducible across platforms for a given seed.  Rows 64g ... 64g + 63 of the
+    bootstrap come from the stream ``default_rng(SeedSequence(seed, spawn_key=(g,)))``.
+    From m*L = ``_DRAW_AHEAD`` on, when ``l_boot`` > 64 and a spare CPU is free, the
+    process's worker thread and the calling thread claim groups in turn and each draws
+    and reduces its own; else the caller does all.  ``u_boot`` is the same bits either
+    way, whatever the block size.  Memory: one block of ``_BLOCK`` values (one row for
+    larger m) per thread and O(m + L), not O(L*m).
     """
 
     q: float = 0.9
@@ -97,33 +101,22 @@ def pilot_lambda(y, k_max: int) -> float:
     return next(float(bp.lam) for bp in flsa_path(y, k_max) if bp.changepoint_count <= k_max)
 
 
-def _noise_max(u: np.ndarray, stats: np.ndarray, ramp: np.ndarray, out: np.ndarray) -> None:
-    """Write 2 * max_{2<=j<=n} |(-s_{j-1})/n + ((j-1) s_n)/n^2| of each row of u to out.
-
-    s are the row's partial sums; this is the effective noise
-    2 * ||(X^c)' u^c||_inf / n of the centered cumulative-sum design.  u (k, n) is
-    overwritten, stats (k, w) takes the terms w columns at a time; ramp is
-    ``np.arange(1.0, n)``.  Each row takes the same operations whatever k and w are.
+def _effective_noise(u: np.ndarray, residuals: np.ndarray, out: np.ndarray) -> None:
+    """Write (2/n) max_{1<=k<n} |cumsum(v - mean v)_k| of each row v of u * residuals to
+    out: the effective noise 2 * ||(X^c)' v^c||_inf / n of the centered cumulative-sum
+    design.  u (k, n) is overwritten; each row takes the same operations whatever k is.
     """
-    n = u.shape[1]
-    np.cumsum(u, axis=1, out=u)
-    out.fill(0.0)
-    for a in range(0, n - 1, stats.shape[1]):
-        t = stats[:, : n - 1 - a]
-        s = u[:, a : a + t.shape[1]]  # partial sums that are spent once t holds the ramp term
-        np.multiply(ramp[a : a + t.shape[1]], u[:, -1:], out=t)
-        np.divide(t, n**2, out=t)
-        np.negative(s, out=s)
-        np.divide(s, n, out=s)
-        np.add(s, t, out=t)
-        np.abs(t, out=t)
-        np.maximum(out, t.max(axis=1), out=out)
-    np.multiply(out, 2.0, out=out)
+    np.multiply(u, residuals, out=u)
+    np.subtract(u, u.mean(axis=1, keepdims=True), out=u)
+    for row in u:  # a 1-D cumsum frees the GIL; one along axis 1 holds it
+        np.cumsum(row, out=row)
+    sums = np.abs(u[:, :-1], out=u[:, :-1])  # |.| also turns a -0.0 statistic into 0.0
+    np.multiply(sums.max(axis=1), 2.0 / u.shape[1], out=out)
 
 
-# normal draws held in one block (512 KB of float64), statistic columns formed at
-# once, and the least work m * L whose draw runs ahead on a spare CPU
-_BLOCK, _SCRATCH, _DRAW_AHEAD = 1 << 16, 1 << 12, 1 << 16
+# bootstrap rows per seeded stream, normal draws held in one block (512 KB of float64),
+# and the least work m * L that the spare CPU shares
+_GROUP, _BLOCK, _DRAW_AHEAD = 64, 1 << 16, 1 << 16
 
 
 def _set_spare_cpus(count: int) -> None:
@@ -143,64 +136,91 @@ def _cpu() -> int:
         return int(f.read().rsplit(b")", 1)[1].split()[36])
 
 
+def _forget_worker() -> None:
+    """Drop the worker: a forked child has none until it takes a token."""
+    global _WORKER, _STARTING
+    _WORKER, _STARTING = None, threading.Lock()
+
+
+_forget_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(jobs, cpus) -> None:
+    """The worker: run each (work, done) job of ``jobs`` in turn, pinned to ``cpus``, and
+    settle the future ``done`` with its outcome, a failed pin included."""
+    while True:
+        work, done = jobs.get()
+        try:
+            os.sched_setaffinity(0, cpus)
+            work()
+            done.set_result(None)
+        except BaseException as error:  # the caller raises it
+            done.set_exception(error)
+        del work, done  # no job outlives its run
+
+
+def _worker() -> queue.SimpleQueue:
+    """The job queue of this process's one worker thread, started on first use and pinned
+    to the usable CPUs other than its starter's."""
+    global _WORKER
+    with _STARTING:
+        if _WORKER is None:  # set only once the thread that serves it has started
+            jobs, cpus = queue.SimpleQueue(), os.sched_getaffinity(0) - {_cpu()}
+            threading.Thread(target=_serve, args=(jobs, cpus), daemon=True).start()
+            _WORKER = jobs
+        return _WORKER
+
+
 @contextmanager
-def _spare_cpus(wanted: bool):
-    """Yield the usable CPUs other than the caller's while holding a spare-CPU token,
-    or an empty set, with no token, when not ``wanted`` or when none is free."""
-    budget = _SPARE_CPUS
-    held = wanted and budget.acquire(blocking=False)
+def _normal_draw(seed, l_boot: int, m: int):
+    """Yield ``stats(residuals)``, the effective noise of residuals * eps for the ``l_boot``
+    rows eps, rows 64g ... 64g + 63 drawn in C order from their own stream
+    ``default_rng(SeedSequence(seed, spawn_key=(g,)))``.  Threads claim groups from one
+    iterator and draw and reduce their rows ``_BLOCK // m`` (1 to 64) at a time in a block of
+    their own.  From m * l_boot = ``_DRAW_AHEAD`` on, when l_boot > 64 and a spare-CPU token
+    is free, the worker draws a first block on entry and waits for the residuals; else the
+    caller of ``stats`` takes every group.  Leaving stops the worker and waits for it."""
+    rows = min(_GROUP, max(1, _BLOCK // max(m, 1)))
+    groups = iter(range(-(-l_boot // _GROUP)))  # next() on it is atomic under the GIL
+    u_boot, given, residuals, done = np.empty(l_boot), threading.Event(), [], Future()
+
+    def work():
+        block = np.empty((rows, m))
+        for g in groups:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(g,)))
+            end = min(l_boot, (g + 1) * _GROUP)
+            for lo in range(g * _GROUP, end, rows):
+                eps = rng.standard_normal(out=block[: min(rows, end - lo)])
+                given.wait()
+                if not residuals:  # the caller left
+                    return
+                _effective_noise(eps, residuals[0], u_boot[lo : lo + len(eps)])
+
+    def stats(r):
+        residuals.append(r)
+        given.set()
+        work()
+        if jobs:
+            done.result()  # raises the worker's error
+        return u_boot
+
+    budget, jobs = _SPARE_CPUS, None
+    held = m * l_boot >= _DRAW_AHEAD and l_boot > _GROUP and budget.acquire(blocking=False)
     try:
-        yield os.sched_getaffinity(0) - {_cpu()} if held else set()
+        if jobs := held and _worker():
+            jobs.put((work, done))
+        yield stats
     finally:
-        if held:
-            budget.release()
-
-
-@contextmanager
-def _normal_blocks(seed, l_boot: int, m: int):
-    """Yield an iterator over ``default_rng(seed).standard_normal((l_boot, m))`` in blocks of
-    ``_BLOCK // m`` rows (at least one), which consume that draw's stream in C order.  From
-    m * l_boot = ``_DRAW_AHEAD`` on, given a spare CPU, a helper pinned off the caller's CPU
-    draws blocks 0 and 1 into two buffers on entry, and block k + 2 into block k's buffer
-    once the caller asks for block k + 1; else the caller draws each block into one buffer.
-    """
-    rng, rows = np.random.default_rng(seed), min(l_boot, max(1, _BLOCK // max(m, 1)))
-    heights = [min(rows, l_boot - lo) for lo in range(0, l_boot, rows)]
-    with _spare_cpus(m * l_boot >= _DRAW_AHEAD) as cpus, ThreadPoolExecutor(
-        1, initializer=lambda: os.sched_setaffinity(0, cpus)
-    ) as pool:
-        buffers = [np.empty((rows, m)) for _ in range(1 + bool(cpus))]
-
-        def draw(k):
-            return rng.standard_normal(out=buffers[k % len(buffers)][: heights[k]])
-
-        jobs = [pool.submit(draw, k) for k in range(len(heights))[:2]] if cpus else []
-
-        def blocks():
-            for k in range(len(heights)):
-                yield jobs.pop(0).result() if cpus else draw(k)
-                if cpus and k + 2 < len(heights):  # block k is reduced, so its buffer is free
-                    jobs.append(pool.submit(draw, k + 2))
-
-        yield blocks()
-
-
-def _bootstrap_stats(residuals: np.ndarray, blocks, l_boot: int) -> np.ndarray:
-    """Effective-noise statistics of residuals * eps for the ``l_boot`` rows eps of the
-    blocks of :func:`_normal_blocks`, drawn by a helper from m * l_boot = ``_DRAW_AHEAD``
-    on (in a fit, from the end of its Cox step on) and else by the caller.  The caller
-    reduces each block in place, ``_SCRATCH`` statistic columns at a time; :func:`_noise_max`
-    treats every row alike, so the statistics depend on neither the block height nor the
-    thread that drew it.  Memory: two blocks (one when the caller draws) plus O(m + l_boot)."""
-    n = residuals.size
-    ramp, u_boot, lo = np.arange(1.0, n), np.empty(l_boot), 0
-    for block in blocks:
-        if lo == 0:  # the first block is the tallest
-            stats = np.empty((len(block), min(n - 1, _SCRATCH)))
-        np.multiply(block, residuals, out=block)
-        _noise_max(block, stats[: len(block)], ramp, u_boot[lo : lo + len(block)])
-        lo += len(block)
-    return u_boot
+        residuals.clear()
+        given.set()
+        try:
+            if jobs:
+                done.exception()  # waits; a caller's own error stands
+        finally:
+            if held:
+                budget.release()
 
 
 def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
@@ -215,15 +235,20 @@ def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
     The warning that the path and the solver "disagree" fires when the pilot
     fit has more than ``k_max`` change points: the path's slope-history count
     lags the jumps the solver evaluates, as on some inputs whose magnitudes
-    span hundreds of decades.  ``normals`` are the entered ``_normal_blocks`` of
-    the seed, ``l_boot`` and y.size, from a caller that starts the draw earlier
-    (``fit_hazard``, after its Cox step); without them the draw starts here.
+    span hundreds of decades.  Rows 64g ... 64g + 63 of the normals come from
+    ``default_rng(SeedSequence(config.seed, spawn_key=(g,)))``.  From m * L = 2**16 on,
+    when L > 64 and a spare CPU is free, the process's worker draws a first block while
+    the pilot runs, then it and the calling thread draw and reduce the groups they claim;
+    else the caller does all.  Memory: a block of 2**16 normals (a row for larger m) per
+    thread plus O(m + L).  ``normals`` is the entered ``_normal_draw`` of the seed,
+    ``l_boot`` and y.size, from a caller that starts the draw earlier (``fit_hazard``,
+    after its Cox step); without it the draw starts here.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size < 2:
         raise ValidationError(f"need at least 2 observations, got {y.size}")
     if normals is None:  # draw while the pilot path runs
-        with _normal_blocks(config.seed, config.l_boot, y.size) as normals:
+        with _normal_draw(config.seed, config.l_boot, y.size) as normals:
             return bootstrap_lambda(y, config, normals=normals)
     lam0 = pilot_lambda(y, config.k_max)
     pilot = flsa_solve(y, lam0)
@@ -233,7 +258,7 @@ def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
             "path and the exact solver disagree", lam0, pilot.changepoints.size, config.k_max
         )
     residuals = y - pilot.alpha
-    u_boot = _bootstrap_stats(residuals, normals, config.l_boot)
+    u_boot = normals(residuals)
     return TuningResult(
         lambda0=float(lam0),
         lam=empirical_quantile(u_boot, config.q),

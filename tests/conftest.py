@@ -11,12 +11,14 @@ forward-equation reference integrates with a fixed-step RK4 scheme, and the
 CSV writer references format and write one row at a time.  The
 sort-per-call risk-set sums are the package's rule without the frame's
 cached sort orders, the knot walk is the package's closed-form curve rule
-one knot at a time in plain floats, and the bootstrap reference is the
-package's statistic on one draw of all its normal rows, all for bit-for-bit
-comparisons.  ``effective_noise`` runs the package's private row statistic
-on one vector, for the tests of that statistic, and ``RecordingGenerator``
-is a seeded generator that records which thread draws from it.  The session hooks at the
-end print a speed reference for the suite's wall time.
+one knot at a time in plain floats, and the bootstrap reference draws each
+64-row group of normals from its own seeded stream in one call and writes
+the statistic out for one row at a time, all for bit-for-bit comparisons.
+``effective_noise`` is the statistic's defining formula on one vector, and
+``record_reducers`` records which thread reduces each block of a bootstrap.
+An autouse fixture checks that every test gives back the spare-CPU tokens it
+took and leaves the bootstrap's worker no job.  The session hooks at the end
+print a speed reference for the suite's wall time.
 """
 
 import csv
@@ -33,8 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hazstep import PathBreakpoint, ValidationError, flsa, flsa_solve
-from hazstep.tuning import _noise_max
+from hazstep import PathBreakpoint, ValidationError, flsa, flsa_solve, tuning
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile("hazstep", derandomize=True, database=None, deadline=None, max_examples=500)
@@ -556,29 +557,59 @@ def cox_information_oracle(frame, beta):
     )
 
 
-def bootstrap_stats_single_draw(residuals, seed, l_boot):
-    """Bootstrap statistics from one (l_boot, m) normal draw, row by row.
+def group_normals(seed, l_boot, m):
+    """The bootstrap's (l_boot, m) normals: rows 64g ... 64g + 63 are one draw from
+    ``default_rng(SeedSequence(seed).spawn(G)[g])``, the last group shorter."""
+    groups = np.random.SeedSequence(seed).spawn(-(-l_boot // 64))
+    return np.concatenate(
+        [np.random.default_rng(s).standard_normal((min(64, l_boot - 64 * g), m))
+         for g, s in enumerate(groups)]
+    )
 
-    Each row's effective noise is written out in the order of operations the
-    package's seeded results rely on.
+
+def bootstrap_stats_serial(residuals, seed, l_boot):
+    """Bootstrap statistics of ``group_normals``, one row at a time.
+
+    Each row v = residuals * eps gives (2/n) max_{k<n} |cumsum(v - mean v)_k|,
+    written out in the order of operations the package's seeded results rely on.
     """
     residuals = np.asarray(residuals, dtype=float)
     n = residuals.size
-    eps = np.random.default_rng(seed).standard_normal((l_boot, n))
     out = np.empty(l_boot)
-    for row in range(l_boot):
-        s = np.cumsum(residuals * eps[row])
-        stats = -s[:-1] / n + np.arange(1, n) * s[-1] / n**2
-        out[row] = 2.0 * np.max(np.abs(stats))
+    for row, eps in enumerate(group_normals(seed, l_boot, n)):
+        v = residuals * eps
+        sums = np.cumsum(v - v.mean())
+        out[row] = 2.0 / n * np.max(np.abs(sums[:-1]))
     return out
 
 
 def effective_noise(u):
-    """The bootstrap's effective-noise statistic of one vector u of length >= 2."""
-    u = np.array(u, dtype=float).reshape(1, -1)
-    out = np.empty(1)
-    _noise_max(u, np.empty((1, u.size - 1)), np.arange(1.0, u.size), out)
-    return float(out[0])
+    """2 * max_{2<=j<=n} |-s_{j-1}/n + (j-1) s_n/n^2| of one vector u (n >= 2), s its
+    partial sums: the effective noise 2 * ||(X^c)' u^c||_inf / n of the centered design."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    n = u.size
+    s = np.cumsum(u)
+    return float(2.0 * np.max(np.abs(-s[:-1] / n + np.arange(1, n) * s[-1] / n**2)))
+
+
+def spare_tokens(budget):
+    """The free tokens of a semaphore, counted by taking them and giving them back."""
+    taken = 0
+    while budget.acquire(blocking=False):
+        taken += 1
+    if taken:
+        budget.release(taken)
+    return taken
+
+
+@pytest.fixture(autouse=True)
+def spare_cpus_given_back():
+    """After every test the spare-CPU budget is back at its count and the worker has no job."""
+    budget = tuning._SPARE_CPUS
+    start = spare_tokens(budget)
+    yield
+    assert tuning._SPARE_CPUS is budget and spare_tokens(budget) == start
+    assert tuning._WORKER is None or tuning._WORKER.empty()
 
 
 # -- row-by-row CSV writers ----------------------------------------------------
@@ -679,16 +710,29 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-class RecordingGenerator(np.random.Generator):
-    """``default_rng(seed)`` that adds (thread, usable CPUs) of each of its draws to ``drawers``."""
+def record_reducers(monkeypatch, wait_for_worker=False):
+    """A list that gets (thread, usable CPUs, u_boot) of each block the bootstrap reduces
+    from here on.  With ``wait_for_worker`` the calling thread reduces no block of a
+    bootstrap until another thread has reduced one of it (or 10 s have passed), so a
+    worker that shares the bootstrap takes a group whatever the timing."""
+    seen, reduce, caller = [], tuning._effective_noise, threading.current_thread()
+    helped = threading.Condition()
 
-    def __init__(self, seed, drawers):
-        super().__init__(np.random.PCG64(seed))
-        self.drawers = drawers
+    def recorded(u, residuals, out):
+        me = threading.current_thread()
 
-    def standard_normal(self, *args, **kwargs):
-        self.drawers.add((threading.current_thread(), frozenset(os.sched_getaffinity(0))))
-        return super().standard_normal(*args, **kwargs)
+        def worker_reduced():
+            return any(t is not caller and u_boot is out.base for t, _, u_boot in seen)
+
+        with helped:
+            if wait_for_worker and me is caller:
+                helped.wait_for(worker_reduced, 10)
+            seen.append((me, frozenset(os.sched_getaffinity(0)), out.base))
+            helped.notify_all()
+        reduce(u, residuals, out)
+
+    monkeypatch.setattr(tuning, "_effective_noise", recorded)
+    return seen
 
 
 @pytest.fixture

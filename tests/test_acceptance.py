@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from conftest import (
-    effective_noise,
     elementwise_bound_check,
     fused_objective,
+    group_normals,
     nelson_aalen_reference,
     reparametrized_check,
     rk4_state_probabilities,
@@ -36,6 +36,7 @@ from hazstep import (
     SurvivalFrame,
     TuningConfig,
     Window,
+    bootstrap_lambda,
     breslow_fit,
     fit_hazard,
     fit_illness_death_detailed,
@@ -273,18 +274,24 @@ def test_property_c_reparametrization():
 
 
 def test_property_d_effective_noise_oracle():
+    # the package's bootstrap statistics against the dense centred-design formula on the
+    # normals of each row's group stream, drawn here on their own
     rng = np.random.default_rng(7004)
     worst = 0.0
-    for _ in range(500):
+    for i in range(500):
         n = int(rng.integers(2, 200))
-        u = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
+        l_boot = (3, 70)[i % 2]  # one group, or two with a ragged second
+        result = bootstrap_lambda(y, TuningConfig(l_boot=l_boot, seed=i))
+        u = result.residuals * group_normals(i, l_boot, n)
         X = (np.arange(1, n + 1)[:, None] >= np.arange(2, n + 1)[None, :]).astype(float)
         Xc = X - X.mean(axis=0, keepdims=True)
-        uc = u - u.mean()
-        dense = 2.0 * np.max(np.abs(Xc.T @ uc)) / n
-        worst = max(worst, abs(effective_noise(u) - dense) / max(1.0, np.max(np.abs(u))))
+        uc = u - u.mean(axis=1, keepdims=True)
+        dense = 2.0 * np.max(np.abs(uc @ Xc), axis=1) / n
+        scale = max(1.0, np.max(np.abs(u)))
+        worst = max(worst, np.max(np.abs(result.u_boot - dense)) / scale)
     ok = worst <= 1e-12
-    print(f"\n[{'PASS' if ok else 'FAIL'}] effective noise vs dense oracle {worst:.2e} <= 1e-12")
+    print(f"\n[{'PASS' if ok else 'FAIL'}] bootstrap noise vs dense oracle {worst:.2e} <= 1e-12")
     assert ok
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    RecordingGenerator,
     kaplan_meier_reference,
+    record_reducers,
     rk4_state_probabilities,
     state_probabilities_knot_walk,
 )
@@ -25,7 +25,6 @@ from hazstep import (
     fit_hazard,
     fit_illness_death_detailed,
     kaplan_meier,
-    pipeline,
     simulate_illness_death,
     split_transitions,
     state_probabilities,
@@ -388,28 +387,37 @@ class TestFitsInTurn:
         assert [seed for seed, _ in calls] == [1]
         assert threading.active_count() == start
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
-    def test_each_bootstrap_takes_the_spare_cpu(self, frame, monkeypatch):
-        # no fit holds the one spare CPU, so every fit draws ahead: a helper
-        # draws its normals, and the token is back before the next fit starts
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
+    def test_each_bootstrap_shares_the_one_worker(self, frame, monkeypatch):
+        # no fit holds the one spare CPU, so the process's one worker takes groups of
+        # every fit's bootstrap, the token is back before the next fit starts, and the
+        # fits are the bits of fits without a spare CPU
+        config = {
+            tr: FitConfig(p_high=0.95, tuning=TuningConfig(l_boot=100, seed=seed))
+            for seed, tr in enumerate(((0, 1), (0, 2), (1, 2)))
+        }
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(0))
+        serial = fit_illness_death_detailed(frame, config)
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
         monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
-        drawers = []  # (thread, CPUs) of the draws of each fit
-        normal_blocks = pipeline._normal_blocks
+        seen = record_reducers(monkeypatch, wait_for_worker=True)
 
-        def starting(seed, l_boot, m):
+        def starting(sub, cfg):
             assert budget.acquire(blocking=False)
             budget.release()
-            drawers.append(set())
-            return normal_blocks(RecordingGenerator(seed, drawers[-1]), l_boot, m)
+            return fit_hazard(sub, cfg)
 
-        monkeypatch.setattr(pipeline, "_normal_blocks", starting)
-        start = threading.active_count()
-        fit_illness_death_detailed(frame, self.seeded(1))
-        assert len(drawers) == 3
-        threads = [{thread for thread, _ in fit} for fit in drawers]
-        assert all(fit and threading.current_thread() not in fit for fit in threads)
+        monkeypatch.setattr("hazstep.multistate.fit_hazard", starting)
+        start = threading.active_count() + (tuning._WORKER is None)
+        fits = fit_illness_death_detailed(frame, config)
+        assert all(fits[tr].to_json() == serial[tr].to_json() for tr in fits)
+        threads = {}
+        for thread, _, u_boot in seen:
+            threads.setdefault(id(u_boot), set()).add(thread)
+        me = threading.current_thread()
+        assert len(threads) == 3 and len(set.union(*threads.values()) - {me}) == 1
+        assert all(len(fit) == 2 and me in fit for fit in threads.values())
         assert threading.active_count() == start
         assert budget.acquire(blocking=False)  # given back
 

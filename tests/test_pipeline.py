@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -271,19 +272,21 @@ class TestFitHazard:
         assert abs(gap) < 0.5
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
+@pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
 class TestDrawAhead:
-    """fit_hazard starts the bootstrap's draw once the Cox step is done."""
+    """fit_hazard queues the worker's draw once the Cox step is done."""
 
     @pytest.fixture
     def budget(self, monkeypatch):
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
         monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
+        tuning._worker()  # the process's one worker; no fit starts a thread
         start = threading.active_count()
         yield budget
-        assert threading.active_count() == start  # the helper is joined
-        assert budget.acquire(blocking=False)  # and its token given back
+        assert threading.active_count() == start
+        assert budget.acquire(blocking=False)  # the token is given back
+        budget.release()
 
     @staticmethod
     def held(budget):
@@ -317,14 +320,31 @@ class TestDrawAhead:
         assert seen == [("cox_fit", False), ("breslow_fit", True)]
 
     @pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
-    def test_error_while_drawing_ahead_joins_the_helper(self, budget, monkeypatch, error):
+    def test_error_while_drawing_ahead_leaves_the_worker_idle(self, budget, monkeypatch, error):
+        # build_increments fails once the worker has drawn its first block and waits for
+        # the residuals: the worker drops its block and job, and the next fit is unchanged
+        frame, config = gen_scenario(named_scenario("B2", 300), 4), FitConfig()
+        before = fit_hazard(frame, config)
+        blocks, drawn = [], threading.Event()
+
+        class Recording(np.random.Generator):
+            def standard_normal(self, out):
+                blocks.append(weakref.ref(out.base))
+                drawn.set()
+                return super().standard_normal(out=out)
+
         def failing(*args):
-            assert self.held(budget)
+            assert drawn.wait(10) and self.held(budget)
             raise error("no increments")
 
-        monkeypatch.setattr(pipeline, "build_increments", failing)
-        with pytest.raises(error, match="no increments"):
-            fit_hazard(gen_scenario(named_scenario("B2", 300), 4), FitConfig())
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda seed: Recording(np.random.PCG64(seed)))
+            patch.setattr(pipeline, "build_increments", failing)
+            with pytest.raises(error, match="no increments"):
+                fit_hazard(frame, config)
+        assert blocks and all(block() is None for block in blocks)  # no buffer held
+        assert tuning._WORKER.empty() and not self.held(budget)
+        assert fit_hazard(frame, config).to_json() == before.to_json()
 
     def test_one_record_frame(self, budget):
         frame = SurvivalFrame(

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -11,8 +13,10 @@ from hazstep import (
     MultiStateFrame,
     Scenario,
     StepFunction,
+    TuningConfig,
     ValidationError,
     Window,
+    bootstrap_lambda,
     gen_scenario,
     metric_dasym,
     metric_l2,
@@ -27,11 +31,20 @@ from hazstep import (
 from hazstep import simulate, tuning
 
 W01 = Window(0, 1)
+TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def spare_token(args):
     """A replication that reports whether its process had a spare-CPU token."""
     return {"replication": args[1], "spare": tuning._SPARE_CPUS.acquire(blocking=False)}
+
+
+def forked_bootstrap(y):
+    """In a forked child: whether it kept its parent's worker, and the bootstrap's
+    u_boot with a spare-CPU token of its own."""
+    kept = tuning._WORKER is not None
+    tuning._set_spare_cpus(1)
+    return kept, bootstrap_lambda(y, TuningConfig(l_boot=100, seed=6)).u_boot.tobytes()
 
 
 class TestSampler:
@@ -218,6 +231,18 @@ class TestRunStudy:
         serial = run_study(sc, 4, seed=55, threads=1)
         parallel = run_study(sc, 4, seed=55, threads=2)
         assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
+    def test_forked_workers_after_the_parents_worker_started(self):
+        # a forked child has no thread of its parent's worker: it neither queues to it
+        # nor inherits its handle, and the study's bits do not depend on the processes
+        y = np.random.default_rng(2).normal(size=1000)
+        parent = bootstrap_lambda(y, TuningConfig(l_boot=100, seed=6)).u_boot.tobytes()
+        assert tuning._WORKER is not None
+        sc = named_scenario("A1", 1000)
+        assert run_study(sc, 4, seed=55, threads=2).to_json() == run_study(sc, 4, 55).to_json()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(forked_bootstrap, (y,)).get(60) == (False, parent)
 
     def test_workers_hold_no_spare_cpu(self, monkeypatch):
         # the workers fill the CPUs, so none may start a helper thread

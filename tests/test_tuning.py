@@ -1,15 +1,15 @@
 import logging
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from conftest import (
-    RecordingGenerator,
-    bootstrap_stats_single_draw,
+    bootstrap_stats_serial,
     effective_noise,
+    group_normals,
+    record_reducers,
     traced_peak,
 )
 from hazstep import (
@@ -29,25 +29,32 @@ TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 
 
 def bootstrap_stats(residuals, seed, l_boot):
     """The bootstrap statistics of ``residuals`` as ``bootstrap_lambda`` forms them."""
-    with tuning._normal_blocks(seed, l_boot, residuals.size) as blocks:
-        return tuning._bootstrap_stats(residuals, blocks, l_boot)
+    with tuning._normal_draw(seed, l_boot, residuals.size) as stats:
+        return stats(residuals).copy()
 
 
-@pytest.fixture(params=["serial", "ahead"])
+def package_noise(u):
+    """The package's effective-noise statistic of one vector u."""
+    u = np.array(u, dtype=float).reshape(1, -1)
+    out = np.empty(1)
+    tuning._effective_noise(u, np.ones(u.shape[1]), out)
+    return float(out[0])
+
+
+@pytest.fixture(params=["serial", "worker"])
 def bootstrap_path(request, monkeypatch):
-    """Force the bootstrap's serial or draw-ahead path for every size; yield a
-    ``default_rng`` stand-in and check afterwards that the caller drew every
-    block, or a helper did."""
-    ahead = request.param == "ahead"
-    if ahead and not TWO_CPUS:
-        pytest.skip("drawing ahead needs 2 usable CPUs")
-    monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(int(ahead)))
+    """Force the bootstrap's serial path, or the worker beside the caller, for every size;
+    yield the list of ``record_reducers`` and check afterwards who reduced."""
+    worker = request.param == "worker"
+    if worker and not TWO_CPUS:
+        pytest.skip("the worker needs 2 usable CPUs")
+    monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(int(worker)))
     monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
-    drawers = set()
-    yield lambda seed: RecordingGenerator(seed, drawers)
-    threads = {thread for thread, _ in drawers}
-    assert threads and (threading.current_thread() in threads) != ahead
-    assert len(threads) == 1
+    seen = record_reducers(monkeypatch)
+    yield seen
+    threads = {thread for thread, _, _ in seen}
+    assert threading.current_thread() in threads or worker
+    assert len(threads) <= 1 + worker
 
 
 def centered_design_noise(u):
@@ -165,29 +172,43 @@ class TestPilot:
 
 class TestEffectiveNoise:
     def test_zero(self):
-        assert effective_noise(np.zeros(10)) == 0.0
+        assert package_noise(np.zeros(10)) == 0.0
+        assert repr(package_noise(-np.zeros(10))) == "0.0"  # +0.0, whatever the signs
 
     def test_hand_computed_two_point(self):
         # U_2 = 2*|-(1/2)*1 + (1/4)*0| = 1
-        assert effective_noise([1.0, -1.0]) == pytest.approx(1.0, abs=1e-15)
+        assert package_noise([1.0, -1.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_dense_matrix_oracle(self, rng):
         for _ in range(40):
             n = int(rng.integers(2, 120))
             u = rng.normal(size=n) * 10.0 ** rng.integers(-2, 3)
-            assert effective_noise(u) == pytest.approx(
+            assert package_noise(u) == pytest.approx(
                 centered_design_noise(u), abs=1e-12 * max(1.0, np.max(np.abs(u)))
             )
 
-    def test_bit_equal_to_written_order_of_operations(self, rng):
-        # seeded u_boot and lambda stay reproducible across versions only while
-        # the statistic keeps this order of floating-point operations
-        for _ in range(20):
+    def test_matches_defining_formula(self, rng):
+        for _ in range(200):
             n = int(rng.integers(2, 3000))
             u = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
-            s = np.cumsum(u)
-            stats = -s[:-1] / n + np.arange(1, n) * s[-1] / n**2
-            assert effective_noise(u) == 2.0 * np.max(np.abs(stats))
+            assert package_noise(u) == pytest.approx(effective_noise(u), rel=1e-12, abs=0)
+
+    def test_bit_equal_to_written_order_of_operations(self, rng):
+        # seeded u_boot and lambda stay reproducible across versions only while
+        # the statistic keeps this order of floating-point operations, whatever
+        # the number of rows reduced at once
+        for _ in range(20):
+            n, k = int(rng.integers(2, 3000)), int(rng.integers(1, 9))
+            u = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4)
+            residuals = rng.normal(size=n)
+            expected = []
+            for row in u:
+                v = residuals * row
+                sums = np.cumsum(v - v.mean())
+                expected.append(2.0 / n * np.max(np.abs(sums[:-1])))
+            out = np.empty(k)
+            tuning._effective_noise(u, residuals, out)
+            assert out.tobytes() == np.array(expected).tobytes()
 
 
 class TestBootstrap:
@@ -310,133 +331,208 @@ class TestBootstrap:
         with pytest.raises(ValidationError, match="^k_max must be >= 0, got 1.5$"):
             pilot_lambda(np.arange(10.0), 1.5)
 
-    def test_streamed_rows_match_single_draw(self, rng):
-        # the rows are drawn in blocks; u_boot must equal the statistics of
-        # one (L, m) draw bit for bit, the ragged last block included
-        m, l_boot, seed = 30_000, 101, 17
+    def test_streamed_rows_match_the_group_streams(self, rng):
+        # the rows are drawn in blocks, group by group; u_boot must equal the
+        # statistics of each group's one draw, the ragged last block and group included
+        m, l_boot, seed = 21_000, 101, 17
         rows = _BLOCK // m
-        assert 1 < rows < l_boot and l_boot % rows != 0
+        assert 1 < rows and 64 % rows != 0 and l_boot % 64 != 0
         y = np.repeat([2.0, 0.5, 1.5], m // 3) + rng.normal(size=m)
         result = bootstrap_lambda(y, TuningConfig(q=0.9, l_boot=l_boot, seed=seed))
-        eps = np.random.default_rng(seed).standard_normal((l_boot, m))
+        expected = bootstrap_stats_serial(result.residuals, seed, l_boot)
+        assert result.u_boot.tobytes() == expected.tobytes()
+        eps = group_normals(seed, l_boot, m)
         for row in range(l_boot):
-            assert result.u_boot[row] == effective_noise(result.residuals * eps[row])
+            assert result.u_boot[row] == pytest.approx(
+                effective_noise(result.residuals * eps[row]), rel=1e-12, abs=0
+            )
         assert result.lam == np.sort(result.u_boot)[90]  # ceil(0.9*101) = 91st
+
+    @pytest.mark.parametrize("l_boot", [1, 63, 64, 65, 100, 1000])
+    def test_u_boot_independent_of_cpus_and_block_size(self, rng, monkeypatch, l_boot):
+        # the grouped contract: the seed, L and the residuals fix u_boot, whether the
+        # worker shares the bootstrap or not and however many rows a block holds
+        if not TWO_CPUS:
+            pytest.skip("the worker needs 2 usable CPUs")
+        monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
+        residuals = rng.normal(size=3001)
+        expected = bootstrap_stats_serial(residuals, 41, l_boot).tobytes()
+        for spare in (0, 1):
+            for block in (_BLOCK // 2, _BLOCK, 2 * _BLOCK):  # 10, 21 and 43 rows of m = 3001
+                monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(spare))
+                monkeypatch.setattr(tuning, "_BLOCK", block)
+                assert bootstrap_stats(residuals, 41, l_boot).tobytes() == expected, (spare, block)
+
+    def test_each_group_is_its_own_stream(self, rng):
+        # rows 64g ... 64g + 63 are the statistics of SeedSequence(seed, spawn_key=(g,))
+        # alone, so a group's rows do not depend on how many rows come before it
+        m, l_boot, seed = 700, 200, 23
+        residuals = rng.normal(size=m)
+        u_boot = bootstrap_stats(residuals, seed, l_boot)
+        for g, lo in enumerate(range(0, l_boot, 64)):
+            eps = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(g,)))
+            v = residuals * eps.standard_normal((min(64, l_boot - lo), m))
+            sums = np.cumsum(v - v.mean(axis=1, keepdims=True), axis=1)[:, :-1]
+            expected = 2.0 / m * np.max(np.abs(sums), axis=1)
+            assert u_boot[lo : lo + 64].tobytes() == expected.tobytes(), g
 
     @pytest.mark.parametrize(
         "m, l_boot, zero",
         [
-            (500, 131, False),  # one block of 131 rows
-            (1000, 100, False),  # the study shape: blocks of 65 and 35 rows
-            (_BLOCK + 4464, 3, False),  # one row per block
-            (2, 5, False),  # l_boot below the block height
-            (2, _BLOCK // 2 + 7, False),  # several blocks of m = 2
+            (500, 131, False),  # three groups of one block each
+            (1000, 100, False),  # the study shape: groups of 64 and 36 rows
+            (_BLOCK + 4464, 67, False),  # one row per block
+            (2, 5, False),  # l_boot below the group size
+            (2, _BLOCK // 2 + 7, False),  # many groups of m = 2
             (3001, 67, False),  # 21-row blocks, a ragged last one
             (3001, 67, True),
         ],
-        ids=["one-block", "study", "one-row-blocks", "short", "m2", "ragged", "zero-residuals"],
+        ids=["three-groups", "study", "one-row-blocks", "short", "m2", "ragged", "zero-residuals"],
     )
     def test_bytes_independent_of_block_shape(self, rng, m, l_boot, zero, bootstrap_path):
         residuals = np.zeros(m) if zero else rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
-        got = bootstrap_stats(residuals, bootstrap_path(29), l_boot)
-        assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, l_boot).tobytes()
+        got = bootstrap_stats(residuals, 29, l_boot)
+        assert got.tobytes() == bootstrap_stats_serial(residuals, 29, l_boot).tobytes()
+        assert not zero or (got == 0).all() and not np.signbit(got).any()
 
     @pytest.mark.parametrize(
         "m, l_boot, bound",
         [(20_000, 1000, 3 * _BLOCK * 8), (100_000, 100, 3 * 100_000 * 8 + 64 * 1024)],
         ids=["multi-row-blocks", "one-row-blocks"],
     )
-    def test_memory_two_reused_blocks(self, rng, m, l_boot, bound, bootstrap_path):
-        # two draw buffers of about _BLOCK values each, or of one row each when
-        # m > _BLOCK (one buffer when the caller draws), plus the caller's
-        # 4096-column statistic scratch and O(m + l_boot)
+    def test_memory_one_block_per_thread(self, rng, m, l_boot, bound, bootstrap_path):
+        # one draw block of about _BLOCK values, or of one row when m > _BLOCK, for
+        # each thread that draws, plus O(m + l_boot)
         residuals = rng.normal(size=m)
-        _, peak = traced_peak(bootstrap_stats, residuals, bootstrap_path(4), l_boot)
+        _, peak = traced_peak(bootstrap_stats, residuals, 4, l_boot)
         assert peak < bound
 
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
+    def test_worker_is_long_lived_and_shares_each_bootstrap(self, rng, monkeypatch):
+        # one thread, started once, takes groups of every bootstrap beside its caller
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
+        seen = record_reducers(monkeypatch, wait_for_worker=True)
+        residuals = rng.normal(size=1000)
+        expected = bootstrap_stats_serial(residuals, 3, 300).tobytes()
+        counts = []
+        for _ in range(3):
+            assert bootstrap_stats(residuals, 3, 300).tobytes() == expected
+            counts.append(threading.active_count())
+        workers = {t for t, _, _ in seen} - {threading.current_thread()}
+        assert len(workers) == 1 and len({id(b) for _, _, b in seen}) == 3
+        assert counts[0] == counts[-1]
+        assert tuning._WORKER.empty()
+
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    @pytest.mark.parametrize(
-        "step", ["draw 5", "reduce 5", "reduce 16"], ids=["draw", "reduce", "last-reduce"]
-    )
-    def test_failure_mid_stream_returns_the_token(self, rng, monkeypatch, error, step):
-        # 16 blocks of 65 rows: whichever thread fails at whichever block, the
-        # error reaches the caller, the helper is joined and the token given back
+    @pytest.mark.parametrize("step", ["draw", "reduce"])
+    def test_error_in_the_worker_reaches_the_caller(self, rng, monkeypatch, error, step):
+        # the worker fails in its first draw or reduction: the caller raises that error
+        # rather than return rows nobody wrote, and the worker stays to serve the next call
         if not TWO_CPUS:
-            pytest.skip("drawing ahead needs 2 usable CPUs")
+            pytest.skip("the worker needs 2 usable CPUs")
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
-        kind, at = step.split()
-        draws, reduces = [], []
+        caller, failed = threading.current_thread(), threading.Event()
+        default_rng, reduce = np.random.default_rng, tuning._effective_noise
 
         class Failing(np.random.Generator):
             def standard_normal(self, out):
-                draws.append(threading.current_thread())
-                if kind == "draw" and len(draws) == int(at):
+                if threading.current_thread() is caller:
+                    failed.wait(10)  # so the worker takes a group first
+                elif step == "draw":
+                    failed.set()
                     raise error(step)
                 return super().standard_normal(out=out)
 
-        noise_max = tuning._noise_max
-
-        def reduce(*args):
-            reduces.append(threading.current_thread())
-            if kind == "reduce" and len(reduces) == int(at):
+        def failing_reduce(u, residuals, out):
+            if threading.current_thread() is not caller:
+                failed.set()
                 raise error(step)
-            noise_max(*args)
+            reduce(u, residuals, out)
 
-        monkeypatch.setattr(tuning, "_noise_max", reduce)
-        start = threading.active_count()
+        monkeypatch.setattr(np.random, "default_rng", lambda s: Failing(np.random.PCG64(s)))
+        if step == "reduce":
+            monkeypatch.setattr(tuning, "_effective_noise", failing_reduce)
+        residuals = rng.normal(size=1000)
         with pytest.raises(error, match=step):
-            bootstrap_stats(rng.normal(size=1000), Failing(np.random.PCG64(3)), 1000)
-        assert threading.active_count() == start
+            bootstrap_stats(residuals, 3, 1000)
+        assert failed.is_set() and tuning._WORKER.empty()
         assert budget.acquire(blocking=False)
-        # the helper draws, the caller reduces, and no more than one block is
-        # drawn past the failed one
-        assert threading.current_thread() not in draws and len(set(draws)) == 1
-        assert set(reduces) <= {threading.current_thread()} and len(draws) <= int(at) + 1
+        budget.release()
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        monkeypatch.setattr(tuning, "_effective_noise", reduce)
+        got = bootstrap_stats(residuals, 3, 1000)
+        assert got.tobytes() == bootstrap_stats_serial(residuals, 3, 1000).tobytes()
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
-    def test_helper_waits_for_a_free_buffer(self, rng, monkeypatch):
-        # with a slow caller, block k + 2 is not drawn into block k's buffer
-        # before block k is reduced
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_error_in_the_caller_stops_the_worker(self, rng, monkeypatch, error):
+        # the caller fails in its first reduction: it waits for the worker to stop at its
+        # next block, gives the token back and raises its own error
+        if not TWO_CPUS:
+            pytest.skip("the worker needs 2 usable CPUs")
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        seen = record_reducers(monkeypatch, wait_for_worker=True)
+        recorded, caller = tuning._effective_noise, threading.current_thread()
+
+        def failing(u, residuals, out):
+            recorded(u, residuals, out)
+            if threading.current_thread() is caller:
+                raise error("caller")
+
+        monkeypatch.setattr(tuning, "_effective_noise", failing)
+        with pytest.raises(error, match="caller"):
+            bootstrap_stats(rng.normal(size=1000), 3, 1000)
+        workers = [t for t, _, _ in seen if t is not caller]
+        blocks = len(seen)
+        assert workers and blocks < 1000 // 64  # the worker did not finish the groups
+        assert tuning._WORKER.empty() and budget.acquire(blocking=False)
+        budget.release()
+        assert len(seen) == blocks  # and it reduces nothing more
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
+    def test_worker_that_cannot_start_raises(self, rng, monkeypatch):
+        # a thread that cannot start fails the call rather than hang it, gives the token
+        # back, and leaves no worker for a later call to queue to
+        budget = threading.Semaphore(1)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
+        monkeypatch.setattr(tuning, "_WORKER", None)
+
+        def refused(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        with pytest.raises(RuntimeError, match="can't start"):
+            bootstrap_stats(rng.normal(size=1000), 3, 1000)
+        assert tuning._WORKER is None and budget.acquire(blocking=False)
+        budget.release()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
+    def test_worker_runs_off_the_callers_cpu(self, rng, monkeypatch):
         monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
-        noise_max = tuning._noise_max
-
-        def slow(*args):
-            time.sleep(0.01)
-            noise_max(*args)
-
-        monkeypatch.setattr(tuning, "_noise_max", slow)
-        residuals = rng.normal(size=3001)
-        got = bootstrap_stats(residuals, 29, 400)
-        assert got.tobytes() == bootstrap_stats_single_draw(residuals, 29, 400).tobytes()
-
-    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
-    def test_helper_runs_off_the_callers_cpu(self, rng, monkeypatch):
-        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
+        seen = record_reducers(monkeypatch, wait_for_worker=True)
         usable = os.sched_getaffinity(0)
-        assert tuning._cpu() in usable
-        caller_cpu = max(usable)
-        monkeypatch.setattr(tuning, "_cpu", lambda: caller_cpu)
-        drawers = set()
-        bootstrap_stats(rng.normal(size=1000), RecordingGenerator(1, drawers), 1000)
-        assert {affinity for _, affinity in drawers} == {frozenset(usable - {caller_cpu})}
-        assert threading.current_thread() not in {thread for thread, _ in drawers}
+        bootstrap_stats(rng.normal(size=1000), 1, 1000)
+        [worker_cpus] = {cpus for t, cpus, _ in seen if t is not threading.current_thread()}
+        assert len(worker_cpus) == len(usable) - 1 and worker_cpus < usable
         assert os.sched_getaffinity(0) == usable  # the caller's own is never touched
 
-    def test_small_bootstraps_take_no_token(self, rng, monkeypatch):
-        # below _DRAW_AHEAD normals the caller draws them
+    @pytest.mark.parametrize("m, l_boot", [(100, 100), (100_000, 64)], ids=["small", "one-group"])
+    def test_small_bootstraps_take_no_token(self, rng, monkeypatch, m, l_boot):
+        # below _DRAW_AHEAD normals, or with one group, the caller draws and reduces them
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
         monkeypatch.setattr(budget, "acquire", None)
-        residuals, drawers = rng.normal(size=100), set()
-        assert 100 * 100 < tuning._DRAW_AHEAD
-        got = bootstrap_stats(residuals, RecordingGenerator(5, drawers), 100)
-        assert got.tobytes() == bootstrap_stats_single_draw(residuals, 5, 100).tobytes()
-        assert {thread for thread, _ in drawers} == {threading.current_thread()}
+        seen = record_reducers(monkeypatch)
+        residuals = rng.normal(size=m)
+        assert m * l_boot < tuning._DRAW_AHEAD or l_boot <= 64
+        got = bootstrap_stats(residuals, 5, l_boot)
+        assert got.tobytes() == bootstrap_stats_serial(residuals, 5, l_boot).tobytes()
+        assert {thread for thread, _, _ in seen} == {threading.current_thread()}
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="drawing ahead needs 2 usable CPUs")
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
     def test_bootstrap_lambda_draws_ahead_of_its_pilot(self, rng, monkeypatch):
-        # given no normals, bootstrap_lambda starts its draw before its pilot
+        # given no normals, bootstrap_lambda queues the worker's draw before its pilot
         # path, so the spare CPU is taken while the path runs
         budget = threading.Semaphore(1)
         monkeypatch.setattr(tuning, "_SPARE_CPUS", budget)
@@ -450,7 +546,8 @@ class TestBootstrap:
         y = np.repeat([1.0, 3.0], 500) + rng.normal(size=1000)
         result = bootstrap_lambda(y, TuningConfig(l_boot=100, seed=8))
         assert held == [True] and budget.acquire(blocking=False)
-        expected = bootstrap_stats_single_draw(result.residuals, 8, 100)
+        budget.release()
+        expected = bootstrap_stats_serial(result.residuals, 8, 100)
         assert result.u_boot.tobytes() == expected.tobytes()
 
     def test_memory_linear_in_m(self, rng):
