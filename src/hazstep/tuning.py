@@ -120,13 +120,13 @@ _GROUP, _BLOCK, _DRAW_AHEAD = 64, 1 << 16, 1 << 16
 
 
 def _set_spare_cpus(count: int) -> None:
-    """Give this process ``count`` spare-CPU tokens (a process-pool initializer gives 0)."""
+    """Give this process one spare-CPU token if ``count`` > 0 (a process pool's workers: 0)."""
     global _SPARE_CPUS
-    _SPARE_CPUS = threading.Semaphore(count)
+    _SPARE_CPUS = threading.Semaphore(min(1, count))
 
 
-# A thread that works beside its caller runs only while it holds a token, so no
-# more threads are busy than CPUs.  There is none where a thread's CPU is unknown.
+# The one token stands for the one worker: a bootstrap it shares holds it, so no other
+# waits behind its job.  There is none where a thread's CPU is unknown.
 _set_spare_cpus(len(os.sched_getaffinity(0)) - 1 if os.path.exists("/proc/thread-self/stat") else 0)
 
 

@@ -10,6 +10,7 @@ from conftest import (
     effective_noise,
     group_normals,
     record_reducers,
+    spare_tokens,
     traced_peak,
 )
 from hazstep import (
@@ -43,18 +44,21 @@ def package_noise(u):
 
 @pytest.fixture(params=["serial", "worker"])
 def bootstrap_path(request, monkeypatch):
-    """Force the bootstrap's serial path, or the worker beside the caller, for every size;
-    yield the list of ``record_reducers`` and check afterwards who reduced."""
+    """Force the bootstrap's serial path, or the worker beside the caller, for every size
+    of the test's ``l_boot``, and check afterwards who reduced: the caller alone, unless
+    the worker shares a bootstrap of more than one group, which both then reduce."""
     worker = request.param == "worker"
     if worker and not TWO_CPUS:
         pytest.skip("the worker needs 2 usable CPUs")
     monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(int(worker)))
     monkeypatch.setattr(tuning, "_DRAW_AHEAD", 1)
-    seen = record_reducers(monkeypatch)
-    yield seen
-    threads = {thread for thread, _, _ in seen}
-    assert threading.current_thread() in threads or worker
-    assert len(threads) <= 1 + worker
+    shared = worker and request.node.callspec.params["l_boot"] > 64
+    seen = record_reducers(monkeypatch, wait_for_worker=shared)
+    yield
+    caller = threading.current_thread()
+    others = {thread for thread, _, _ in seen} - {caller}
+    assert caller in {thread for thread, _, _ in seen}
+    assert len(others) == shared  # the one worker reduced a block, or no other thread did
 
 
 def centered_design_noise(u):
@@ -509,13 +513,48 @@ class TestBootstrap:
 
     @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
     def test_worker_runs_off_the_callers_cpu(self, rng, monkeypatch):
-        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
-        seen = record_reducers(monkeypatch, wait_for_worker=True)
+        # a new worker is pinned to the usable CPUs other than the one its starter runs on
         usable = os.sched_getaffinity(0)
+        assert tuning._cpu() in usable
+        starter_cpu = max(usable)
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", threading.Semaphore(1))
+        monkeypatch.setattr(tuning, "_WORKER", None)
+        monkeypatch.setattr(tuning, "_cpu", lambda: starter_cpu)
+        seen = record_reducers(monkeypatch, wait_for_worker=True)
         bootstrap_stats(rng.normal(size=1000), 1, 1000)
         [worker_cpus] = {cpus for t, cpus, _ in seen if t is not threading.current_thread()}
-        assert len(worker_cpus) == len(usable) - 1 and worker_cpus < usable
+        assert worker_cpus == usable - {starter_cpu}
         assert os.sched_getaffinity(0) == usable  # the caller's own is never touched
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the worker needs 2 usable CPUs")
+    def test_concurrent_callers_do_not_wait_on_each_other(self, rng, monkeypatch):
+        # the budget holds one token, for the one worker, however many CPUs are spare: a
+        # second caller, on another thread or nested in the first, finds it taken and works
+        # alone rather than queue behind a job that waits for it
+        monkeypatch.setattr(tuning, "_SPARE_CPUS", None)
+        tuning._set_spare_cpus(2)
+        assert spare_tokens(tuning._SPARE_CPUS) == 1
+        residuals = rng.normal(size=1000)
+        expected = bootstrap_stats_serial(residuals, 8, 300).tobytes()
+        entered, second_done, first = threading.Event(), threading.Event(), {}
+
+        def first_caller():
+            with tuning._normal_draw(8, 300, residuals.size) as stats:
+                entered.set()
+                first["released"] = second_done.wait(10)
+                first["nested"] = bootstrap_stats(residuals, 8, 300).tobytes()
+                first["u_boot"] = stats(residuals).tobytes()
+
+        thread = threading.Thread(target=first_caller, daemon=True)
+        thread.start()
+        try:
+            assert entered.wait(10) and spare_tokens(tuning._SPARE_CPUS) == 0
+            assert bootstrap_stats(residuals, 8, 300).tobytes() == expected
+        finally:
+            second_done.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert first == {"released": True, "nested": expected, "u_boot": expected}
 
     @pytest.mark.parametrize("m, l_boot", [(100, 100), (100_000, 64)], ids=["small", "one-group"])
     def test_small_bootstraps_take_no_token(self, rng, monkeypatch, m, l_boot):
