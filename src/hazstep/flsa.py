@@ -8,17 +8,17 @@ exactly.  In one dimension fused sets only grow as lambda grows (Friedman,
 Hastie, Hoefling & Tibshirani 2007), so read from large lambda downward the
 solution path is a sequence of block splits (the dual path of Tibshirani &
 Taylor 2011).  :func:`flsa_solve` and :func:`flsa_path` both take them in the
-level-synchronous rounds of the one :class:`_SplitRounds` per y of :func:`_split_tree`.
+level-synchronous rounds of a split tree (:class:`_SplitRounds`): a new one for y
+given as an array, else the tree given, which keeps its splits for the next call.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _freeze
+from .data import _column, _freeze
 from .errors import ValidationError
 from .stepfun import StepFunction, Window
 
@@ -109,10 +109,14 @@ class _SplitRounds:
     each boundary.  A round costs O(size of its new blocks).  Its large
     arrays are ``held`` until the next round's are made, which reuse their
     pages instead of faulting in pages the allocator handed back (twice the
-    time at m = 1e5).
+    time at m = 1e5).  ``y`` is a read-only copy of the nonempty numbers given.
     """
 
-    def __init__(self, y: np.ndarray):
+    def __init__(self, y):
+        y = _column(y, "y")
+        if y.size == 0:
+            raise ValidationError("y must be nonempty")
+        _freeze(self, y=y)
         starts = _run_starts(y)
         self.m = y.size
         self.v = y[np.concatenate(([0], starts))]
@@ -181,21 +185,9 @@ class _SplitRounds:
         return out, 0.0
 
 
-_last = threading.local()  # this thread's last split y, as bytes, and its tree
-
-
-def _split_tree(y) -> tuple[np.ndarray, _SplitRounds]:
-    """``y`` as a nonempty, finite 1-D float array, and its split tree with every split
-    taken so far: each thread keeps the tree of its last y while y stays byte-equal."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size == 0:
-        raise ValidationError("y must be nonempty")
-    if np.any(~np.isfinite(y)):
-        raise ValidationError("y contains non-finite values")
-    key = y.tobytes()
-    if getattr(_last, "key", None) != key:
-        _last.key, _last.tree = key, _SplitRounds(y)
-    return y, _last.tree
+def _split_tree(y) -> _SplitRounds:
+    """``y`` if it is a split tree, else a new tree of ``y``."""
+    return y if isinstance(y, _SplitRounds) else _SplitRounds(y)
 
 
 def flsa_solve(y, lam: float) -> FusedLassoFit:
@@ -203,18 +195,19 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
 
     Parameters
     ----------
-    y : array-like, length m
+    y : array-like, length m, or a split tree (:func:`_split_tree`)
         Observations (the increment responses).
     lam : float
         Nonnegative total-variation penalty level, on the scale of the
         (1/m)-normalized quadratic loss.
 
-    The blocks are those the splits of y's tree (:func:`_split_tree`) whose
-    lambda exceeds ``lam`` by more than 1e-12 (relative) leave, at level
+    The blocks are those the splits of y's tree whose lambda exceeds ``lam``
+    by more than 1e-12 (relative) leave, at level
     mean + (m*lam / (2|B|)) * (s_r - s_l).  Rounds resume only for pending
-    splits above that: none at or above the stop of a path of y, on a new y
-    as many as the tree at ``lam`` is deep: 4-31 on noisy increments at the
-    tuned penalties, about 1000 for a noise-free ramp j**2 at m = 2000.
+    splits above that: none on a tree whose path stopped at or below ``lam``,
+    on a new tree as many as the tree at ``lam`` is deep: 4-31 on noisy
+    increments at the tuned penalties, about 1000 for a noise-free ramp j**2
+    at m = 2000.  The fit's ``y`` is the tree's.
 
     A jump of 0 can come out of rounding as a few ulps: a tie of splits can
     leave two neighbours flat (level slope 0, the only way their slopes
@@ -222,11 +215,11 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
     ``lam``.  So a boundary whose jump is within 8 ulps of its blocks' mean
     absolute values plus tilts, or against its own sign, is fused.
     """
-    y, tree = _split_tree(y)
+    tree = _split_tree(y)
     if not np.isfinite(lam) or lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     if lam == 0 or tree.v.size == 1:
-        return FusedLassoFit(lam=float(lam), alpha=y.copy(), y=y.copy())
+        return FusedLassoFit(lam=float(lam), alpha=tree.y.copy(), y=tree.y)
 
     above = lam * (1.0 + 1e-12)
     tree.run(lambda pending: pending > above)
@@ -248,7 +241,7 @@ def flsa_solve(y, lam: float) -> FusedLassoFit:
     )
     if zero.size:
         sign, size, tilt, level = levels(np.delete(cut, zero + 1))
-    return FusedLassoFit(lam=float(lam), alpha=level.repeat(size.astype(np.intp)), y=y.copy())
+    return FusedLassoFit(lam=float(lam), alpha=level.repeat(size.astype(np.intp)), y=tree.y)
 
 
 def kkt_residual(fit: FusedLassoFit) -> float:
@@ -296,10 +289,10 @@ def flsa_path(y, k_max: int | None = None) -> list[PathBreakpoint]:
     pending blocks at or above the rank-th largest split lambda known, rank =
     k_max + 2, as no block below, nor its children, is among the first rank
     splits; the count stands if no pending split lies above the one that
-    ends it, else the rank goes up to that of the largest pending split.  The
-    tree is kept for the solves of y; splits they took sort after the stop.
+    ends it, else the rank goes up to that of the largest pending split.  On a
+    tree given as ``y``, splits that earlier solves took sort after the stop.
     """
-    tree = _split_tree(y)[1]
+    tree = _split_tree(y)
     rank = np.inf if k_max is None else k_max + 2
 
     def pick(pending):

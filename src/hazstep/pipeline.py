@@ -25,7 +25,7 @@ from .estimators import (
     choose_window,
     cox_fit,
 )
-from .flsa import FusedLassoFit, flsa_solve, interpolate
+from .flsa import FusedLassoFit, _SplitRounds, flsa_solve, interpolate
 from .stepfun import StepFunction, Window
 from .tuning import TuningConfig, TuningResult, _normal_draw, bootstrap_lambda
 
@@ -149,9 +149,10 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
             if p_low is None:
                 p_low = 0.025 if np.any(frame.entry > 0) else 0.0
             window = choose_window(frame, p_low, config.p_high)
-        y = build_increments(curve, window, m)
-        tuning_result = bootstrap_lambda(y, config.tuning, normals=normals)
-    fused = flsa_solve(y, tuning_result.lam)
+        # one split tree of the increments serves the pilot path and both solves
+        tree = _SplitRounds(build_increments(curve, window, m))
+        tuning_result = bootstrap_lambda(tree, config.tuning, normals=normals)
+    fused = flsa_solve(tree, tuning_result.lam)
     _warn_on_empty_risk(frame, beta, window, m)
 
     scaled = interpolate(fused, window)

@@ -27,7 +27,7 @@ import numpy as np
 from .data import _check_integer, _check_number, _freeze, _JsonRecord
 from .errors import ValidationError
 from .estimators import empirical_quantile
-from .flsa import flsa_path, flsa_solve
+from .flsa import _split_tree, _SplitRounds, flsa_path, flsa_solve
 
 __all__ = ["TuningConfig", "TuningResult", "pilot_lambda", "bootstrap_lambda"]
 
@@ -94,7 +94,7 @@ def pilot_lambda(y, k_max: int) -> float:
     penalty: the lambda of the first breakpoint whose count is at most
     ``k_max``.  The path is cut below the first breakpoint over ``k_max``, so
     only the blocks that can hold its first k_max + 2 splits are split, on the
-    tree the solves of y reuse; when no count exceeds ``k_max`` it starts at
+    tree ``y`` or a new tree of it; when no count exceeds ``k_max`` it starts at
     lambda = 0 and the pilot is 0.
     """
     _check_integer(k_max, "k_max", 0)
@@ -229,8 +229,8 @@ def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
     Residuals of the exact fit at the pilot penalty, which is read off the
     solution path (:func:`pilot_lambda`), are multiplied by i.i.d. standard
     normal vectors; the selected penalty is the ceil(q*L)-th order statistic
-    of the resulting effective-noise sample.  The pilot fit, like a later
-    solve of y at the selected penalty, is read off the path's split tree.
+    of the resulting effective-noise sample.  The pilot path and solve read one
+    split tree: ``y`` (``fit_hazard``'s, which its final solve reads too) or a new tree of it.
 
     The warning that the path and the solver "disagree" fires when the pilot
     fit has more than ``k_max`` change points: the path's slope-history count
@@ -244,20 +244,21 @@ def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
     ``l_boot`` and y.size, from a caller that starts the draw earlier (``fit_hazard``,
     after its Cox step); without it the draw starts here.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size < 2:
-        raise ValidationError(f"need at least 2 observations, got {y.size}")
+    m = y.m if isinstance(y, _SplitRounds) else np.size(y)
+    if m < 2:
+        raise ValidationError(f"need at least 2 observations, got {m}")
+    tree = _split_tree(y)
     if normals is None:  # draw while the pilot path runs
-        with _normal_draw(config.seed, config.l_boot, y.size) as normals:
-            return bootstrap_lambda(y, config, normals=normals)
-    lam0 = pilot_lambda(y, config.k_max)
-    pilot = flsa_solve(y, lam0)
+        with _normal_draw(config.seed, config.l_boot, m) as normals:
+            return bootstrap_lambda(tree, config, normals=normals)
+    lam0 = pilot_lambda(tree, config.k_max)
+    pilot = flsa_solve(tree, lam0)
     if pilot.changepoints.size > config.k_max:
         logger.warning(
             "pilot fit at lambda0 = %r has %d change points, more than k_max = %d: the solution "
             "path and the exact solver disagree", lam0, pilot.changepoints.size, config.k_max
         )
-    residuals = y - pilot.alpha
+    residuals = tree.y - pilot.alpha
     u_boot = normals(residuals)
     return TuningResult(
         lambda0=float(lam0),

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hazstep import PathBreakpoint, ValidationError, flsa, flsa_solve, tuning
+from hazstep import PathBreakpoint, ValidationError, flsa, tuning
 
 # property tests draw the same examples on every run and keep no database
 settings.register_profile("hazstep", derandomize=True, database=None, deadline=None, max_examples=500)
@@ -742,27 +742,15 @@ def rng():
 
 @pytest.fixture
 def split_trees(monkeypatch):
-    """The y of each split tree built from here on, with no tree kept before."""
-    built = []
+    """The y of each split tree built from here on."""
+    built, init = [], flsa._SplitRounds.__init__
 
-    class Counted(flsa._SplitRounds):
-        def __init__(self, y):
-            built.append(y.copy())
-            super().__init__(y)
+    def counted(tree, y):
+        init(tree, y)
+        built.append(tree.y)
 
-    monkeypatch.setattr(flsa, "_SplitRounds", Counted)
-    monkeypatch.setattr(flsa, "_last", threading.local())
+    monkeypatch.setattr(flsa._SplitRounds, "__init__", counted)
     return built
-
-
-def fresh_solve(y, lam):
-    """``flsa_solve`` on a split tree built for this call alone."""
-    kept = flsa._last
-    flsa._last = threading.local()
-    try:
-        return flsa_solve(y, lam)
-    finally:
-        flsa._last = kept
 
 
 # -- speed reference -----------------------------------------------------------

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import (
     dp_solve_oracle,
     elementwise_bound_check,
-    fresh_solve,
     fused_objective,
     merge_path_oracle,
     reparametrized_check,
@@ -17,14 +13,17 @@ from conftest import (
 )
 from hazstep import (
     PathBreakpoint,
+    TuningConfig,
     ValidationError,
     Window,
+    bootstrap_lambda,
     flsa_path,
     flsa_solve,
     interpolate,
     kkt_residual,
     pilot_lambda,
 )
+from hazstep.flsa import _SplitRounds
 
 
 def random_instance(rng, max_m=60):
@@ -114,6 +113,23 @@ class TestSolveBasics:
             flsa_solve([1.0, np.nan], 0.1)
         with pytest.raises(ValidationError):
             flsa_solve([1.0, 2.0], -0.1)
+
+
+# every entry point that takes y checks it by the records' number rule
+Y_ENTRY_POINTS = {
+    "flsa_solve": lambda y: flsa_solve(y, 0.01),
+    "flsa_path": flsa_path,
+    "pilot_lambda": lambda y: pilot_lambda(y, 1),
+    "bootstrap_lambda": lambda y: bootstrap_lambda(y, TuningConfig(l_boot=5)),
+}
+
+
+@pytest.mark.parametrize("y", [["1", "2", "5", "3"], [True, False, True, True]],
+                         ids=["strings", "booleans"])
+@pytest.mark.parametrize("call", Y_ENTRY_POINTS.values(), ids=Y_ENTRY_POINTS.keys())
+def test_y_must_be_numbers(call, y):
+    with pytest.raises(ValidationError, match="^y must be a sequence of numbers"):
+        call(y)
 
 
 class TestOptimality:
@@ -410,7 +426,7 @@ class TestPath:
                 assert below == prev.changepoint_count
 
 
-def _cache_inputs():
+def _tree_inputs():
     rng = np.random.default_rng(21)
     steps = np.repeat([2.0, 5.0, 3.0, 3.5], 100) + rng.normal(size=400)
     ties = 1.3 * rng.poisson(1.0, size=400)  # a few distinct values, long runs
@@ -418,66 +434,68 @@ def _cache_inputs():
     return {"steps": steps, "ties": ties, "ramp": ramp}
 
 
-class TestSplitTreeCache:
+def _history_inputs(kind: str, count: int = 100):
+    """``count`` seeded inputs of one kind, m < 400: normal, Poisson(1) * 1.3 ties, or
+    normals rounded to 0.1."""
+    rng = np.random.default_rng(["normal", "ties", "rounded"].index(kind))
+    for _ in range(count):
+        m = int(rng.integers(2, 400))
+        if kind == "ties":
+            yield 1.3 * rng.poisson(1.0, size=m)
+        else:
+            y = rng.normal(size=m)
+            yield np.round(y, 1) if kind == "rounded" else y
+
+
+def _path_bits(path) -> tuple:
+    return np.array([bp.lam for bp in path]).tobytes(), [bp.changepoint_count for bp in path]
+
+
+class TestSplitTree:
+    @pytest.mark.parametrize("kind", ["normal", "ties", "rounded"])
+    def test_results_do_not_depend_on_earlier_calls(self, kind):
+        # each y is split first with no call on it before, then again after a cut
+        # path and a solve of the same y on the same thread
+        ys = list(_history_inputs(kind))
+        tops = [2.0 * np.abs(np.cumsum(y - y.mean())).max() / y.size for y in ys]
+        paths = [_path_bits(flsa_path(y)) for y in ys]
+        solves = [flsa_solve(y, 0.05 * top).alpha.tobytes() for y, top in zip(ys, tops)]
+        for y, top, path, solve in zip(ys, tops, paths, solves):
+            flsa_path(y, 2)
+            flsa_solve(y, 0.5 * top)
+            assert _path_bits(flsa_path(y)) == path
+            flsa_path(y, 2)
+            flsa_solve(y, 0.01 * top)
+            assert flsa_solve(y, 0.05 * top).alpha.tobytes() == solve
+
     @pytest.mark.parametrize("order", range(3))
     @pytest.mark.parametrize("kind", ["steps", "ties", "ramp"])
     def test_solves_after_the_path_equal_fresh_solves(self, split_trees, kind, order):
-        y = _cache_inputs()[kind]
-        path = flsa_path(y, 5)
-        lam0 = pilot_lambda(y, 5)
+        y = _tree_inputs()[kind]
+        tree = _SplitRounds(y)
+        path = flsa_path(tree, 5)
+        lam0 = pilot_lambda(tree, 5)
         # above lambda0, at it, at the top breakpoint, and below the path's
         # stop, where the rounds resume
         lams = [3.0 * lam0, lam0, path[-1].lam, 0.5 * path[0].lam, 1e-3 * path[0].lam]
-        fresh = {lam: fresh_solve(y, lam).alpha.tobytes() for lam in lams}
+        fresh = {lam: flsa_solve(y, lam).alpha.tobytes() for lam in lams}
         for lam in np.random.default_rng(order).permutation(lams):
-            fit = flsa_solve(y, lam)
+            fit = flsa_solve(tree, lam)
             assert fit.lam == lam and fit.alpha.tobytes() == fresh[lam], lam
-        assert len(split_trees) == 1 + len(lams)  # the path's and the fresh ones
+            assert fit.y is tree.y
+        assert len(split_trees) == 1 + len(lams)  # the fit's and the fresh ones
 
-    def test_y_changed_in_place_gets_a_new_tree(self, split_trees):
-        y = _cache_inputs()["steps"]
-        lam = pilot_lambda(y, 5)
-        flsa_solve(y, lam)
+    def test_tree_owns_a_private_y(self):
+        y = _tree_inputs()["steps"]
+        tree = _SplitRounds(y)
+        lam = pilot_lambda(tree, 5)
+        expected = flsa_solve(y, lam)
         y[150] += 0.25
-        fit = flsa_solve(y, lam)
-        assert len(split_trees) == 2 and split_trees[1].tobytes() == y.tobytes()
-        assert fit.alpha.tobytes() == fresh_solve(y, lam).alpha.tobytes()
-
-    def test_signed_zero_is_another_y(self, split_trees):
-        pair = ([-0.0, 1.0], [0.0, 1.0])
-        fits = [flsa_solve(y, 0.1) for y in pair]
-        assert [t.tobytes() for t in split_trees] == [np.array(y).tobytes() for y in pair]
-        for y, fit in zip(pair, fits):
-            assert fit.alpha.tobytes() == fresh_solve(y, 0.1).alpha.tobytes()
-
-    def test_threads_do_not_share_a_tree(self):
-        # for each y the two threads split a new deep tree side by side
-        ys = [np.arange(600.0) ** 2 + r for r in range(5)]
-        lams = (1e-3, 1e-2)
-        expected = [[fresh_solve(y, lam).alpha.tobytes() for lam in lams] for y in ys]
-        start = threading.Barrier(2)
-        results, errors = ([], []), []
-
-        def solve(i):
-            try:
-                for y in ys:
-                    start.wait(timeout=30)
-                    results[i].append(flsa_solve(y, lams[i]).alpha.tobytes())
-            except Exception as exc:  # noqa: BLE001 - reported by the test
-                errors.append(exc)
-
-        threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and errors == []
-        assert list(zip(*results)) == [tuple(e) for e in expected]
+        fit = flsa_solve(tree, lam)
+        assert fit.alpha.tobytes() == expected.alpha.tobytes()
+        assert fit.y.tobytes() == expected.y.tobytes() != y.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            tree.y[150] = 0.0
 
 
 class TestInterpolate:

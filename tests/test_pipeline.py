@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import dp_solve_oracle, fresh_solve
+from conftest import dp_solve_oracle
 from hazstep import (
     FitConfig,
     Scenario,
@@ -116,10 +116,10 @@ class TestFitHazard:
         frame = gen_scenario(named_scenario("B2", 300), 3)
         fit = fit_hazard(frame, FitConfig(tuning=TuningConfig(seed=1, l_boot=30)))
         y = fit.flsa.y
-        assert len(split_trees) == 1 and split_trees[0].tobytes() == y.tobytes()
-        pilot = fresh_solve(y, fit.tuning.lambda0)
+        assert len(split_trees) == 1 and split_trees[0] is y  # the fit shares its tree's y
+        pilot = flsa_solve(y, fit.tuning.lambda0)
         assert (y - pilot.alpha).tobytes() == fit.tuning.residuals.tobytes()
-        assert fresh_solve(y, fit.tuning.lam).alpha.tobytes() == fit.flsa.alpha.tobytes()
+        assert flsa_solve(y, fit.tuning.lam).alpha.tobytes() == fit.flsa.alpha.tobytes()
 
     def test_one_increment_vector(self):
         frame = gen_scenario(constant_scenario(300), 2)

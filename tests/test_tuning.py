@@ -228,6 +228,14 @@ class TestBootstrap:
         # the final fit reproduces the signal exactly
         assert np.array_equal(flsa_solve(y, result.lam).alpha, y)
 
+    def test_one_split_tree_per_call(self, split_trees, rng):
+        # given an array, the pilot path and the pilot solve read one new tree
+        y = np.repeat([3.0, 1.0, 2.0], 40) + rng.normal(size=120)
+        result = bootstrap_lambda(y, TuningConfig(k_max=2, l_boot=20, seed=1))
+        assert len(split_trees) == 1 and split_trees[0].tobytes() == y.tobytes()
+        pilot = flsa_solve(y, result.lambda0)
+        assert (y - pilot.alpha).tobytes() == result.residuals.tobytes()
+
     @pytest.mark.parametrize("y", [[], [1.0]], ids=["empty", "one"])
     def test_requires_two_points(self, y):
         with pytest.raises(ValidationError, match=f"need at least 2 observations, got {len(y)}"):
