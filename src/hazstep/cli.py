@@ -166,9 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tuning_flags(p):
-        p.add_argument("--q", type=float, default=0.9, help="bootstrap quantile level")
-        p.add_argument("--kmax", type=int, default=20, help="pilot change-point budget")
-        p.add_argument("--L", type=int, default=1000, help="bootstrap replicates")
+        p.add_argument("--q", type=float, default=TuningConfig.q, help="bootstrap quantile level")
+        p.add_argument(
+            "--kmax", type=int, default=TuningConfig.k_max, help="pilot change-point budget"
+        )
+        p.add_argument("--L", type=int, default=TuningConfig.l_boot, help="bootstrap replicates")
         p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--out", default=".", help="output directory")
 
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_tuning_flags(p_fit)
     p_fit.add_argument("--window", default=None, help="explicit window 'tmin,tmax'")
     p_fit.add_argument("--p-low", dest="p_low", type=float, default=None)
-    p_fit.add_argument("--p-high", dest="p_high", type=float, default=0.975)
+    p_fit.add_argument("--p-high", dest="p_high", type=float, default=FitConfig.p_high)
     p_fit.add_argument("--grid", type=int, default=None, help="grid size (default: sample size)")
     p_fit.add_argument("--beta", default=None, help="supplied coefficients 'b1,b2,...'")
     p_fit.set_defaults(func=cmd_fit)
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ms = sub.add_parser("multistate", help="fit the illness-death model")
     p_ms.add_argument("input", help="long-format CSV (id, from, to, t_start, t_stop)")
     add_tuning_flags(p_ms)
-    p_ms.add_argument("--p", type=float, default=0.975, help="upper window quantile")
+    p_ms.add_argument("--p", type=float, default=FitConfig.p_high, help="upper window quantile")
     p_ms.add_argument("--curve-points", type=int, default=201)
     p_ms.set_defaults(func=cmd_multistate)
 

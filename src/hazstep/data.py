@@ -90,6 +90,17 @@ def _check_number(value, name: str) -> None:
         raise ValidationError(f"{name} must be finite")
 
 
+def _check_rows(label: str, rules, **columns) -> None:
+    """Raise a ValidationError for the first of the (broken mask, rule) ``rules`` that
+    any row breaks, at the first row i that breaks it: ``label + rule``, formatted with
+    ``row=i`` and each column's value at i.  Values are never read as templates."""
+    for broken, rule in rules:
+        if np.any(broken):
+            i = int(np.argmax(broken))
+            values = {name: column[i] for name, column in columns.items()}
+            raise ValidationError((label + rule).format(row=i, **values))
+
+
 def _freeze(record, **arrays) -> None:
     """Make each validated array read-only and set it as a field of the frozen ``record``."""
     for name, a in arrays.items():
@@ -118,18 +129,13 @@ class SurvivalFrame:
         if status.size != n or entry.size != n or cov.shape[0] != n:
             raise ValidationError("column lengths differ")
         finite = np.isfinite(time) & np.isfinite(entry) & np.all(np.isfinite(cov), axis=1)
-        # each rule in turn names the first row that breaks it
-        for broken, rule in (
+        _check_rows("row {row}: ", [
             (~finite, "non-finite time, entry or covariate"),
             (time < 0, "times must be >= 0"),
             (entry < 0, "entry times must be >= 0"),
             ((status != 0) & (status != 1), "status must be 0 or 1, got {status}"),
             (entry >= time, "entry {entry} must be < time {time}"),
-        ):
-            if np.any(broken):
-                i = int(np.argmax(broken))
-                values = dict(status=status[i], entry=entry[i], time=time[i])
-                raise ValidationError(f"row {i}: " + rule.format(**values))
+        ], status=status, entry=entry, time=time)
         _freeze(self, time=time, status=status.astype(np.int8), entry=entry, covariates=cov)
 
     @property
@@ -205,23 +211,13 @@ class MultiStateFrame:
         n = ids.size
         if not src.size == dst.size == start.size == stop.size == n:
             raise ValidationError("column lengths differ")
-        negative = (src < 0) | (dst < CENSORED_STATE)
-        if np.any(negative):
-            raise ValidationError(f"subject {ids[np.argmax(negative)]}: states must be >= 0")
         timed = np.isfinite(start) & np.isfinite(stop) & (start >= 0)
-        bad = np.flatnonzero(~timed | ~(start < stop) | (src == dst))
-        if bad.size:
-            i = bad[0]
-            if not timed[i]:
-                raise ValidationError(
-                    f"subject {ids[i]}: times must be finite and >= 0, "
-                    f"got t_start {start[i]}, t_stop {stop[i]}"
-                )
-            if not start[i] < stop[i]:
-                raise ValidationError(
-                    f"subject {ids[i]}: t_start {start[i]} must be < t_stop {stop[i]}"
-                )
-            raise ValidationError(f"subject {ids[i]}: from and to states equal")
+        _check_rows("subject {id}: ", [
+            ((src < 0) | (dst < CENSORED_STATE), "states must be >= 0"),
+            (~timed, "times must be finite and >= 0, got t_start {start}, t_stop {stop}"),
+            (start >= stop, "t_start {start} must be < t_stop {stop}"),
+            (src == dst, "from and to states equal"),
+        ], id=ids, start=start, stop=stop)
 
         _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
         rank = np.empty(first.size, dtype=np.int64)
@@ -234,21 +230,12 @@ class MultiStateFrame:
 
         # adjacent rows k, k + 1 of one subject must chain
         same = subject[1:] == subject[:-1]
-        after_cens = dst[:-1] == CENSORED_STATE
-        mismatch = src[1:] != dst[:-1]
-        gap = start[1:] != stop[:-1]
-        broken = np.flatnonzero(same & (after_cens | mismatch | gap))
-        if broken.size:
-            k = broken[0]
-            sid, t = ids[k], stop[k]
-            if after_cens[k]:
-                raise ValidationError(f"subject {sid}: row after censoring at t={t}")
-            if mismatch[k]:
-                raise ValidationError(
-                    f"subject {sid}: state mismatch at t={t} "
-                    f"(arrived in {dst[k]}, next row starts in {src[k + 1]})"
-                )
-            raise ValidationError(f"subject {sid}: time gap between t={t} and t={start[k + 1]}")
+        _check_rows("subject {id}: ", [
+            (same & (dst[:-1] == CENSORED_STATE), "row after censoring at t={t}"),
+            (same & (src[1:] != dst[:-1]),
+             "state mismatch at t={t} (arrived in {arrived}, next row starts in {next})"),
+            (same & (start[1:] != stop[:-1]), "time gap between t={t} and t={next_start}"),
+        ], id=ids[:-1], t=stop[:-1], arrived=dst[:-1], next=src[1:], next_start=start[1:])
 
         _freeze(self, id=ids, from_state=src, to_state=dst, t_start=start, t_stop=stop,
                 subject=subject)

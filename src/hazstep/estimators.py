@@ -197,7 +197,7 @@ def breslow_fit(frame: SurvivalFrame, beta=None) -> BreslowCurve:
         raise ValidationError(f"beta has length {beta.size}, expected {frame.d}")
     ev_times, d_k = frame._event_ties
     with np.errstate(over="ignore"):
-        weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
+        weights = np.exp(frame.covariates @ beta)
     if not np.all(np.isfinite(weights)):
         raise ValidationError(
             f"exp(W @ beta) overflows at beta = {beta.tolist()}; a Cox fit that "

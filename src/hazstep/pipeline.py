@@ -176,7 +176,7 @@ def fit_hazard(frame: SurvivalFrame, config: FitConfig | None = None) -> HazardF
 
 def _warn_on_empty_risk(frame: SurvivalFrame, beta: np.ndarray, window: Window, m: int) -> None:
     grid = window.grid(m)
-    weights = np.exp(frame.covariates @ beta) if frame.d else np.ones(frame.n)
+    weights = np.exp(frame.covariates @ beta)
     empty = np.flatnonzero(risk_set_sums(frame, weights, grid[1:]) <= 0)
     if empty.size:
         first = grid[empty[0] : empty[0] + 2]  # the cell (t_{j-1}, t_j]

@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .multistate import IllnessDeathModel
 from .pipeline import FitConfig, discretize_truth, fit_hazard
 from .stepfun import StepFunction, Window
-from .tuning import TuningConfig, _set_spare_cpus
+from .tuning import TuningConfig, _reset
 
 __all__ = [
     "Scenario",
@@ -227,7 +227,7 @@ def _fit_config_for(scenario: Scenario, tune_seed: int) -> FitConfig:
     return FitConfig(
         window=scenario.window,
         grid_size=scenario.n,
-        tuning=TuningConfig(q=0.9, k_max=20, l_boot=100, seed=tune_seed),
+        tuning=TuningConfig(l_boot=100, seed=tune_seed),
     )
 
 
@@ -278,7 +278,7 @@ def run_study(scenario: Scenario, replications: int, seed: int, threads: int = 1
 
     if threads > 1:
         # the workers fill the CPUs, so none of them has a spare one
-        with ProcessPoolExecutor(threads, initializer=_set_spare_cpus, initargs=(0,)) as pool:
+        with ProcessPoolExecutor(threads, initializer=_reset, initargs=(0,)) as pool:
             outcomes = list(
                 pool.map(_run_one_safe, tasks, chunksize=max(1, replications // (4 * threads)))
             )

@@ -5,11 +5,16 @@ lasso reformulation: a pilot fit with a moderate number of change points
 supplies residuals, which are multiplied elementwise by standard normal
 draws; the maximum statistic of each such bootstrap sample approximates the
 effective-noise distribution, and the selected penalty is its empirical
-q-quantile.  Bootstrap rows 64g ... 64g + 63 come from their own seeded stream, so
-the statistics depend on the seed, L and the residuals alone.  From m*L = 2**16 on,
-when L > 64 and a spare CPU is free, one long-lived worker thread pinned off the
-caller's CPU draws and reduces groups beside the calling thread; else the caller does
-all.  Each thread holds one block of 2**16 normals (one row for larger m).
+q-quantile.
+
+Bootstrap rows 64g ... 64g + 63 are drawn in C order from their own stream
+``default_rng(SeedSequence(seed, spawn_key=(g,)))``, so ``u_boot`` depends on the seed,
+L and the residuals alone: the same bits whatever the threads or the block size.  From
+m*L = 2**16 on, when L > 64 and the process's spare-CPU token is free, one long-lived
+worker thread, pinned to the usable CPUs other than its starter's, and the calling
+thread claim groups in turn and each draws and reduces its own; else the caller does
+all.  Each thread holds one block of 2**16 normals (one row for larger m), so memory
+is O(m + L), not O(L*m).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_integer, _check_number, _freeze, _JsonRecord
+from .data import _check_integer, _check_number, _column, _freeze, _JsonRecord
 from .errors import ValidationError
 from .estimators import empirical_quantile
 from .flsa import _split_tree, _SplitRounds, flsa_path, flsa_solve
@@ -41,13 +46,8 @@ class TuningConfig:
     ``l_boot`` defaults to 1000 (application scale); simulation studies use
     100.  The random generator is numpy's PCG64 (``default_rng``) and normal
     variates come from its ziggurat ``standard_normal``, so results are
-    bit-reproducible across platforms for a given seed.  Rows 64g ... 64g + 63 of the
-    bootstrap come from the stream ``default_rng(SeedSequence(seed, spawn_key=(g,)))``.
-    From m*L = ``_DRAW_AHEAD`` on, when ``l_boot`` > 64 and a spare CPU is free, the
-    process's worker thread and the calling thread claim groups in turn and each draws
-    and reduces its own; else the caller does all.  ``u_boot`` is the same bits either
-    way, whatever the block size.  Memory: one block of ``_BLOCK`` values (one row for
-    larger m) per thread and O(m + L), not O(L*m).
+    bit-reproducible across platforms for a given seed; the module docstring says
+    how the bootstrap's rows are drawn and shared.
     """
 
     q: float = 0.9
@@ -115,36 +115,38 @@ def _effective_noise(u: np.ndarray, residuals: np.ndarray, out: np.ndarray) -> N
 
 
 # bootstrap rows per seeded stream, normal draws held in one block (512 KB of float64),
-# and the least work m * L that the spare CPU shares
+# and the least work m * L that the spare CPU shares.  Below it the hand-off costs more
+# than the worker saves: on a 2-core VM a fit at n = m = 100, L = 100 took 2.7-3.2 ms so
+# gated and 3.8-4.5 ms with every bootstrap shared (two runs of 200 fits each).  With one
+# group the worker could only draw ahead; at m = 1e5, L = 50 that measured no faster
+# (gated 157-192 ms, shared 152-172 ms, medians of 15 fits, six runs each).
 _GROUP, _BLOCK, _DRAW_AHEAD = 64, 1 << 16, 1 << 16
 
 
-def _set_spare_cpus(count: int) -> None:
-    """Give this process one spare-CPU token if ``count`` > 0 (a process pool's workers: 0)."""
-    global _SPARE_CPUS
-    _SPARE_CPUS = threading.Semaphore(min(1, count))
+def _reset(spare_cpus: int | None = None) -> None:
+    """Start this process's bootstrap state afresh: no worker, a new start lock and one
+    spare-CPU token if ``spare_cpus`` > 0 (by default: if a thread's CPU is known and
+    another CPU is usable).  Run at import, in a forked child, which has none of its
+    parent's threads and so neither their worker nor a token they held, and with 0 in a
+    pool's worker processes, which fill the CPUs.  The one token stands for the one
+    worker: a bootstrap it shares holds it, so no other waits behind its job."""
+    global _SPARE_CPUS, _WORKER, _STARTING
+    if spare_cpus is None:
+        known = os.path.exists("/proc/thread-self/stat")
+        spare_cpus = len(os.sched_getaffinity(0)) - 1 if known else 0
+    _SPARE_CPUS = threading.Semaphore(min(1, spare_cpus))
+    _WORKER, _STARTING = None, threading.Lock()
 
 
-# The one token stands for the one worker: a bootstrap it shares holds it, so no other
-# waits behind its job.  There is none where a thread's CPU is unknown.
-_set_spare_cpus(len(os.sched_getaffinity(0)) - 1 if os.path.exists("/proc/thread-self/stat") else 0)
+_reset()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset)
 
 
 def _cpu() -> int:
     """The CPU the calling thread runs on: field 39 of its stat line."""
     with open("/proc/thread-self/stat", "rb") as f:
         return int(f.read().rsplit(b")", 1)[1].split()[36])
-
-
-def _forget_worker() -> None:
-    """Drop the worker: a forked child has none until it takes a token."""
-    global _WORKER, _STARTING
-    _WORKER, _STARTING = None, threading.Lock()
-
-
-_forget_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _serve(jobs, cpus) -> None:
@@ -176,12 +178,11 @@ def _worker() -> queue.SimpleQueue:
 @contextmanager
 def _normal_draw(seed, l_boot: int, m: int):
     """Yield ``stats(residuals)``, the effective noise of residuals * eps for the ``l_boot``
-    rows eps, rows 64g ... 64g + 63 drawn in C order from their own stream
-    ``default_rng(SeedSequence(seed, spawn_key=(g,)))``.  Threads claim groups from one
+    rows eps of the seed's streams (module docstring).  Threads claim groups from one
     iterator and draw and reduce their rows ``_BLOCK // m`` (1 to 64) at a time in a block of
-    their own.  From m * l_boot = ``_DRAW_AHEAD`` on, when l_boot > 64 and a spare-CPU token
-    is free, the worker draws a first block on entry and waits for the residuals; else the
-    caller of ``stats`` takes every group.  Leaving stops the worker and waits for it."""
+    their own.  Where the gates let the worker share, it draws a first block on entry and
+    waits for the residuals; else the caller of ``stats`` takes every group.  Leaving stops
+    the worker and waits for it."""
     rows = min(_GROUP, max(1, _BLOCK // max(m, 1)))
     groups = iter(range(-(-l_boot // _GROUP)))  # next() on it is atomic under the GIL
     u_boot, given, residuals, done = np.empty(l_boot), threading.Event(), [], Future()
@@ -235,16 +236,12 @@ def bootstrap_lambda(y, config: TuningConfig, *, normals=None) -> TuningResult:
     The warning that the path and the solver "disagree" fires when the pilot
     fit has more than ``k_max`` change points: the path's slope-history count
     lags the jumps the solver evaluates, as on some inputs whose magnitudes
-    span hundreds of decades.  Rows 64g ... 64g + 63 of the normals come from
-    ``default_rng(SeedSequence(config.seed, spawn_key=(g,)))``.  From m * L = 2**16 on,
-    when L > 64 and a spare CPU is free, the process's worker draws a first block while
-    the pilot runs, then it and the calling thread draw and reduce the groups they claim;
-    else the caller does all.  Memory: a block of 2**16 normals (a row for larger m) per
-    thread plus O(m + L).  ``normals`` is the entered ``_normal_draw`` of the seed,
-    ``l_boot`` and y.size, from a caller that starts the draw earlier (``fit_hazard``,
-    after its Cox step); without it the draw starts here.
+    span hundreds of decades.  The normals are drawn as the module docstring says.
+    ``normals`` is the entered ``_normal_draw`` of the seed, ``l_boot`` and y.size, from a
+    caller that starts the draw earlier (``fit_hazard``, after its Cox step); without it
+    the draw starts here, before the pilot path, so a shared draw runs beside the path.
     """
-    m = y.m if isinstance(y, _SplitRounds) else np.size(y)
+    m = (y.y if isinstance(y, _SplitRounds) else _column(y, "y")).size
     if m < 2:
         raise ValidationError(f"need at least 2 observations, got {m}")
     tree = _split_tree(y)

@@ -602,13 +602,23 @@ def spare_tokens(budget):
     return taken
 
 
+def reset_tuning(monkeypatch, spare_cpus=None):
+    """``tuning._reset(spare_cpus)``, as in a new process; ``monkeypatch`` puts back the
+    bootstrap's state as it was."""
+    for name in ("_SPARE_CPUS", "_WORKER", "_STARTING"):
+        monkeypatch.setattr(tuning, name, getattr(tuning, name))
+    tuning._reset(spare_cpus)
+
+
 @pytest.fixture(autouse=True)
 def spare_cpus_given_back():
-    """After every test the spare-CPU budget is back at its count and the worker has no job."""
-    budget = tuning._SPARE_CPUS
+    """After every test the bootstrap's state (``tuning._reset``) is back: the same budget
+    at its count, the same start lock and worker, if one had started, with no job."""
+    budget, starting, worker = tuning._SPARE_CPUS, tuning._STARTING, tuning._WORKER
     start = spare_tokens(budget)
     yield
     assert tuning._SPARE_CPUS is budget and spare_tokens(budget) == start
+    assert tuning._STARTING is starting and worker in (None, tuning._WORKER)
     assert tuning._WORKER is None or tuning._WORKER.empty()
 
 

@@ -26,7 +26,7 @@ from hazstep import (
     write_multistate_csv,
     write_survival_csv,
 )
-from hazstep.cli import main
+from hazstep.cli import _fit_config_from_args, _tuning_from_args, build_parser, main
 from hazstep.data import _floats, _read_columns
 
 
@@ -76,6 +76,14 @@ def multistate_csv(tmp_path):
     path = tmp_path / "ms.csv"
     write_multistate_csv(records, path)
     return path
+
+
+def test_default_flags_build_the_default_configs():
+    # the flags' defaults are read from the records, so the CLI and the library agree
+    parser, default = build_parser(), FitConfig(tuning=TuningConfig(seed=0))
+    assert _fit_config_from_args(parser.parse_args(["fit", "in.csv"]), 0) == default
+    ms = parser.parse_args(["multistate", "in.csv"])
+    assert FitConfig(p_high=ms.p, tuning=_tuning_from_args(ms, 0)) == default
 
 
 class TestFitCommand:

@@ -922,6 +922,12 @@ class TestParseMultistate:
             ("1,0,1,0,2.0\n1,1,2,2.0,nan\n", f"subject 1: {BAD_TIMES} t_start 2.0, t_stop nan"),
             ("1,0,1,0,2.0\n2,0,2,-1,1.0\n", f"subject 2: {BAD_TIMES} t_start -1.0, t_stop 1.0"),
             ("1,0,1,-inf,2.0\n", f"subject 1: {BAD_TIMES} t_start -inf, t_stop 2.0"),
+            # with several faults the first rule broken wins, not the first row
+            ("a,0,0,0,1.0\nb,0,1,2.0,1.0\n", "subject b: t_start 2.0 must be < t_stop 1.0"),
+            ("a,0,1,0,1.0\na,1,2,1.5,2.0\nb,0,cens,0,1.0\nb,0,1,1.0,2.0\n",
+             "subject b: row after censoring at t=1.0"),
+            # an id is printed as given, never read as a template
+            ("{x},0,0,0,1.0\n", "subject {x}: from and to states equal"),
         ],
     )
     def test_broken_trajectory_named(self, tmp_path, rows, message):

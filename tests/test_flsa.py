@@ -124,8 +124,11 @@ Y_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("y", [["1", "2", "5", "3"], [True, False, True, True]],
-                         ids=["strings", "booleans"])
+@pytest.mark.parametrize(
+    "y",
+    [["1", "2", "5", "3"], [True, False, True, True], [[1.0, 2.0], [3.0]]],
+    ids=["strings", "booleans", "ragged"],
+)
 @pytest.mark.parametrize("call", Y_ENTRY_POINTS.values(), ids=Y_ENTRY_POINTS.keys())
 def test_y_must_be_numbers(call, y):
     with pytest.raises(ValidationError, match="^y must be a sequence of numbers"):

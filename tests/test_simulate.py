@@ -43,7 +43,7 @@ def forked_bootstrap(y):
     """In a forked child: whether it kept its parent's worker, and the bootstrap's
     u_boot with a spare-CPU token of its own."""
     kept = tuning._WORKER is not None
-    tuning._set_spare_cpus(1)
+    tuning._reset(1)
     return kept, bootstrap_lambda(y, TuningConfig(l_boot=100, seed=6)).u_boot.tobytes()
 
 

@@ -1,4 +1,5 @@
 import logging
+import multiprocessing
 import os
 import threading
 
@@ -10,6 +11,7 @@ from conftest import (
     effective_noise,
     group_normals,
     record_reducers,
+    reset_tuning,
     spare_tokens,
     traced_peak,
 )
@@ -32,6 +34,11 @@ def bootstrap_stats(residuals, seed, l_boot):
     """The bootstrap statistics of ``residuals`` as ``bootstrap_lambda`` forms them."""
     with tuning._normal_draw(seed, l_boot, residuals.size) as stats:
         return stats(residuals).copy()
+
+
+def take_spare_token():
+    """Whether this process's spare-CPU token was free; it stays taken."""
+    return tuning._SPARE_CPUS.acquire(blocking=False)
 
 
 def package_noise(u):
@@ -539,8 +546,7 @@ class TestBootstrap:
         # the budget holds one token, for the one worker, however many CPUs are spare: a
         # second caller, on another thread or nested in the first, finds it taken and works
         # alone rather than queue behind a job that waits for it
-        monkeypatch.setattr(tuning, "_SPARE_CPUS", None)
-        tuning._set_spare_cpus(2)
+        reset_tuning(monkeypatch, 2)
         assert spare_tokens(tuning._SPARE_CPUS) == 1
         residuals = rng.normal(size=1000)
         expected = bootstrap_stats_serial(residuals, 8, 300).tobytes()
@@ -563,6 +569,30 @@ class TestBootstrap:
             thread.join(30)
         assert not thread.is_alive()
         assert first == {"released": True, "nested": expected, "u_boot": expected}
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="a process has a token with 2 usable CPUs")
+    def test_forked_child_has_its_own_token(self, monkeypatch):
+        # the thread that holds the parent's token is not in a forked child, which would
+        # otherwise never see the token back and run every bootstrap on its caller
+        reset_tuning(monkeypatch, 1)
+        taken, release = threading.Event(), threading.Event()
+
+        def holder():
+            with tuning._SPARE_CPUS:
+                taken.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        try:
+            assert taken.wait(10)
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                assert pool.apply_async(take_spare_token).get(60)
+        finally:
+            release.set()
+            thread.join(30)
+        assert take_spare_token()  # and the parent's is back once its holder gives it
+        tuning._SPARE_CPUS.release()
 
     @pytest.mark.parametrize("m, l_boot", [(100, 100), (100_000, 64)], ids=["small", "one-group"])
     def test_small_bootstraps_take_no_token(self, rng, monkeypatch, m, l_boot):
